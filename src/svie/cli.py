@@ -5,7 +5,9 @@ per line, ``#`` comments, schema-versioned).  Exit codes: 0 all checks
 passed or the solve converged, 1 the Picard iteration did not converge,
 2 a check failed or an analysis/configuration error occurred.  Outputs are
 deterministic: rerunning an identical config and seed reproduces every
-artifact byte for byte, regardless of ``--threads``.
+artifact byte for byte.  ``--threads`` is accepted and validated (at least
+1) but has no effect: an ensemble is one batch through the solver's row
+kernel, and its values do not depend on the batch.
 """
 
 from __future__ import annotations
@@ -399,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="run configuration file")
         p.add_argument("--seed", type=int, default=None, help="override master_seed")
         p.add_argument("--out", type=str, default=None, help="override the output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker threads (speed only, never results)")
+        p.add_argument("--threads", type=int, default=1, help="must be at least 1; has no effect (an ensemble runs as one batch)")
     return parser
 
 

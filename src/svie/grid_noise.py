@@ -274,8 +274,9 @@ class NoisePath:
     """One path's random inputs: Brownian increments plus a jump train.
 
     ``brownian`` holds the n increments W(t_{i+1}) - W(t_i).  ``jump_times``
-    is sorted inside (0, horizon]; ``jump_marks`` aligns with it.  The pair
-    ``lineage = (master_seed, path_index)`` fully determines every array.
+    is sorted inside (0, horizon]; ``jump_marks`` aligns with it.  All three
+    are finite 1-D arrays.  The pair ``lineage = (master_seed, path_index)``
+    fully determines every array.
     """
 
     grid: TimeGrid
@@ -285,12 +286,21 @@ class NoisePath:
     lineage: tuple[int, int]
 
     def __post_init__(self):
+        for name in ("brownian", "jump_times", "jump_marks"):
+            arr = getattr(self, name)
+            if arr.ndim != 1:
+                raise ConfigurationError(f"{name} must be a 1-D array, got shape {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise ConfigurationError(f"{name} must be finite")
         if self.brownian.shape != (self.grid.steps,):
             raise ConfigurationError(
                 f"brownian increments have shape {self.brownian.shape}, expected ({self.grid.steps},)"
             )
         if self.jump_times.shape != self.jump_marks.shape:
             raise ConfigurationError("jump_times and jump_marks must align")
+        times = self.jump_times
+        if times.size and not (times[0] > 0.0 and times[-1] <= self.grid.horizon and (np.diff(times) >= 0.0).all()):
+            raise ConfigurationError(f"jump_times must be sorted inside (0, {self.grid.horizon!r}]")
 
 
 def sample_brownian(grid: TimeGrid, lineage: tuple[int, int]) -> np.ndarray:

@@ -16,9 +16,16 @@ lower triangular, which is why successive approximation started from
 x^0 = phi reproduces the direct recursion exactly after at most n
 iterations and the (n+1)-th sweep changes nothing.
 
-``direct_recursion`` and ``picard_step`` share one row kernel, so a
-converged Picard iterate is bitwise identical to the direct solution: the
-floating-point summation order is the same code in both cases.
+Every solver runs one row kernel over a (paths, n + 1) block: row i of all
+paths at once, with the kernels broadcast over the path axis.  Each path's
+drift, diffusion and compensator increments are summed along its own row,
+and its jumps are then added one by one in time order, so no value depends
+on the other paths of the batch.  ``ensemble_simulate`` is one batch;
+``direct_recursion`` and the Picard functions are batches of one, so each
+ensemble row is bitwise equal to the single-path solve of its lineage.  A
+Picard step is a sweep that reads a previous iterate instead of the rows it
+writes, so a converged Picard iterate is bitwise identical to the direct
+solution.
 
 Kernel evaluation cost is O(n^2) per path by design; the t_i argument of a
 Volterra kernel changes every row, so increments cannot be reused.
@@ -27,8 +34,7 @@ Volterra kernel changes every row, so increments cannot be reused.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -86,71 +92,76 @@ class PicardRun:
     previous: DiscretePath
 
 
-class _RowContext:
-    """Per-(coefficients, noise) precomputation shared by every sweep."""
+def _initial_curve(coeffs: CoefficientSet, grid: TimeGrid) -> np.ndarray:
+    """phi on the grid points, which is also the Picard start x^0."""
+    return np.array(np.broadcast_to(np.asarray(coeffs.initial(grid.points), dtype=np.float64), grid.points.shape))
 
-    __slots__ = ("coeffs", "grid", "pts", "dt", "dW", "phi", "comp", "jtimes", "jmarks", "jstate", "jcounts")
 
-    def __init__(self, coeffs: CoefficientSet, noise: NoisePath):
-        self.coeffs = coeffs
-        self.grid = noise.grid
-        self.pts = noise.grid.points
-        self.dt = noise.grid.dt
-        self.dW = noise.brownian
-        self.phi = _as_row(coeffs.initial(self.pts), self.grid.steps + 1)
-        has_jumps = coeffs.jump is not None and coeffs.measure.total_mass > 0.0
-        if has_jumps:
-            self.comp = coeffs.compensator or (lambda t, s, x: compensator_integral(coeffs, t, s, x))
-            self.jtimes = noise.jump_times
-            self.jmarks = noise.jump_marks
-            # state index: last grid point strictly before tau (adapted read)
-            self.jstate = np.searchsorted(self.pts, self.jtimes, side="left") - 1
-            self.jcounts = np.searchsorted(self.jtimes, self.pts, side="right")
-        else:
-            self.comp = None
-            self.jtimes = self.jmarks = self.jstate = self.jcounts = None
+def _sweep(coeffs: CoefficientSet, noises: Sequence[NoisePath], source: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill the (paths, n + 1) block ``out`` row by row from ``source``.
 
-    def sweep(self, source: np.ndarray, out: np.ndarray) -> None:
-        """Fill out[1:] from ``source``; ``source`` may alias ``out``.
-
-        When it does, row i reads the rows this sweep already wrote, which
-        is the direct recursion; when it is a previous iterate, this is one
-        Picard step.  Identical code path either way.
-        """
-        pts, dt, dW, phi = self.pts, self.dt, self.dW, self.phi
-        drift, diffusion, jump = self.coeffs.drift, self.coeffs.diffusion, self.coeffs.jump
-        comp = self.comp
-        for i in range(1, len(pts)):
-            t_i = pts[i]
-            s_j = pts[:i]
-            x_j = source[:i]
-            val = phi[i]
-            val += np.sum(_as_row(drift(t_i, s_j, x_j), i)) * dt
-            val += np.dot(_as_row(diffusion(t_i, s_j, x_j), i), dW[:i])
+    When ``source`` is ``out``, row i reads the rows this sweep already
+    wrote, which is the direct recursion; when it is a previous iterate,
+    this is one Picard step.  Returns each path's first grid index with a
+    non-finite state, -1 where there is none.  From that row on the path's
+    state is parked at 0, so kernels only ever see finite states, and the
+    caller discards the row.  The sweep stops once every path has exploded.
+    """
+    grid = noises[0].grid
+    pts, dt = grid.points, grid.dt
+    n_paths = len(noises)
+    phi = _initial_curve(coeffs, grid)
+    dW = np.stack([noise.brownian for noise in noises])
+    drift, diffusion, jump = coeffs.drift, coeffs.diffusion, coeffs.jump
+    comp = None
+    jcounts = np.zeros(len(pts), dtype=np.int64)
+    if jump is not None and coeffs.measure.total_mass > 0.0:
+        comp = coeffs.compensator or (lambda t, s, x: compensator_integral(coeffs, t, s, x))
+        # every jump of the batch in one time-sorted list, so row i's jumps
+        # are a prefix of it; each path meets its own jumps in time order
+        jtimes = np.concatenate([noise.jump_times for noise in noises])
+        order = np.argsort(jtimes, kind="stable")
+        jtimes = jtimes[order]
+        jmarks = np.concatenate([noise.jump_marks for noise in noises])[order]
+        jpath = np.repeat(np.arange(n_paths), [noise.jump_times.size for noise in noises])[order]
+        # state index: last grid point strictly before tau (adapted read)
+        jstate = np.searchsorted(pts, jtimes, side="left") - 1
+        jsource = jpath * len(pts) + jstate  # flat index into source
+        jcounts = np.searchsorted(jtimes, pts, side="right")
+    explosion = np.full(n_paths, -1, dtype=np.int64)
+    row = np.full(n_paths, phi[0])
+    for i in range(len(pts)):
+        if i:
+            t_i, s_j, x_j = pts[i], pts[:i], source[:, :i]
+            f = drift(t_i, s_j, x_j)
             if comp is not None:
-                m = self.jcounts[i]
-                if m:
-                    val += np.sum(
-                        _as_row(jump(t_i, self.jtimes[:m], source[self.jstate[:m]], self.jmarks[:m]), m)
-                    )
-                val -= np.sum(_as_row(comp(t_i, s_j, x_j), i)) * dt
-            if not math.isfinite(val):
-                raise ExplosionError(i)
-            out[i] = val
+                f = f - comp(t_i, s_j, x_j)
+            # one sum per path over its own contiguous row of increments
+            row = phi[i] + np.add.reduce(f * dt + diffusion(t_i, s_j, x_j) * dW[:, :i], axis=1)
+            m = jcounts[i]
+            if m:
+                # unbuffered and in list order: each path adds its own jumps
+                # left to right, whatever else is in the batch
+                np.add.at(row, jpath[:m], jump(t_i, jtimes[:m], source.take(jsource[:m]), jmarks[:m]))
+        # the sum is finite unless some state is not (or the sum overflows,
+        # which the mask then clears); one reduction is cheaper than a mask
+        if not math.isfinite(np.add.reduce(row)):
+            bad = ~np.isfinite(row)
+            explosion[bad & (explosion < 0)] = i
+            if (explosion >= 0).all():
+                break
+            row[bad] = 0.0
+        out[:, i] = row
+    return explosion
 
 
-def _as_row(values, m: int) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.shape == (m,):
-        return arr
-    return np.broadcast_to(arr, (m,))
-
-
-def _initial_values(ctx: _RowContext) -> np.ndarray:
-    phi0 = ctx.phi[0]
-    if not math.isfinite(phi0):
-        raise ExplosionError(0)
-    return np.array(ctx.phi, dtype=np.float64)
+def _solve_one(coeffs: CoefficientSet, noise: NoisePath, source: np.ndarray | None = None) -> np.ndarray:
+    """Batch-of-one sweep: the direct recursion, or a Picard step from ``source``."""
+    out = np.empty((1, noise.grid.steps + 1), dtype=np.float64)
+    explosion = _sweep(coeffs, [noise], out if source is None else source[np.newaxis], out)[0]
+    if explosion >= 0:
+        raise ExplosionError(explosion)
+    return out[0]
 
 
 def direct_recursion(coeffs: CoefficientSet, noise: NoisePath) -> DiscretePath:
@@ -159,26 +170,14 @@ def direct_recursion(coeffs: CoefficientSet, noise: NoisePath) -> DiscretePath:
     Raises ExplosionError with the first offending grid index if the state
     leaves the finite floats.
     """
-    ctx = _RowContext(coeffs, noise)
-    values = np.empty(noise.grid.steps + 1, dtype=np.float64)
-    values[0] = ctx.phi[0]
-    if not math.isfinite(values[0]):
-        raise ExplosionError(0)
-    ctx.sweep(values, values)
-    return DiscretePath(grid=noise.grid, values=values)
+    return DiscretePath(grid=noise.grid, values=_solve_one(coeffs, noise))
 
 
 def picard_step(coeffs: CoefficientSet, noise: NoisePath, prev: DiscretePath) -> DiscretePath:
     """One successive-approximation sweep: evaluate all rows on ``prev``."""
     if prev.grid != noise.grid:
         raise ConfigurationError("previous iterate lives on a different grid than the noise path")
-    ctx = _RowContext(coeffs, noise)
-    out = np.empty(noise.grid.steps + 1, dtype=np.float64)
-    out[0] = ctx.phi[0]
-    if not math.isfinite(out[0]):
-        raise ExplosionError(0)
-    ctx.sweep(prev.values, out)
-    return DiscretePath(grid=noise.grid, values=out)
+    return DiscretePath(grid=noise.grid, values=_solve_one(coeffs, noise, prev.values))
 
 
 def picard_solve(
@@ -195,32 +194,23 @@ def picard_solve(
     """
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ConfigurationError(f"tolerance must be finite and non-negative, got {tolerance!r}")
-    n = noise.grid.steps
     if k_max is None:
-        k_max = n + 1
+        k_max = noise.grid.steps + 1
     if k_max < 1:
         raise ConfigurationError(f"k_max must be at least 1, got {k_max!r}")
-    ctx = _RowContext(coeffs, noise)
-    prev = _initial_values(ctx)
-    curr = np.empty(n + 1, dtype=np.float64)
+    curr = _initial_curve(coeffs, noise.grid)
     sup_diffs = []
-    converged = False
     for _ in range(k_max):
-        curr[0] = ctx.phi[0]
-        ctx.sweep(prev, curr)
-        sup = float(np.max(np.abs(curr - prev)))
-        sup_diffs.append(sup)
-        prev, curr = curr, prev
-        if sup <= tolerance:
-            converged = True
+        prev, curr = curr, _solve_one(coeffs, noise, curr)
+        sup_diffs.append(float(np.max(np.abs(curr - prev))))
+        if sup_diffs[-1] <= tolerance:
             break
-    # after the swap, ``prev`` holds the newest iterate
     return PicardRun(
-        converged=converged,
+        converged=sup_diffs[-1] <= tolerance,
         iterations=len(sup_diffs),
         sup_diffs=np.asarray(sup_diffs, dtype=np.float64),
-        final=DiscretePath(grid=noise.grid, values=prev.copy()),
-        previous=DiscretePath(grid=noise.grid, values=curr.copy()),
+        final=DiscretePath(grid=noise.grid, values=curr),
+        previous=DiscretePath(grid=noise.grid, values=prev),
     )
 
 
@@ -229,21 +219,15 @@ def picard_iterates(coeffs: CoefficientSet, noise: NoisePath, keep: Iterable[int
     wanted = sorted(set(int(k) for k in keep))
     if wanted and wanted[0] < 0:
         raise ConfigurationError("iterate indices must be non-negative")
-    ctx = _RowContext(coeffs, noise)
-    n = noise.grid.steps
-    state = _initial_values(ctx)
     out: dict[int, DiscretePath] = {}
     if not wanted:
         return out
-    if wanted[0] == 0:
-        out[0] = DiscretePath(grid=noise.grid, values=state.copy())
-    for k in range(1, wanted[-1] + 1):
-        nxt = np.empty(n + 1, dtype=np.float64)
-        nxt[0] = ctx.phi[0]
-        ctx.sweep(state, nxt)
-        state = nxt
+    state = _initial_curve(coeffs, noise.grid)
+    for k in range(wanted[-1] + 1):
+        if k:
+            state = _solve_one(coeffs, noise, state)
         if k in wanted:
-            out[k] = DiscretePath(grid=noise.grid, values=state.copy())
+            out[k] = DiscretePath(grid=noise.grid, values=state)
     return out
 
 
@@ -278,10 +262,11 @@ def ensemble_simulate(
     master_seed: int,
     threads: int = 1,
 ) -> Ensemble:
-    """Simulate n_paths independent paths; results never depend on ``threads``.
+    """Simulate n_paths independent paths as one batch through the row kernel.
 
-    Each path index maps to its own noise lineage and is solved by
-    ``direct_recursion``; the thread pool only changes scheduling.
+    Path index idx is the noise lineage (master_seed, idx), and its row is
+    bitwise equal to ``direct_recursion`` on that lineage: no value depends
+    on the batch.  ``threads`` is validated (at least 1) and has no effect.
     """
     if n_paths < 1:
         raise ConfigurationError(f"n_paths must be at least 1, got {n_paths!r}")
@@ -289,25 +274,11 @@ def ensemble_simulate(
         raise ConfigurationError(f"threads must be at least 1, got {threads!r}")
     if measure is None:
         measure = coeffs.measure
+    noises = [sample_noise_path(grid, measure, (master_seed, idx)) for idx in range(n_paths)]
     values = np.empty((n_paths, grid.steps + 1), dtype=np.float64)
-    exploded = np.zeros(n_paths, dtype=bool)
-    explosion_index = np.full(n_paths, -1, dtype=np.int64)
-
-    def solve_one(idx: int) -> None:
-        noise = sample_noise_path(grid, measure, (master_seed, idx))
-        try:
-            values[idx] = direct_recursion(coeffs, noise).values
-        except ExplosionError as err:
-            values[idx] = np.nan
-            exploded[idx] = True
-            explosion_index[idx] = err.grid_index
-
-    if threads == 1:
-        for idx in range(n_paths):
-            solve_one(idx)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(solve_one, range(n_paths)))
+    explosion_index = _sweep(coeffs, noises, values, values)
+    exploded = explosion_index >= 0
+    values[exploded] = np.nan
     return Ensemble(
         grid=grid,
         values=values,

@@ -8,6 +8,7 @@ import pytest
 from svie.errors import ConfigurationError, NumericalError
 from svie.grid_noise import (
     LevyMeasure,
+    NoisePath,
     build_grid,
     compensator_integral,
     sample_brownian,
@@ -179,3 +180,29 @@ def test_noise_ensemble_uses_consecutive_lineages():
     np.testing.assert_array_equal(paths[3].brownian, solo.brownian)
     np.testing.assert_array_equal(paths[3].jump_times, solo.jump_times)
     np.testing.assert_array_equal(paths[3].jump_marks, solo.jump_marks)
+
+
+def test_noise_path_accepts_a_well_formed_hand_built_path():
+    grid = build_grid(1.0, 4)
+    path = NoisePath(grid, np.zeros(4), np.array([0.3, 0.3, 1.0]), np.ones(3), (0, 0))
+    assert path.jump_times.size == 3
+
+
+@pytest.mark.parametrize(
+    "brownian,times,marks",
+    [
+        (np.zeros(4), np.array([0.9, 0.3]), np.ones(2)),  # unsorted times
+        (np.zeros(4), np.array([0.0, 0.5]), np.ones(2)),  # a time at 0
+        (np.zeros(4), np.array([0.5, 1.5]), np.ones(2)),  # a time beyond the horizon
+        (np.zeros(4), np.array([0.2, math.nan]), np.ones(2)),  # a NaN time
+        (np.array([0.1, math.inf, 0.0, 0.0]), np.empty(0), np.empty(0)),  # an infinite increment
+        (np.array([0.1, math.nan, 0.0, 0.0]), np.empty(0), np.empty(0)),  # a NaN increment
+        (np.zeros(4), np.array([0.5]), np.array([math.inf])),  # an infinite mark
+        (np.zeros(4), np.array([0.5]), np.array([math.nan])),  # a NaN mark
+        (np.zeros((4, 1)), np.empty(0), np.empty(0)),  # 2-D increments
+        (np.zeros(4), np.array([[0.5]]), np.array([[1.0]])),  # 2-D jump arrays
+    ],
+)
+def test_noise_path_rejects_malformed_inputs(brownian, times, marks):
+    with pytest.raises(ConfigurationError):
+        NoisePath(build_grid(1.0, 4), brownian, times, marks, (0, 0))

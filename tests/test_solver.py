@@ -135,6 +135,31 @@ def test_explosion_raises_with_grid_index():
     assert info.value.grid_index == 2
 
 
+def loop_reference(coeffs, noise):
+    """The scheme of the solver module's docstring, one scalar kernel call per term."""
+    pts, dt = noise.grid.points, noise.grid.dt
+    x = np.empty(pts.size)
+    for i, t in enumerate(pts):
+        val = float(coeffs.initial(t))
+        for j in range(i):
+            val += coeffs.drift(t, pts[j], x[j]) * dt + coeffs.diffusion(t, pts[j], x[j]) * noise.brownian[j]
+            val -= coeffs.compensator(t, pts[j], x[j]) * dt
+        for tau, xi in zip(noise.jump_times, noise.jump_marks):
+            if tau <= t:
+                val += coeffs.jump(t, tau, x[np.searchsorted(pts, tau, side="left") - 1], xi)
+        x[i] = val
+    return x
+
+
+@pytest.mark.parametrize("coeffs", [example_coefficients(0.02, rate=40.0), linear_test_coefficients(0.2, rate=5.0)])
+def test_direct_recursion_matches_a_plain_loop(coeffs):
+    # summation order differs from the loop, so agreement is to rounding only
+    grid = build_grid(0.5, 48)
+    for idx in range(3):
+        noise = sample_noise_path(grid, coeffs.measure, (17, idx))
+        np.testing.assert_allclose(direct_recursion(coeffs, noise).values, loop_reference(coeffs, noise), rtol=1e-12)
+
+
 # --- successive approximation -------------------------------------------------
 
 
@@ -254,3 +279,64 @@ def test_ensemble_flags_exploded_paths_and_keeps_survivor_rows():
     assert np.isnan(ens.values[:, -1]).all()
     assert set(ens.explosion_index.tolist()) == {2}
     assert ens.survivors.shape == (0, 5)
+
+
+def bitwise_equal(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def broadcasting_coefficients():
+    """Kernels that return a scalar or an s-only row instead of one value per state."""
+    rate = 30.0
+    return CoefficientSet(
+        drift=lambda t, s, x: np.cos(t - np.asarray(s, dtype=np.float64)),
+        diffusion=lambda t, s, x: 1.0,
+        initial=lambda t: np.ones_like(np.asarray(t, dtype=np.float64)),
+        measure=LevyMeasure.lognormal(rate),
+        jump=lambda t, s, x, xi: 0.01,
+        compensator=lambda t, s, x: 0.01 * rate,
+        name="broadcasting",
+    )
+
+
+@pytest.mark.parametrize("coeffs", [example_coefficients(0.02, rate=40.0), broadcasting_coefficients()])
+def test_ensemble_rows_do_not_depend_on_the_batch(coeffs):
+    grid = build_grid(0.5, 64)
+    runs = {size: ensemble_simulate(coeffs, grid, coeffs.measure, size, master_seed=13) for size in (1, 7, 1000)}
+    noises = [sample_noise_path(grid, coeffs.measure, (13, idx)) for idx in range(7)]
+    # rows carrying more than 8 jumps exercise the reduction blocking
+    assert max(noise.jump_times.size for noise in noises) > 8
+    assert not runs[1000].exploded.any()
+    assert bitwise_equal(runs[1].values[0], runs[7].values[0])
+    assert bitwise_equal(runs[7].values, runs[1000].values[:7])
+    for idx, noise in enumerate(noises):
+        assert bitwise_equal(runs[7].values[idx], direct_recursion(coeffs, noise).values)
+
+
+def test_ensemble_mixes_exploded_and_surviving_paths():
+    # the jump kernel overflows, so exactly the paths that jump explode
+    grid = build_grid(1.0, 16)
+    coeffs = CoefficientSet(
+        drift=lambda t, s, x: 0.5 * np.asarray(x, dtype=np.float64),
+        diffusion=lambda t, s, x: 0.3 * np.asarray(x, dtype=np.float64),
+        initial=lambda t: np.ones_like(np.asarray(t, dtype=np.float64)),
+        measure=LevyMeasure.lognormal(1.0),
+        jump=lambda t, s, x, xi: 1e308 * 10.0 * np.asarray(xi) * x,
+        compensator=lambda t, s, x: np.zeros_like(np.asarray(x, dtype=np.float64)),
+        name="jump-overflow",
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        ens = ensemble_simulate(coeffs, grid, coeffs.measure, 16, master_seed=3)
+        assert 0 < ens.exploded.sum() < 16
+        for idx in range(16):
+            noise = sample_noise_path(grid, coeffs.measure, (3, idx))
+            assert ens.exploded[idx] == (noise.jump_times.size > 0)
+            if ens.exploded[idx]:
+                with pytest.raises(ExplosionError) as info:
+                    direct_recursion(coeffs, noise)
+                assert np.isnan(ens.values[idx]).all()
+                assert ens.explosion_index[idx] == info.value.grid_index
+            else:
+                assert ens.explosion_index[idx] == -1
+                assert bitwise_equal(ens.values[idx], direct_recursion(coeffs, noise).values)
