@@ -441,9 +441,9 @@ def compensated_jump_ensemble(
 
     ``integrand`` u(s, xi) must be deterministic and broadcast over arrays.
     The compensator is taken from ``cumulative_compensator`` when given,
-    else integrated from ``compensator_rate``, else computed by quadrature
-    of u against the mark density at each grid time.  The running max is
-    evaluated at grid times.
+    else integrated from ``compensator_rate``, else computed by one vector
+    quadrature of u against the mark density over all grid times.  The
+    running max is evaluated at grid times.
     """
     if n_paths < 1:
         raise ConfigurationError(f"n_paths must be at least 1, got {n_paths!r}")
@@ -458,7 +458,7 @@ def compensated_jump_ensemble(
         if compensator_rate is not None:
             rate = np.broadcast_to(np.asarray(compensator_rate(pts), dtype=np.float64), (n + 1,))
         else:
-            rate = np.array([measure.integrate(lambda xi, s=s: integrand(s, xi)) for s in pts])
+            rate = np.broadcast_to(measure.integrate(lambda xi: integrand(pts, xi)), (n + 1,))
         comp = cumulative_trapezoid(rate, pts, initial=0.0)
     rng = np.random.default_rng(seed)
     mean_count = measure.total_mass * grid.horizon

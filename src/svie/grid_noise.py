@@ -11,12 +11,12 @@ reproduces identical arrays.
 from __future__ import annotations
 
 import math
-import warnings
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad_vec, trapezoid
 
 from .errors import ConfigurationError, NumericalError
 
@@ -40,9 +40,13 @@ _ROLE_BROWNIAN = 0
 _ROLE_JUMPS = 1
 
 # Quadrature constants for integrals against the mark density: probe grid
-# resolution, relative floor below the probed peak at which the core
-# bracket is cut, and the safety factor on the reported quad error.
+# resolution and magnitude range, relative floor below the probed peak at
+# which the core bracket is cut, the subdivisions allowed per quad_vec call
+# beyond its initial panels, and the safety factor on the reported error.
 _PROBE_COUNT = 161
+_PROBE_MIN = 1e-150
+_PROBE_MAX = 1e150
+_QUAD_SPLITS = 200
 _CORE_FLOOR = 1e-18
 _ERR_SAFETY = 10.0
 
@@ -188,85 +192,118 @@ class LevyMeasure:
             raise ConfigurationError(f"mark_sampler returned shape {marks.shape}, expected ({size},)")
         return marks
 
-    def integrate(self, fn: Callable[[float], float], rel_tol: float = 1e-8) -> float:
+    def integrate(self, fn: Callable[[float], float | np.ndarray], rel_tol: float = 1e-8) -> float | np.ndarray:
         """Integrate ``fn`` against the measure: total_mass * int fn * density.
 
-        The integrand is probed on a log-spaced grid first; adaptive
-        quadrature then runs on the bracket actually carrying mass, with
-        the residual tails added separately.  Probing guards against
-        integrands (heavy mark powers) whose mass sits far from the bulk
-        of the density.
+        ``fn(xi)`` takes one float mark and returns a scalar or an array of
+        fixed shape; the result has that shape, each element integrated
+        with its own certified relative error ``rel_tol`` in one adaptive
+        pass for the whole array.  The integrand is probed on a log-spaced
+        grid first; adaptive quadrature then runs on the bracket actually
+        carrying mass, with the residual tails added separately.  Probing
+        guards against integrands (heavy mark powers) whose mass sits far
+        from the bulk of the density.  An element that is zero on every
+        probe integrates to 0; one that is not finite on some probe is
+        reported as inf, -inf or nan without being integrated.  Raises
+        NumericalError when an element's certified error exceeds its
+        target, or when the adaptive pass meets a non-finite value that no
+        probe saw.  A measure without mass returns 0.0.
         """
         if self.total_mass == 0.0:
             return 0.0
         lo, hi = float(self.support[0]), float(self.support[1])
 
-        def weighted(xi: float) -> float:
+        def weighted(xi: float):
             # density first: where it underflows to 0 the product is 0 even
             # if fn alone would overflow (large mark powers at huge xi)
             w = float(self.mark_density(xi))
             if w == 0.0:
                 return 0.0
             try:
-                return float(fn(xi)) * w
+                return np.asarray(fn(xi), dtype=np.float64) * w
             except OverflowError:
                 return math.inf
 
-        if lo >= 0.0:
-            value, err = _integrate_half_line(weighted, lo, hi, rel_tol)
-        elif hi <= 0.0:
-            value, err = _integrate_half_line(lambda u: weighted(-u), -hi, -lo, rel_tol)
-        else:
-            vpos, epos = _integrate_half_line(weighted, 0.0, hi, rel_tol)
-            vneg, eneg = _integrate_half_line(lambda u: weighted(-u), 0.0, -lo, rel_tol)
-            value, err = vpos + vneg, epos + eneg
-
-        scale = max(abs(value), 1e-300)
-        if err > _ERR_SAFETY * rel_tol * scale:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if lo >= 0.0:
+                value, err = _integrate_half_line(weighted, lo, hi, rel_tol)
+            elif hi <= 0.0:
+                value, err = _integrate_half_line(lambda r: weighted(-r), -hi, -lo, rel_tol)
+            else:
+                vpos, epos = _integrate_half_line(weighted, 0.0, hi, rel_tol)
+                vneg, eneg = _integrate_half_line(lambda r: weighted(-r), 0.0, -lo, rel_tol)
+                value, err = vpos + vneg, epos + eneg
+            # non-finite elements carry no error; a nan error (the quadrature
+            # met a non-finite value between probes) fails the check
+            target = np.where(np.isfinite(value), _ERR_SAFETY * rel_tol * np.maximum(np.abs(value), 1e-300), math.inf)
+        if not np.all(err <= target):
             raise NumericalError(
-                f"mark integral did not converge: estimate {value!r}, error {err!r}, "
-                f"relative target {rel_tol!r}"
+                f"mark integral did not converge: estimate {value!r}, error {err!r}, relative target {rel_tol!r}"
             )
-        return self.total_mass * value
+        value = self.total_mass * value
+        return float(value) if value.ndim == 0 else value
 
 
-def _integrate_half_line(w: Callable[[float], float], lo: float, hi: float, rel_tol: float) -> tuple[float, float]:
-    """Quadrature of w over [lo, hi] with 0 <= lo < hi (hi may be inf)."""
-    plo = max(lo, 1e-150)
-    phi = min(hi, 1e150)
-    if not plo < phi:
-        res, err = quad(w, lo, hi, epsabs=0.0, epsrel=rel_tol, limit=200)
-        return res, err
+def _integrate_half_line(w: Callable, lo: float, hi: float, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature of w over [lo, hi] with 0 <= lo < hi (hi may be inf).
+
+    Returns each element's value and certified error, shaped like w's
+    values.  The quadrature runs in u = log(xi) on w(e^u) e^u, where a
+    log-normal bump is a Gaussian that few Gauss-Kronrod nodes resolve.
+    Every element is divided by its own probe-grid estimate of its integral
+    of |w|, so the max-norm tolerance of one vector quadrature is a
+    relative tolerance for each element.
+    """
+    plo = max(lo, min(_PROBE_MIN, 0.5 * hi))
+    phi = min(hi, max(_PROBE_MAX, 2.0 * lo))
     probes = np.geomspace(plo, phi, _PROBE_COUNT)
-    if math.isfinite(hi):
-        probes[-1] = hi
-    if lo > 0.0:
-        probes[0] = lo
-    mags = np.array([abs(w(p)) for p in probes])
-    peak = mags.max()
-    if peak == 0.0 or not math.isfinite(peak):
-        # Nothing detectable on the probe grid: hand the raw interval to quad.
-        res, err = quad(w, lo, hi, epsabs=0.0, epsrel=rel_tol, limit=200)
-        return res, err
-    alive = np.nonzero(mags >= _CORE_FLOOR * peak)[0]
-    # piecewise over probe segments: one quad call across many decades can
-    # put all its nodes where the integrand is flat and miss the bump
-    edges = probes[max(alive[0] - 1, 0) : min(alive[-1] + 1, len(probes) - 1) + 1]
-    a, b = float(edges[0]), float(edges[-1])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        core = core_err = 0.0
-        for e0, e1 in zip(edges[:-1], edges[1:]):
-            piece, piece_err = quad(w, e0, e1, epsabs=0.0, epsrel=rel_tol, limit=200)
-            core += piece
-            core_err += piece_err
-        tail_abs = rel_tol * max(abs(core), 1e-300)
-        left = left_err = right = right_err = 0.0
-        if lo < a:
-            left, left_err = quad(w, lo, a, epsabs=tail_abs, epsrel=rel_tol, limit=200)
-        if b < hi:
-            right, right_err = quad(w, b, hi, epsabs=tail_abs, epsrel=rel_tol, limit=200)
-    return core + left + right, core_err + left_err + right_err
+    # Python floats, so a Python-float fn overflows by OverflowError
+    raw = [w(p) for p in probes.tolist()]
+    shape = np.broadcast_shapes(*(np.shape(r) for r in raw))
+    vals = np.empty((len(raw), math.prod(shape)))  # (probe, element)
+    for row, r in zip(vals, raw):
+        row[...] = np.ravel(r)
+    vals *= probes[:, np.newaxis]  # the integrand in u = log(xi)
+    finite = np.isfinite(vals).all(axis=0)
+    # a non-finite element is not integrated: inf, -inf or nan as its probes sum
+    value = np.where(finite, 0.0, vals.sum(axis=0))
+    err = np.zeros_like(value)
+    mags = np.abs(vals)
+    peak = mags.max(axis=0)
+    live = finite & (peak > 0.0)
+    if live.any():
+        mags, peak = mags[:, live], peak[live]
+        logs = np.log(probes)
+        # the core is the union of every element's bracket of probe segments
+        # above _CORE_FLOOR times its own peak, widened by one segment
+        rows = np.flatnonzero((mags >= _CORE_FLOOR * peak).any(axis=1))
+        edges = logs[max(rows[0] - 1, 0) : min(rows[-1] + 1, len(logs) - 1) + 1].tolist()
+        scale = trapezoid(mags, logs, axis=0)
+        inv = 1.0 / scale
+        index = slice(None) if live.all() else live
+
+        def scaled(u: float) -> np.ndarray:
+            xi = math.exp(u)
+            v = np.ravel(w(xi))
+            # a scalar (zero density, or fn returned one value) broadcasts
+            return (v[index] if v.size > 1 else v) * xi * inv
+
+        u_lo = math.log(lo) if lo > 0.0 else -math.inf
+        u_hi = math.log(min(hi, sys.float_info.max))
+        total = total_err = 0.0
+        # piecewise over probe segments: one panel across many decades can
+        # put all its nodes where the integrand is flat and miss the bump
+        for a, b, points in ((edges[0], edges[-1], edges[1:-1]), (u_lo, edges[0], None), (edges[-1], u_hi, None)):
+            if a < b:
+                part, part_err = quad_vec(
+                    scaled, a, b, epsabs=rel_tol, epsrel=0.0, norm="max", points=points,
+                    limit=len(edges) + _QUAD_SPLITS,
+                )
+                total = total + part
+                total_err += part_err
+        value[live] = total * scale
+        err[live] = total_err * scale
+    return value.reshape(shape), err.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -351,9 +388,12 @@ def sample_noise_ensemble(
 def compensator_integral(coeffs: "CoefficientSet", t, s, x):
     """Mean jump contribution int h(t, s, x, xi) nu(dxi).
 
-    Uses the coefficient set's closed form when present, otherwise adaptive
-    quadrature against the mark density (relative tolerance 1e-8).  ``s``
-    and ``x`` may be arrays; ``s <= t`` is required elementwise.
+    Uses the coefficient set's closed form when present, otherwise one
+    vector quadrature against the mark density per slice along the last
+    axis (one path's row in the solver), each element with certified
+    relative error 1e-8.  Slices are integrated separately so that a row's
+    values never depend on the other rows of a batch.  ``s`` and ``x`` may
+    be arrays; ``s <= t`` is required elementwise.
     """
     t_arr = np.asarray(t, dtype=np.float64)
     s_arr = np.asarray(s, dtype=np.float64)
@@ -363,18 +403,16 @@ def compensator_integral(coeffs: "CoefficientSet", t, s, x):
     shape = np.broadcast_shapes(t_arr.shape, s_arr.shape, x_arr.shape)
     if coeffs.jump is None or coeffs.measure.total_mass == 0.0:
         out = np.zeros(shape, dtype=np.float64)
-        return float(out) if out.ndim == 0 else out
-    if coeffs.compensator is not None:
+    elif coeffs.compensator is not None:
         out = np.broadcast_to(np.asarray(coeffs.compensator(t, s, x), dtype=np.float64), shape).copy()
-        return float(out) if out.ndim == 0 else out
-    tb = np.broadcast_to(t_arr, shape).ravel()
-    sb = np.broadcast_to(s_arr, shape).ravel()
-    xb = np.broadcast_to(x_arr, shape).ravel()
-    vals = np.array(
-        [
-            coeffs.measure.integrate(lambda xi, tk=tk, sk=sk, xk=xk: coeffs.jump(tk, sk, xk, xi))
-            for tk, sk, xk in zip(tb, sb, xb)
-        ]
-    )
-    out = vals.reshape(shape)
+    else:
+        rows, width = math.prod(shape[:-1]), math.prod(shape[-1:])
+        tb, sb, xb = (np.broadcast_to(a, shape).reshape(rows, width) for a in (t_arr, s_arr, x_arr))
+        jump, measure = coeffs.jump, coeffs.measure
+        out = np.array(
+            [
+                np.broadcast_to(measure.integrate(lambda xi, tk=tk, sk=sk, xk=xk: jump(tk, sk, xk, xi)), (width,))
+                for tk, sk, xk in zip(tb, sb, xb)
+            ]
+        ).reshape(shape)
     return float(out) if out.ndim == 0 else out

@@ -314,3 +314,17 @@ def test_jump_builder_quadrature_route_agrees_with_closed_form():
         grid, measure, lambda s, xi: xi * xi, 200, seed=13, compensator_rate=lambda s: 1.5 * E_XI_SQ * np.ones_like(s)
     )
     np.testing.assert_allclose(by_quadrature.terminal, closed.terminal, rtol=1e-6, atol=1e-9)
+
+
+def test_jump_builder_quadrature_route_reads_each_grid_time():
+    # the quadrature route integrates all grid times in one vector call;
+    # an s-dependent integrand shows whether each time got its own rate
+    grid = build_grid(1.0, 8)
+    measure = LevyMeasure.lognormal(1.5)
+    integrand = lambda s, xi: (1.0 + np.asarray(s)) * xi
+    by_quadrature = compensated_jump_ensemble(grid, measure, integrand, 200, seed=14)
+    closed = compensated_jump_ensemble(
+        grid, measure, integrand, 200, seed=14, compensator_rate=lambda s: 1.5 * E_XI * (1.0 + np.asarray(s))
+    )
+    np.testing.assert_allclose(by_quadrature.terminal, closed.terminal, rtol=1e-6, atol=1e-9)
+    np.testing.assert_allclose(by_quadrature.sup_sq, closed.sup_sq, rtol=1e-6, atol=1e-9)

@@ -1,13 +1,17 @@
 """Coefficient catalogue, continuity moduli, and the assumption audits."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from svie.coefficients import (
     AUDIT_SLACK,
+    MARK_INTEGRAL_REL_TOL,
     CoefficientSet,
+    _jump_square_integral,
     audit_linear_growth,
     audit_modulus,
     catalogue_scale,
@@ -26,7 +30,8 @@ from svie.coefficients import (
     zero_coefficients,
 )
 from svie.errors import ConfigurationError
-from svie.grid_noise import LevyMeasure
+from svie.grid_noise import LevyMeasure, build_grid, sample_noise_path
+from svie.solver import direct_recursion
 
 E_XI_SQ = math.exp(2.0)
 E_XI_4TH = math.exp(8.0)
@@ -348,3 +353,60 @@ def test_pair_sampler_covers_both_states():
     assert np.all((0.0 <= s) & (s <= t) & (t <= 0.5))
     assert np.all(np.abs(x) <= 2.0) and np.all(np.abs(y) <= 2.0)
     assert np.any(x != y)
+
+
+# --- mark-space quadrature inside the audits --------------------------------
+
+
+def test_audit_jump_terms_are_accurate_per_sample():
+    # example: int h^2 nu = c^2 rate e^8 x^2, each sample certified on its own
+    c, rate = 0.1, 2.0
+    coeffs = example_coefficients(c, rate)
+    x = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 13), -np.geomspace(1e-6, 1e6, 5)])
+    y = np.concatenate([[0.0], -x[1:][::-1]])
+    t = np.full(x.size, 0.5)
+    s = np.linspace(0.0, 0.5, x.size)
+    slope = c * c * rate * math.exp(8.0)
+    plain = _jump_square_integral(coeffs, t, s, x)
+    diff = _jump_square_integral(coeffs, t, s, x, y)
+    assert plain[0] == 0.0 and diff[0] == 0.0
+    np.testing.assert_allclose(plain[1:], slope * x[1:] ** 2, rtol=MARK_INTEGRAL_REL_TOL, atol=0.0)
+    np.testing.assert_allclose(diff[1:], slope * (x[1:] - y[1:]) ** 2, rtol=MARK_INTEGRAL_REL_TOL, atol=0.0)
+
+
+def test_growth_audit_keeps_a_nan_jump_kernel_local():
+    clean = example_coefficients(0.1, 2.0)
+    broken = CoefficientSet(
+        drift=clean.drift,
+        diffusion=clean.diffusion,
+        jump=lambda t, s, x, xi: np.where(np.asarray(x) > 9.5, np.nan, clean.jump(t, s, x, xi)),
+        initial=clean.initial,
+        measure=clean.measure,
+        growth_constant=clean.growth_constant,
+        name="nan-jump",
+    )
+    t, s, x = domain_sampler(0.5, 10.0, seed=5)(300)
+    audit = audit_linear_growth(broken, domain_sampler(0.5, 10.0, seed=5), 300)
+    assert not audit.passed
+    assert sorted(p[2] for p in audit.bad_points) == sorted(x[x > 9.5].tolist())
+    got = _jump_square_integral(broken, t, s, x)
+    want = _jump_square_integral(clean, t, s, x)
+    ok = x <= 9.5
+    assert np.isnan(got[~ok]).all()
+    np.testing.assert_allclose(got[ok], want[ok], rtol=MARK_INTEGRAL_REL_TOL, atol=0.0)
+
+
+def test_audits_and_quadrature_solve_raise_no_warnings():
+    coeffs = example_coefficients(0.1, 2.0)
+    stripped = dataclasses.replace(coeffs, compensator=None)
+    grid = build_grid(0.5, 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert audit_linear_growth(coeffs, domain_sampler(0.5, 10.0, seed=1), 200).passed
+        assert audit_modulus(
+            coeffs, linear_modulus(catalogue_scale("example")), pair_sampler(0.5, 10.0, seed=2), 200
+        ).passed
+        direct_recursion(stripped, sample_noise_path(grid, coeffs.measure, (3, 0)))
+        # E[xi^40] = e^800 overflows, as numpy and as Python floats, quietly
+        assert coeffs.measure.integrate(lambda xi: np.float64(xi) ** 40) == math.inf
+        assert coeffs.measure.integrate(lambda xi: xi**40) == math.inf

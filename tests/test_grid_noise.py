@@ -1,5 +1,6 @@
 """Grid construction, seeded noise sampling, and mark-measure quadrature."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from svie.grid_noise import (
     sample_noise_ensemble,
     sample_noise_path,
 )
-from svie.coefficients import example_coefficients, linear_test_coefficients
+from svie.coefficients import MARK_INTEGRAL_REL_TOL, example_coefficients, linear_test_coefficients
 
 E_XI = 1.6487212707001282  # E[xi] for the standard lognormal mark law
 E_XI_SQ = 7.38905609893065  # E[xi^2]
@@ -206,3 +207,52 @@ def test_noise_path_accepts_a_well_formed_hand_built_path():
 def test_noise_path_rejects_malformed_inputs(brownian, times, marks):
     with pytest.raises(ConfigurationError):
         NoisePath(build_grid(1.0, 4), brownian, times, marks, (0, 0))
+
+
+def test_integrate_returns_the_shape_of_fn():
+    # every element meets the tolerance on its own, whatever its size
+    measure = LevyMeasure.lognormal(1.0)
+    powers = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
+    out = measure.integrate(lambda xi: xi**powers)
+    assert out.shape == (5,)
+    np.testing.assert_allclose(out, np.exp(0.5 * powers**2), rtol=1e-8)
+    assert isinstance(measure.integrate(lambda xi: xi), float)
+
+
+def test_compensator_quadrature_is_accurate_per_element():
+    # a max-norm criterion would certify the small elements only relative to
+    # the largest one; each element must meet the tolerance on its own
+    coeffs = example_coefficients(0.1, rate=2.0)
+    stripped = dataclasses.replace(coeffs, compensator=None)
+    x = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 13), -np.geomspace(1e-6, 1e6, 5)])
+    s = np.linspace(0.0, 0.5, x.size)
+    got = compensator_integral(stripped, 0.5, s, x)
+    want = 0.1 * 2.0 * E_XI_SQ * x
+    assert got[0] == 0.0
+    np.testing.assert_allclose(got[1:], want[1:], rtol=MARK_INTEGRAL_REL_TOL, atol=0.0)
+
+
+def test_compensator_quadrature_integrates_each_row_on_its_own():
+    # a row's values must not depend on the rows batched with it; h peaks
+    # at xi = 1/|x|, so different rows need different subdivisions
+    coeffs = dataclasses.replace(
+        example_coefficients(0.1, rate=2.0),
+        jump=lambda t, s, x, xi: np.sin(x) * xi / (1.0 + np.square(x * xi)),
+        compensator=None,
+    )
+    s = np.linspace(0.0, 0.25, 4)
+    x = np.array([[1.0, -2.0, 0.5, 3.0], [1e4, 1e-3, 0.0, 7.0]])
+    both = compensator_integral(coeffs, 0.5, s, x)
+    assert both.shape == (2, 4)
+    for k in range(2):
+        assert np.array_equal(both[k], compensator_integral(coeffs, 0.5, s, x[k]))
+
+
+def test_integrate_reports_a_nan_between_probes():
+    # no probe lands in (2, 50), so only the adaptive pass meets the nan;
+    # it must not come back as a value that passed the error check
+    measure = LevyMeasure.lognormal(1.0)
+    with pytest.raises(NumericalError):
+        measure.integrate(lambda xi: math.nan if 2.0 < xi < 50.0 else 1.0)
+    with pytest.raises(NumericalError):
+        measure.integrate(lambda xi: np.array([1.0, math.nan if 2.0 < xi < 50.0 else xi]))

@@ -1,5 +1,6 @@
 """Lower-triangular recursion, successive approximation, and ensembles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -312,6 +313,18 @@ def test_ensemble_rows_do_not_depend_on_the_batch(coeffs):
     assert bitwise_equal(runs[7].values, runs[1000].values[:7])
     for idx, noise in enumerate(noises):
         assert bitwise_equal(runs[7].values[idx], direct_recursion(coeffs, noise).values)
+
+
+def test_quadrature_compensator_rows_do_not_depend_on_the_batch():
+    # without a closed form each path's compensator row is its own vector
+    # quadrature, whose subdivision must not see the other paths
+    coeffs = dataclasses.replace(example_coefficients(0.1, rate=2.0), compensator=None)
+    grid = build_grid(0.5, 8)
+    ens = ensemble_simulate(coeffs, grid, coeffs.measure, 3, master_seed=21)
+    assert not ens.exploded.any()
+    for idx in range(3):
+        noise = sample_noise_path(grid, coeffs.measure, (21, idx))
+        assert bitwise_equal(ens.values[idx], direct_recursion(coeffs, noise).values)
 
 
 def test_ensemble_mixes_exploded_and_surviving_paths():
