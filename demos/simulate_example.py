@@ -26,7 +26,7 @@ coeffs = example_coefficients(0.1, rate=2.0)
 grid = build_grid(HORIZON, STEPS)
 
 print(f"simulating {PATHS} paths of the example model on [0, {HORIZON}] with {STEPS} steps")
-ensemble = ensemble_simulate(coeffs, grid, coeffs.measure, PATHS, master_seed=SEED)
+ensemble = ensemble_simulate(coeffs, grid, PATHS, master_seed=SEED)
 print(f"exploded paths: {int(ensemble.exploded.sum())} of {ensemble.n_paths}")
 
 report = moment_check(ensemble, coeffs)

@@ -146,10 +146,11 @@ class DoobReport:
     passed: bool
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    n = len(values)
-    mean = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+def _mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean along axis 0 (over paths) and its standard error, 0 for one path."""
+    n = values.shape[0]
+    mean = np.mean(values, axis=0)
+    se = np.std(values, axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
     return mean, se
 
 
@@ -173,8 +174,8 @@ def doob_check(sup_sq: np.ndarray, terminal_sq: np.ndarray, p: float = 2.0, slac
     half_p = 0.5 * p
     lhs_samples = sup_sq if p == 2.0 else np.power(sup_sq, half_p)
     rhs_samples = terminal_sq if p == 2.0 else np.power(terminal_sq, half_p)
-    lhs, se_lhs = _mean_se(lhs_samples)
-    rhs, se_rhs = _mean_se(rhs_samples)
+    lhs, se_lhs = map(float, _mean_se(lhs_samples))
+    rhs, se_rhs = map(float, _mean_se(rhs_samples))
     constant = (p / (p - 1.0)) ** p
     bound = constant * rhs * (1.0 + slack) + 4.0 * math.hypot(se_lhs, constant * se_rhs)
     return DoobReport(
@@ -237,9 +238,7 @@ def moment_check(ensemble: Ensemble, coeffs: CoefficientSet, growth_c: float | N
     m = surv.shape[0]
     if m == 0:
         raise AnalysisError("every path exploded; no surviving paths to estimate moments")
-    sq = surv * surv
-    estimates = sq.mean(axis=0)
-    stderrs = sq.std(axis=0, ddof=1) / math.sqrt(m) if m > 1 else np.zeros_like(estimates)
+    estimates, stderrs = _mean_se(surv * surv)
     horizon = ensemble.grid.horizon
     phi_terminal = float(np.asarray(coeffs.initial(horizon), dtype=np.float64))
     bound = uniform_moment_bound(float(growth_c), horizon, phi_terminal * phi_terminal)
@@ -321,8 +320,7 @@ def picard_gap(
         iterates = picard_iterates(coeffs, noise, (k, k + m))
         diff = iterates[k + m].values - iterates[k].values
         sups[row] = np.maximum.accumulate(diff * diff)
-    estimates = sups.mean(axis=0)
-    stderrs = sups.std(axis=0, ddof=1) / math.sqrt(n_paths) if n_paths > 1 else np.zeros_like(estimates)
+    estimates, stderrs = _mean_se(sups)
     # inf * 0 at t = 0 would poison the envelope when c3 overflows
     envelope = np.where(grid.points > 0.0, c3 * grid.points, 0.0)
     passes = estimates - 4.0 * stderrs <= envelope

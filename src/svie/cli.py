@@ -5,9 +5,9 @@ per line, ``#`` comments, schema-versioned).  Exit codes: 0 all checks
 passed or the solve converged, 1 the Picard iteration did not converge,
 2 a check failed or an analysis/configuration error occurred.  Outputs are
 deterministic: rerunning an identical config and seed reproduces every
-artifact byte for byte.  ``--threads`` is accepted and validated (at least
-1) but has no effect: an ensemble is one batch through the solver's row
-kernel, and its values do not depend on the batch.
+artifact byte for byte.  ``--threads`` is kept for compatibility: it is
+validated (at least 1) and has no effect, since an ensemble is one batch
+through the solver's row kernel.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import numpy as np
 from . import analysis
 from .coefficients import (
     AUDIT_SLACK,
+    COEFFICIENT_SETS,
+    MODULI,
     audit_linear_growth,
     audit_modulus,
     coefficient_catalogue,
@@ -40,8 +42,6 @@ __all__ = ["RunConfig", "parse_config", "emit_config", "load_config", "main"]
 
 SCHEMA = "svie-run/1"
 
-_COEFFICIENT_SETS = ("example", "deterministic_ode", "linear_test", "zero")
-_MODULI = ("linear", "log", "quadratic")
 _AUDIT_X_BOUND = 10.0
 _AUDIT_SAMPLES = 1000
 _DOOB_PATHS = 100_000
@@ -69,12 +69,12 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        if self.coefficient_set not in _COEFFICIENT_SETS:
+        if self.coefficient_set not in COEFFICIENT_SETS:
             raise ConfigurationError(
-                f"coefficient_set must be one of {', '.join(_COEFFICIENT_SETS)}, got {self.coefficient_set!r}"
+                f"coefficient_set must be one of {', '.join(COEFFICIENT_SETS)}, got {self.coefficient_set!r}"
             )
-        if self.modulus not in _MODULI:
-            raise ConfigurationError(f"modulus must be one of {', '.join(_MODULI)}, got {self.modulus!r}")
+        if self.modulus not in MODULI:
+            raise ConfigurationError(f"modulus must be one of {', '.join(MODULI)}, got {self.modulus!r}")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ConfigurationError(f"horizon must be finite and positive, got {self.horizon!r}")
         if self.steps < 1:
@@ -145,24 +145,20 @@ def parse_config(text: str) -> RunConfig:
 
 
 def emit_config(config: RunConfig) -> str:
-    """Canonical text for a config; parse(emit(c)) == c and emit is stable."""
+    """Canonical text for a config; parse(emit(c)) == c and emit is stable.
+
+    One line per field in declaration order; floats are written with repr so
+    they round-trip exactly, and a field left at None is omitted.
+    """
     lines = [
         "# svie run configuration",
         "# horizon in model time units; jump_rate in expected jumps per unit time",
         f"schema = {SCHEMA}",
-        f"coefficient_set = {config.coefficient_set}",
-        f"modulus = {config.modulus}",
-        f"horizon = {config.horizon!r}",
-        f"steps = {config.steps}",
-        f"paths = {config.paths}",
-        f"master_seed = {config.master_seed}",
-        f"jump_coefficient = {config.jump_coefficient!r}",
-        f"jump_rate = {config.jump_rate!r}",
-        f"picard_tolerance = {config.picard_tolerance!r}",
     ]
-    if config.picard_k_max is not None:
-        lines.append(f"picard_k_max = {config.picard_k_max}")
-    lines.append(f"out_dir = {config.out_dir}")
+    for field in fields(config):
+        value = getattr(config, field.name)
+        if value is not None:
+            lines.append(f"{field.name} = {value!r}" if isinstance(value, float) else f"{field.name} = {value}")
     return "\n".join(lines) + "\n"
 
 
@@ -173,19 +169,7 @@ def load_config(path: str | Path) -> RunConfig:
 def _config_echo(config: RunConfig) -> dict:
     # out_dir is a location, not an input of the run; leaving it out keeps
     # summaries byte-identical when only --out changes
-    echo = {
-        "coefficient_set": config.coefficient_set,
-        "modulus": config.modulus,
-        "horizon": config.horizon,
-        "steps": config.steps,
-        "paths": config.paths,
-        "master_seed": config.master_seed,
-        "jump_coefficient": config.jump_coefficient,
-        "jump_rate": config.jump_rate,
-        "picard_tolerance": config.picard_tolerance,
-        "picard_k_max": config.picard_k_max,
-    }
-    return echo
+    return {field.name: getattr(config, field.name) for field in fields(config) if field.name != "out_dir"}
 
 
 def _build_model(config: RunConfig):
@@ -213,11 +197,11 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def cmd_simulate(config: RunConfig, out_dir: Path, threads: int) -> int:
+def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
     """Simulate the configured ensemble; write paths.csv and summary.json."""
     grid = build_grid(config.horizon, config.steps)
     coeffs, _ = _build_model(config)
-    ensemble = ensemble_simulate(coeffs, grid, coeffs.measure, config.paths, config.master_seed, threads)
+    ensemble = ensemble_simulate(coeffs, grid, config.paths, config.master_seed)
     rows = ["path_id,t,x"]
     for pid in range(ensemble.n_paths):
         vals = ensemble.values[pid]
@@ -252,8 +236,7 @@ def cmd_picard(config: RunConfig, out_dir: Path) -> int:
     grid = build_grid(config.horizon, config.steps)
     coeffs, _ = _build_model(config)
     noise = sample_noise_path(grid, coeffs.measure, (config.master_seed, 0))
-    k_max = config.picard_k_max if config.picard_k_max is not None else grid.steps + 1
-    run = picard_solve(coeffs, noise, config.picard_tolerance, k_max)
+    run = picard_solve(coeffs, noise, config.picard_tolerance, config.picard_k_max)
     rows = ["k,sup_diff"]
     rows.extend(f"{k},{_fmt(d)}" for k, d in enumerate(run.sup_diffs, start=1))
     (out_dir / "picard.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
@@ -268,7 +251,7 @@ def cmd_picard(config: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def cmd_verify(config: RunConfig, out_dir: Path, threads: int) -> int:
+def cmd_verify(config: RunConfig, out_dir: Path) -> int:
     """Run the audit and inequality suite; write verification.json."""
     grid = build_grid(config.horizon, config.steps)
     coeffs, modulus = _build_model(config)
@@ -312,7 +295,7 @@ def cmd_verify(config: RunConfig, out_dir: Path, threads: int) -> int:
         return {"value": rep.lhs, "bound": _json_num(rep.bound), "stderr": rep.se_lhs, "pass": rep.passed}
 
     def check_doob_jump():
-        if coeffs.jump is None or coeffs.measure.total_mass == 0.0:
+        if coeffs.jump is None:
             integrand = lambda s, xi: np.zeros_like(np.asarray(s, dtype=np.float64))
             rate = None
         else:
@@ -330,7 +313,7 @@ def cmd_verify(config: RunConfig, out_dir: Path, threads: int) -> int:
         return float(coeffs.growth_constant)
 
     def check_moment_envelope():
-        ens = ensemble_simulate(coeffs, grid, coeffs.measure, config.paths, seed, threads)
+        ens = ensemble_simulate(coeffs, grid, config.paths, seed)
         rep = analysis.moment_check(ens, coeffs, effective_growth_c())
         worst = float(np.max(rep.estimates - 4.0 * rep.stderrs))
         return {
@@ -401,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="run configuration file")
         p.add_argument("--seed", type=int, default=None, help="override master_seed")
         p.add_argument("--out", type=str, default=None, help="override the output directory")
-        p.add_argument("--threads", type=int, default=1, help="must be at least 1; has no effect (an ensemble runs as one batch)")
+        p.add_argument("--threads", type=int, default=1, help="kept for compatibility; must be at least 1, has no effect")
     return parser
 
 
@@ -416,10 +399,10 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(args.out) if args.out else Path(config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":
-            return cmd_simulate(config, out_dir, args.threads)
+            return cmd_simulate(config, out_dir)
         if args.command == "picard":
             return cmd_picard(config, out_dir)
-        return cmd_verify(config, out_dir, args.threads)
+        return cmd_verify(config, out_dir)
     except ConfigParseError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

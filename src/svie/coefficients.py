@@ -39,10 +39,12 @@ __all__ = [
     "deterministic_ode_coefficients",
     "linear_test_coefficients",
     "zero_coefficients",
+    "COEFFICIENT_SETS",
     "coefficient_catalogue",
     "linear_modulus",
     "log_modulus",
     "quadratic_modulus",
+    "MODULI",
     "modulus_catalogue",
     "catalogue_scale",
     "scale_for_log_modulus",
@@ -65,10 +67,13 @@ _E1 = math.exp(0.5)  # first moment
 class CoefficientSet:
     """Kernels of one jump-diffusion Volterra model.
 
-    ``jump=None`` switches the jump term off entirely.  ``compensator`` is
-    an optional closed form for int h(t, s, x, xi) nu(dxi); when absent the
-    solver integrates h against ``measure`` by one vector quadrature per
-    path and row, a few hundred times slower than a closed form.
+    ``jump=None`` switches the jump term off entirely.  A measure with no
+    mass switches it off too: ``jump`` and ``compensator`` are then set to
+    None, so ``jump is None`` is the one test for "no jumps".
+    ``compensator`` is an optional closed form for int h(t, s, x, xi)
+    nu(dxi); when absent the solver integrates h against ``measure`` by one
+    vector quadrature per path and row, a few hundred times slower than a
+    closed form.
     ``growth_constant`` is the analytic C of the linear-growth condition
     when one is known.
     """
@@ -83,7 +88,10 @@ class CoefficientSet:
     name: str = "custom"
 
     def __post_init__(self):
-        if self.jump is not None and self.measure.total_mass > 0.0 and self.measure.mark_sampler is None:
+        if self.measure.total_mass == 0.0:
+            object.__setattr__(self, "jump", None)
+            object.__setattr__(self, "compensator", None)
+        if self.jump is not None and self.measure.mark_sampler is None:
             raise ConfigurationError("a jump kernel with positive mass needs a measure that can sample marks")
 
 
@@ -143,12 +151,14 @@ def quadratic_modulus(scale: float) -> Modulus:
     )
 
 
+MODULI = {"linear": linear_modulus, "log": log_modulus, "quadratic": quadratic_modulus}
+
+
 def modulus_catalogue(kind: str, scale: float) -> Modulus:
-    try:
-        factory = {"linear": linear_modulus, "log": log_modulus, "quadratic": quadratic_modulus}[kind]
-    except KeyError:
-        raise ConfigurationError(f"unknown modulus kind {kind!r}; expected linear, log or quadratic")
-    return factory(scale)
+    """Named moduli reachable from run configurations."""
+    if kind not in MODULI:
+        raise ConfigurationError(f"unknown modulus kind {kind!r}; expected one of {', '.join(MODULI)}")
+    return MODULI[kind](scale)
 
 
 def scale_for_log_modulus(linear_scale: float, d_max: float) -> float:
@@ -242,19 +252,20 @@ def zero_coefficients() -> CoefficientSet:
     )
 
 
+# name -> factory(c, rate); the noise-free models ignore both arguments
+COEFFICIENT_SETS = {
+    "example": example_coefficients,
+    "deterministic_ode": lambda c, rate: deterministic_ode_coefficients(),
+    "linear_test": linear_test_coefficients,
+    "zero": lambda c, rate: zero_coefficients(),
+}
+
+
 def coefficient_catalogue(name: str, c: float = 0.1, rate: float = 2.0) -> CoefficientSet:
     """Named models reachable from run configurations."""
-    if name == "example":
-        return example_coefficients(c, rate)
-    if name == "deterministic_ode":
-        return deterministic_ode_coefficients()
-    if name == "linear_test":
-        return linear_test_coefficients(c, rate)
-    if name == "zero":
-        return zero_coefficients()
-    raise ConfigurationError(
-        f"unknown coefficient set {name!r}; expected example, deterministic_ode, linear_test or zero"
-    )
+    if name not in COEFFICIENT_SETS:
+        raise ConfigurationError(f"unknown coefficient set {name!r}; expected one of {', '.join(COEFFICIENT_SETS)}")
+    return COEFFICIENT_SETS[name](c, rate)
 
 
 def catalogue_scale(name: str, c: float = 0.1, rate: float = 2.0) -> float:
@@ -308,7 +319,7 @@ def _jump_square_integral(coeffs: CoefficientSet, t, s, x, y=None) -> np.ndarray
     MARK_INTEGRAL_REL_TOL relative on its own.
     """
     n = len(t)
-    if coeffs.jump is None or coeffs.measure.total_mass == 0.0:
+    if coeffs.jump is None:
         return np.zeros(n)
     jump = coeffs.jump
     if y is None:

@@ -401,7 +401,7 @@ def compensator_integral(coeffs: "CoefficientSet", t, s, x):
     if np.any(s_arr > t_arr):
         raise ConfigurationError("compensator_integral requires s <= t")
     shape = np.broadcast_shapes(t_arr.shape, s_arr.shape, x_arr.shape)
-    if coeffs.jump is None or coeffs.measure.total_mass == 0.0:
+    if coeffs.jump is None:
         out = np.zeros(shape, dtype=np.float64)
     elif coeffs.compensator is not None:
         out = np.broadcast_to(np.asarray(coeffs.compensator(t, s, x), dtype=np.float64), shape).copy()

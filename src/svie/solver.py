@@ -42,7 +42,6 @@ import numpy as np
 from .coefficients import CoefficientSet
 from .errors import ConfigurationError, ExplosionError
 from .grid_noise import (
-    LevyMeasure,
     NoisePath,
     TimeGrid,
     compensator_integral,
@@ -115,7 +114,7 @@ def _sweep(coeffs: CoefficientSet, noises: Sequence[NoisePath], source: np.ndarr
     drift, diffusion, jump = coeffs.drift, coeffs.diffusion, coeffs.jump
     comp = None
     jcounts = np.zeros(len(pts), dtype=np.int64)
-    if jump is not None and coeffs.measure.total_mass > 0.0:
+    if jump is not None:
         comp = coeffs.compensator or (lambda t, s, x: compensator_integral(coeffs, t, s, x))
         # every jump of the batch in one time-sorted list, so row i's jumps
         # are a prefix of it; each path meets its own jumps in time order
@@ -254,27 +253,17 @@ class Ensemble:
         return self.values[~self.exploded]
 
 
-def ensemble_simulate(
-    coeffs: CoefficientSet,
-    grid: TimeGrid,
-    measure: LevyMeasure | None,
-    n_paths: int,
-    master_seed: int,
-    threads: int = 1,
-) -> Ensemble:
+def ensemble_simulate(coeffs: CoefficientSet, grid: TimeGrid, n_paths: int, master_seed: int) -> Ensemble:
     """Simulate n_paths independent paths as one batch through the row kernel.
 
-    Path index idx is the noise lineage (master_seed, idx), and its row is
+    Path index idx is the noise lineage (master_seed, idx), sampled from
+    ``coeffs.measure``, the measure the sweep compensates with.  Its row is
     bitwise equal to ``direct_recursion`` on that lineage: no value depends
-    on the batch.  ``threads`` is validated (at least 1) and has no effect.
+    on the batch.
     """
     if n_paths < 1:
         raise ConfigurationError(f"n_paths must be at least 1, got {n_paths!r}")
-    if threads < 1:
-        raise ConfigurationError(f"threads must be at least 1, got {threads!r}")
-    if measure is None:
-        measure = coeffs.measure
-    noises = [sample_noise_path(grid, measure, (master_seed, idx)) for idx in range(n_paths)]
+    noises = [sample_noise_path(grid, coeffs.measure, (master_seed, idx)) for idx in range(n_paths)]
     values = np.empty((n_paths, grid.steps + 1), dtype=np.float64)
     explosion_index = _sweep(coeffs, noises, values, values)
     exploded = explosion_index >= 0

@@ -157,7 +157,7 @@ def test_criterion_05_uniform_moment_envelope():
     coeffs = example_coefficients(0.1, rate=2.0)
     grid = build_grid(0.5, 256)
     audit = audit_linear_growth(coeffs, domain_sampler(0.5, 10.0, seed=5), 1000)
-    ensemble = ensemble_simulate(coeffs, grid, coeffs.measure, 10_000, master_seed=55, threads=4)
+    ensemble = ensemble_simulate(coeffs, grid, 10_000, master_seed=55)
     rep = moment_check(ensemble, coeffs, growth_c=audit.estimated_constant)
     elapsed = time.perf_counter() - started
     ok = audit.passed and rep.all_pass and ensemble.exploded.sum() == 0 and elapsed < 120.0
@@ -225,10 +225,10 @@ def test_criterion_09_repeatability_and_seed_sensitivity():
     started = time.perf_counter()
     coeffs = example_coefficients(0.1, rate=2.0)
     grid = build_grid(0.5, 64)
-    first = ensemble_simulate(coeffs, grid, coeffs.measure, 32, master_seed=9)
-    second = ensemble_simulate(coeffs, grid, coeffs.measure, 32, master_seed=9)
+    first = ensemble_simulate(coeffs, grid, 32, master_seed=9)
+    second = ensemble_simulate(coeffs, grid, 32, master_seed=9)
     max_diff = float(np.max(np.abs(first.values - second.values)))
-    perturbed = ensemble_simulate(coeffs, grid, coeffs.measure, 32, master_seed=10)
+    perturbed = ensemble_simulate(coeffs, grid, 32, master_seed=10)
     changed = not np.array_equal(first.values, perturbed.values)
     elapsed = time.perf_counter() - started
     ok = max_diff == 0.0 and changed and elapsed < 5.0

@@ -148,7 +148,7 @@ def test_envelope_rejects_bad_arguments():
 def test_moment_check_constant_paths_sit_under_the_envelope():
     grid = build_grid(0.5, 8)
     coeffs = zero_coefficients()
-    ens = ensemble_simulate(coeffs, grid, coeffs.measure, 16, master_seed=2)
+    ens = ensemble_simulate(coeffs, grid, 16, master_seed=2)
     report = moment_check(ens, coeffs)
     np.testing.assert_allclose(report.estimates, np.ones(9), atol=0.0)
     assert report.bound == 8.0
@@ -166,7 +166,7 @@ def test_moment_check_requires_a_growth_constant():
         measure=coeffs.measure,
         name="no-constant",
     )
-    ens = ensemble_simulate(stripped, grid, stripped.measure, 4, master_seed=3)
+    ens = ensemble_simulate(stripped, grid, 4, master_seed=3)
     with pytest.raises(ConfigurationError):
         moment_check(ens, stripped)
     assert moment_check(ens, stripped, growth_c=0.0).all_pass

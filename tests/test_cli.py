@@ -1,13 +1,17 @@
 """Config round-tripping, artifact layout, and exit codes of the CLI."""
 
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from svie.cli import RunConfig, emit_config, load_config, main, parse_config
+import svie
+from svie.cli import RunConfig, _build_model, emit_config, load_config, main, parse_config
+from svie.coefficients import COEFFICIENT_SETS, MODULI
 from svie.errors import ConfigParseError
 
 CUSTOM = RunConfig(
@@ -44,6 +48,33 @@ def test_emitted_text_is_canonical():
     assert emit_config(parse_config(text)) == text
 
 
+HEADER = (
+    "# svie run configuration\n"
+    "# horizon in model time units; jump_rate in expected jumps per unit time\n"
+    "schema = svie-run/1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "config,body",
+    [
+        (
+            RunConfig(),
+            "coefficient_set = example\nmodulus = linear\nhorizon = 0.5\nsteps = 128\npaths = 1000\n"
+            "master_seed = 1\njump_coefficient = 0.1\njump_rate = 2.0\npicard_tolerance = 1e-10\nout_dir = out\n",
+        ),
+        (
+            CUSTOM,
+            "coefficient_set = linear_test\nmodulus = log\nhorizon = 0.25\nsteps = 16\npaths = 8\n"
+            "master_seed = 42\njump_coefficient = 0.05\njump_rate = 1.5\npicard_tolerance = 1e-09\n"
+            "picard_k_max = 17\nout_dir = results\n",
+        ),
+    ],
+)
+def test_emitted_text_is_pinned(config, body):
+    assert emit_config(config) == HEADER + body
+
+
 def test_parse_accepts_comments_blanks_and_spacing():
     config = parse_config(
         "\n# leading comment\nschema = svie-run/1\n\n"
@@ -72,6 +103,29 @@ def test_parse_errors_name_the_problem(text, fragment):
     with pytest.raises(ConfigParseError) as info:
         parse_config(text)
     assert fragment in str(info.value)
+
+
+CATALOGUE = [
+    (name, modulus)
+    for name in ("example", "deterministic_ode", "linear_test", "zero")
+    for modulus in ("linear", "log", "quadratic")
+]
+
+
+@pytest.mark.parametrize("name,modulus", CATALOGUE)
+def test_every_catalogue_name_configures_and_builds(name, modulus):
+    coeffs, built = _build_model(RunConfig(coefficient_set=name, modulus=modulus))
+    assert coeffs.name == name
+    assert built.name == modulus
+
+
+def test_catalogue_names_come_from_the_registry():
+    assert {name for name, _ in CATALOGUE} == set(COEFFICIENT_SETS)
+    assert {modulus for _, modulus in CATALOGUE} == set(MODULI)
+    for field, names in (("coefficient_set", COEFFICIENT_SETS), ("modulus", MODULI)):
+        with pytest.raises(ConfigParseError) as info:
+            parse_config(f"schema = svie-run/1\n{field} = nothing\n")
+        assert all(name in str(info.value) for name in names)
 
 
 def test_load_config_reads_files(tmp_path):
@@ -116,7 +170,18 @@ def test_simulate_writes_csv_and_summary(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["schema"] == "svie-summary/1"
     assert summary["n_paths"] == 6 and summary["exploded_paths"] == 0
-    assert "out_dir" not in summary["config"]
+    assert list(summary["config"]) == [
+        "coefficient_set",
+        "modulus",
+        "horizon",
+        "steps",
+        "paths",
+        "master_seed",
+        "jump_coefficient",
+        "jump_rate",
+        "picard_tolerance",
+        "picard_k_max",
+    ]
     assert len(summary["times"]) == 17
     assert summary["second_moment"][0] == 1.0
 
@@ -234,10 +299,14 @@ def test_bad_thread_count_exits_two(tmp_path, capsys):
 
 def test_module_entry_point_runs(tmp_path):
     cfg_path = write_config(tmp_path, simulate_config(paths=2, steps=4))
+    # the child must import the same svie package as this process
+    src = str(Path(svie.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "svie", "simulate", "--config", cfg_path, "--out", str(tmp_path / "m")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert (tmp_path / "m" / "summary.json").exists()

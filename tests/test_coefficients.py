@@ -9,7 +9,9 @@ import pytest
 
 from svie.coefficients import (
     AUDIT_SLACK,
+    COEFFICIENT_SETS,
     MARK_INTEGRAL_REL_TOL,
+    MODULI,
     CoefficientSet,
     _jump_square_integral,
     audit_linear_growth,
@@ -96,11 +98,28 @@ def test_zero_coefficients_are_identically_zero():
 
 
 def test_catalogue_dispatch_and_unknown_name():
-    assert coefficient_catalogue("example", 0.1, 2.0).name == "example"
+    for name in COEFFICIENT_SETS:
+        assert coefficient_catalogue(name, 0.1, 2.0).name == name
     assert coefficient_catalogue("zero").name == "zero"
     assert catalogue_scale("linear_test", 0.1, 2.0) == linear_test_coefficients(0.1, 2.0).growth_constant
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError) as info:
         coefficient_catalogue("no-such-set")
+    assert all(name in str(info.value) for name in COEFFICIENT_SETS)
+
+
+def test_empty_measure_switches_jumps_off():
+    assert example_coefficients(0.1, rate=0.0).jump is None
+    assert linear_test_coefficients(0.1, rate=0.0).compensator is None
+    coeffs = CoefficientSet(
+        drift=lambda t, s, x: 0.0,
+        diffusion=lambda t, s, x: 0.0,
+        initial=lambda t: 1.0,
+        measure=LevyMeasure.empty(),
+        jump=lambda t, s, x, xi: x,
+        compensator=lambda t, s, x: x,
+    )
+    assert coeffs.jump is None
+    assert coeffs.compensator is None
 
 
 def test_jump_requires_mark_sampler():
@@ -147,8 +166,9 @@ def test_modulus_catalogue_names():
     assert modulus_catalogue("linear", 1.0).name == "linear"
     assert modulus_catalogue("log", 1.0).name == "log"
     assert modulus_catalogue("quadratic", 1.0).name == "quadratic"
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError) as info:
         modulus_catalogue("cubic", 1.0)
+    assert all(kind in str(info.value) for kind in MODULI)
 
 
 def test_scale_for_log_modulus_dominates_the_linear_bound():

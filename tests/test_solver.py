@@ -243,25 +243,17 @@ def test_discrete_path_validates_shape():
 def test_ensemble_rows_match_single_path_solves():
     grid = build_grid(0.5, 16)
     coeffs = linear_test_coefficients(0.2, rate=2.0)
-    ens = ensemble_simulate(coeffs, grid, coeffs.measure, 6, master_seed=31)
+    ens = ensemble_simulate(coeffs, grid, 6, master_seed=31)
     for idx in (0, 3, 5):
         noise = sample_noise_path(grid, coeffs.measure, (31, idx))
         np.testing.assert_array_equal(ens.values[idx], direct_recursion(coeffs, noise).values)
 
 
-def test_ensemble_is_thread_count_invariant():
-    grid = build_grid(0.5, 32)
-    coeffs = example_coefficients(0.1)
-    a = ensemble_simulate(coeffs, grid, coeffs.measure, 24, master_seed=5, threads=1)
-    b = ensemble_simulate(coeffs, grid, coeffs.measure, 24, master_seed=5, threads=8)
-    np.testing.assert_array_equal(a.values, b.values)
-
-
 def test_ensemble_seed_changes_paths():
     grid = build_grid(0.5, 16)
     coeffs = example_coefficients(0.1)
-    a = ensemble_simulate(coeffs, grid, coeffs.measure, 4, master_seed=1)
-    b = ensemble_simulate(coeffs, grid, coeffs.measure, 4, master_seed=2)
+    a = ensemble_simulate(coeffs, grid, 4, master_seed=1)
+    b = ensemble_simulate(coeffs, grid, 4, master_seed=2)
     assert not np.array_equal(a.values, b.values)
 
 
@@ -275,7 +267,7 @@ def test_ensemble_flags_exploded_paths_and_keeps_survivor_rows():
         name="explosive",
     )
     with np.errstate(over="ignore"):
-        ens = ensemble_simulate(coeffs, grid, coeffs.measure, 3, master_seed=1)
+        ens = ensemble_simulate(coeffs, grid, 3, master_seed=1)
     assert ens.exploded.all()
     assert np.isnan(ens.values[:, -1]).all()
     assert set(ens.explosion_index.tolist()) == {2}
@@ -304,7 +296,7 @@ def broadcasting_coefficients():
 @pytest.mark.parametrize("coeffs", [example_coefficients(0.02, rate=40.0), broadcasting_coefficients()])
 def test_ensemble_rows_do_not_depend_on_the_batch(coeffs):
     grid = build_grid(0.5, 64)
-    runs = {size: ensemble_simulate(coeffs, grid, coeffs.measure, size, master_seed=13) for size in (1, 7, 1000)}
+    runs = {size: ensemble_simulate(coeffs, grid, size, master_seed=13) for size in (1, 7, 1000)}
     noises = [sample_noise_path(grid, coeffs.measure, (13, idx)) for idx in range(7)]
     # rows carrying more than 8 jumps exercise the reduction blocking
     assert max(noise.jump_times.size for noise in noises) > 8
@@ -320,7 +312,7 @@ def test_quadrature_compensator_rows_do_not_depend_on_the_batch():
     # quadrature, whose subdivision must not see the other paths
     coeffs = dataclasses.replace(example_coefficients(0.1, rate=2.0), compensator=None)
     grid = build_grid(0.5, 8)
-    ens = ensemble_simulate(coeffs, grid, coeffs.measure, 3, master_seed=21)
+    ens = ensemble_simulate(coeffs, grid, 3, master_seed=21)
     assert not ens.exploded.any()
     for idx in range(3):
         noise = sample_noise_path(grid, coeffs.measure, (21, idx))
@@ -340,7 +332,7 @@ def test_ensemble_mixes_exploded_and_surviving_paths():
         name="jump-overflow",
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        ens = ensemble_simulate(coeffs, grid, coeffs.measure, 16, master_seed=3)
+        ens = ensemble_simulate(coeffs, grid, 16, master_seed=3)
         assert 0 < ens.exploded.sum() < 16
         for idx in range(16):
             noise = sample_noise_path(grid, coeffs.measure, (3, idx))
