@@ -48,7 +48,7 @@ jump = compensated_jump_ensemble(
     lambda s, xi: 0.1 * xi,
     50_000,
     seed=8,
-    cumulative_compensator=lambda t: 0.1 * 2.0 * math.exp(0.5) * np.asarray(t),
+    compensator_rate=lambda s: 0.1 * 2.0 * math.exp(0.5) * np.ones_like(s),
 )
 rep = doob_check(jump.sup_sq, jump.terminal_sq)
 print(f"  compensated jumps: E sup |X|^2 = {rep.lhs:.4f} <= 4 E|X(T)|^2 = {4 * rep.rhs:.4f}  pass {rep.passed}")

@@ -40,6 +40,7 @@ from .solver import Ensemble, picard_iterates
 __all__ = [
     "bihari_integral",
     "bihari_bound",
+    "mean_stderr",
     "DoobReport",
     "doob_check",
     "uniform_moment_bound",
@@ -146,7 +147,7 @@ class DoobReport:
     passed: bool
 
 
-def _mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def mean_stderr(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean along axis 0 (over paths) and its standard error, 0 for one path."""
     n = values.shape[0]
     mean = np.mean(values, axis=0)
@@ -174,8 +175,8 @@ def doob_check(sup_sq: np.ndarray, terminal_sq: np.ndarray, p: float = 2.0, slac
     half_p = 0.5 * p
     lhs_samples = sup_sq if p == 2.0 else np.power(sup_sq, half_p)
     rhs_samples = terminal_sq if p == 2.0 else np.power(terminal_sq, half_p)
-    lhs, se_lhs = map(float, _mean_se(lhs_samples))
-    rhs, se_rhs = map(float, _mean_se(rhs_samples))
+    lhs, se_lhs = map(float, mean_stderr(lhs_samples))
+    rhs, se_rhs = map(float, mean_stderr(rhs_samples))
     constant = (p / (p - 1.0)) ** p
     bound = constant * rhs * (1.0 + slack) + 4.0 * math.hypot(se_lhs, constant * se_rhs)
     return DoobReport(
@@ -238,7 +239,7 @@ def moment_check(ensemble: Ensemble, coeffs: CoefficientSet, growth_c: float | N
     m = surv.shape[0]
     if m == 0:
         raise AnalysisError("every path exploded; no surviving paths to estimate moments")
-    estimates, stderrs = _mean_se(surv * surv)
+    estimates, stderrs = mean_stderr(surv * surv)
     horizon = ensemble.grid.horizon
     phi_terminal = float(np.asarray(coeffs.initial(horizon), dtype=np.float64))
     bound = uniform_moment_bound(float(growth_c), horizon, phi_terminal * phi_terminal)
@@ -320,7 +321,7 @@ def picard_gap(
         iterates = picard_iterates(coeffs, noise, (k, k + m))
         diff = iterates[k + m].values - iterates[k].values
         sups[row] = np.maximum.accumulate(diff * diff)
-    estimates, stderrs = _mean_se(sups)
+    estimates, stderrs = mean_stderr(sups)
     # inf * 0 at t = 0 would poison the envelope when c3 overflows
     envelope = np.where(grid.points > 0.0, c3 * grid.points, 0.0)
     passes = estimates - 4.0 * stderrs <= envelope
@@ -420,7 +421,7 @@ def brownian_martingale_ensemble(
         b = min(_BATCH, n_paths - done)
         incr = scale * rng.standard_normal((b, n)) * sigma
         x = np.cumsum(incr, axis=1)
-        sup_sq[done : done + b] = np.maximum(np.max(x * x, axis=1), 0.0)
+        sup_sq[done : done + b] = np.max(x * x, axis=1)
         terminal[done : done + b] = x[:, -1]
         done += b
     return MartingaleEnsemble(sup_sq=sup_sq, terminal_sq=terminal * terminal, terminal=terminal)
@@ -433,15 +434,13 @@ def compensated_jump_ensemble(
     n_paths: int,
     seed: int,
     compensator_rate: Callable | None = None,
-    cumulative_compensator: Callable | None = None,
 ) -> MartingaleEnsemble:
     """X(t_i) = sum_{tau<=t_i} u(tau, xi) - int_0^{t_i} (int u(s, .) dnu) ds.
 
     ``integrand`` u(s, xi) must be deterministic and broadcast over arrays.
-    The compensator is taken from ``cumulative_compensator`` when given,
-    else integrated from ``compensator_rate``, else computed by one vector
-    quadrature of u against the mark density over all grid times.  The
-    running max is evaluated at grid times.
+    The compensator is integrated from ``compensator_rate`` when given,
+    else computed by one vector quadrature of u against the mark density
+    over all grid times.  The running max is evaluated at grid times.
     """
     if n_paths < 1:
         raise ConfigurationError(f"n_paths must be at least 1, got {n_paths!r}")
@@ -450,14 +449,11 @@ def compensated_jump_ensemble(
     if measure.total_mass == 0.0:
         zeros = np.zeros(n_paths)
         return MartingaleEnsemble(sup_sq=zeros, terminal_sq=zeros.copy(), terminal=zeros.copy())
-    if cumulative_compensator is not None:
-        comp = np.broadcast_to(np.asarray(cumulative_compensator(pts), dtype=np.float64), (n + 1,))
+    if compensator_rate is not None:
+        rate = np.broadcast_to(np.asarray(compensator_rate(pts), dtype=np.float64), (n + 1,))
     else:
-        if compensator_rate is not None:
-            rate = np.broadcast_to(np.asarray(compensator_rate(pts), dtype=np.float64), (n + 1,))
-        else:
-            rate = np.broadcast_to(measure.integrate(lambda xi: integrand(pts, xi)), (n + 1,))
-        comp = cumulative_trapezoid(rate, pts, initial=0.0)
+        rate = np.broadcast_to(measure.integrate(lambda xi: integrand(pts, xi)), (n + 1,))
+    comp = cumulative_trapezoid(rate, pts, initial=0.0)
     rng = np.random.default_rng(seed)
     mean_count = measure.total_mass * grid.horizon
     sup_sq = np.empty(n_paths)

@@ -18,6 +18,7 @@ import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -97,13 +98,16 @@ class RunConfig:
             raise ConfigurationError("out_dir must be a non-empty path")
 
 
-_INT_FIELDS = {"steps", "paths", "master_seed", "picard_k_max"}
-_FLOAT_FIELDS = {"horizon", "jump_coefficient", "jump_rate", "picard_tolerance"}
+# field -> the type its text is parsed with, from RunConfig's annotations;
+# an optional field (int | None) is parsed as its non-None type
+_FIELD_TYPES = {
+    name: next((arg for arg in get_args(hint) if arg is not type(None)), hint)
+    for name, hint in get_type_hints(RunConfig).items()
+}
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse the key/value format; errors name the offending field or line."""
-    known = {f.name for f in fields(RunConfig)}
     data: dict[str, str] = {}
     schema = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -118,7 +122,7 @@ def parse_config(text: str) -> RunConfig:
         if key == "schema":
             schema = value
             continue
-        if key not in known:
+        if key not in _FIELD_TYPES:
             raise ConfigParseError(f"line {lineno}: unknown field {key!r}")
         if key in data:
             raise ConfigParseError(f"line {lineno}: duplicate field {key!r}")
@@ -130,12 +134,7 @@ def parse_config(text: str) -> RunConfig:
     kwargs: dict = {}
     for key, value in data.items():
         try:
-            if key in _INT_FIELDS:
-                kwargs[key] = int(value)
-            elif key in _FLOAT_FIELDS:
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = value
+            kwargs[key] = _FIELD_TYPES[key](value)
         except ValueError:
             raise ConfigParseError(f"field {key!r}: cannot parse {value!r}")
     try:
@@ -187,6 +186,8 @@ def _fmt(x: float) -> str:
 
 
 def _json_num(x) -> float | None:
+    if x is None:
+        return None
     x = float(x)
     return x if math.isfinite(x) else None
 
@@ -209,12 +210,8 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
     (out_dir / "paths.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     surv = ensemble.survivors
     if surv.shape[0] > 0:
-        mean = [float(v) for v in surv.mean(axis=0)]
-        second = [float(v) for v in (surv * surv).mean(axis=0)]
-        if surv.shape[0] > 1:
-            second_se = [float(v) for v in (surv * surv).std(axis=0, ddof=1) / math.sqrt(surv.shape[0])]
-        else:
-            second_se = [0.0] * (grid.steps + 1)
+        second, second_se = analysis.mean_stderr(surv * surv)
+        mean, second, second_se = (a.tolist() for a in (np.mean(surv, axis=0), second, second_se))
     else:
         mean = second = second_se = None
     summary = {
@@ -252,47 +249,46 @@ def cmd_picard(config: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_verify(config: RunConfig, out_dir: Path) -> int:
-    """Run the audit and inequality suite; write verification.json."""
+    """Run the audit and inequality suite; write verification.json.
+
+    Each check returns ``(value, bound, stderr, passed)`` and ``run_check``
+    turns that into its ``{name, value, bound, stderr, pass}`` record, with
+    non-finite numbers written as null.  A check that raises ``SvieError``
+    is recorded with null numbers, ``pass: false`` and the message under
+    ``error``.  The moment and gap checks use the audited growth constant,
+    or the analytic one when the audit gave none; ``majorant_chain`` derives
+    its slope c3 from that constant as ``picard_gap`` does.
+    """
     grid = build_grid(config.horizon, config.steps)
     coeffs, modulus = _build_model(config)
     horizon = config.horizon
     seed = config.master_seed
     checks: list[dict] = []
 
-    def run_check(name, fn):
+    def run_check(name, fn) -> dict:
         try:
-            record = fn()
+            value, bound, stderr, passed = fn()
+            record = {"value": _json_num(value), "bound": _json_num(bound), "stderr": _json_num(stderr), "pass": passed}
         except SvieError as err:
             record = {"value": None, "bound": None, "stderr": None, "pass": False, "error": str(err)}
         checks.append({"name": name, **record})
-
-    growth_estimate = [None]
+        return checks[-1]
 
     def check_linear_growth():
         audit = audit_linear_growth(coeffs, domain_sampler(horizon, _AUDIT_X_BOUND, seed), _AUDIT_SAMPLES)
-        if math.isfinite(audit.estimated_constant):
-            growth_estimate[0] = audit.estimated_constant
-        return {
-            "value": _json_num(audit.estimated_constant),
-            "bound": _json_num(audit.supplied_constant) if audit.supplied_constant is not None else None,
-            "stderr": None,
-            "pass": audit.passed,
-        }
+        return audit.estimated_constant, audit.supplied_constant, None, audit.passed
 
     def check_modulus():
         audit = audit_modulus(coeffs, modulus, pair_sampler(horizon, _AUDIT_X_BOUND, seed + 1), _AUDIT_SAMPLES)
-        return {
-            "value": _json_num(audit.worst_slack),
-            "bound": AUDIT_SLACK,
-            "stderr": None,
-            "pass": audit.passed,
-        }
+        return audit.worst_slack, AUDIT_SLACK, None, audit.passed
+
+    def doob(ens):
+        rep = analysis.doob_check(ens.sup_sq, ens.terminal_sq)
+        return rep.lhs, rep.bound, rep.se_lhs, rep.passed
 
     def check_doob_brownian():
         sigma = lambda s: coeffs.diffusion(horizon, s, 1.0)
-        ens = analysis.brownian_martingale_ensemble(grid, sigma, _DOOB_PATHS, seed + 2)
-        rep = analysis.doob_check(ens.sup_sq, ens.terminal_sq)
-        return {"value": rep.lhs, "bound": _json_num(rep.bound), "stderr": rep.se_lhs, "pass": rep.passed}
+        return doob(analysis.brownian_martingale_ensemble(grid, sigma, _DOOB_PATHS, seed + 2))
 
     def check_doob_jump():
         if coeffs.jump is None:
@@ -304,53 +300,29 @@ def cmd_verify(config: RunConfig, out_dir: Path) -> int:
         ens = analysis.compensated_jump_ensemble(
             grid, coeffs.measure, integrand, _DOOB_PATHS, seed + 3, compensator_rate=rate
         )
-        rep = analysis.doob_check(ens.sup_sq, ens.terminal_sq)
-        return {"value": rep.lhs, "bound": _json_num(rep.bound), "stderr": rep.se_lhs, "pass": rep.passed}
-
-    def effective_growth_c() -> float:
-        if growth_estimate[0] is not None:
-            return float(growth_estimate[0])
-        return float(coeffs.growth_constant)
+        return doob(ens)
 
     def check_moment_envelope():
         ens = ensemble_simulate(coeffs, grid, config.paths, seed)
-        rep = analysis.moment_check(ens, coeffs, effective_growth_c())
-        worst = float(np.max(rep.estimates - 4.0 * rep.stderrs))
-        return {
-            "value": _json_num(worst),
-            "bound": _json_num(rep.bound),
-            "stderr": _json_num(float(np.max(rep.stderrs))),
-            "pass": rep.all_pass,
-        }
-
-    gap_slope = [None]
+        rep = analysis.moment_check(ens, coeffs, growth_c)
+        return np.max(rep.estimates - 4.0 * rep.stderrs), rep.bound, np.max(rep.stderrs), rep.all_pass
 
     def check_picard_gap():
         noises = sample_noise_ensemble(grid, coeffs.measure, config.paths, seed)
-        rep = analysis.picard_gap(coeffs, noises, 1, 1, modulus, effective_growth_c())
-        gap_slope[0] = rep.envelope_slope
-        return {
-            "value": _json_num(float(np.max(rep.estimates))),
-            "bound": _json_num(rep.envelope_slope * grid.horizon),
-            "stderr": _json_num(float(np.max(rep.stderrs))),
-            "pass": rep.all_pass,
-        }
+        rep = analysis.picard_gap(coeffs, noises, 1, 1, modulus, growth_c)
+        return np.max(rep.estimates), rep.envelope_slope * grid.horizon, np.max(rep.stderrs), rep.all_pass
 
     def check_majorant():
-        c3 = gap_slope[0]
-        if c3 is None or not math.isfinite(c3):
+        c3 = analysis.gap_envelope_slope(coeffs, modulus, horizon, growth_c)
+        if not math.isfinite(c3):
             # envelope overflowed: the chain is trivially satisfied but not computable
-            return {"value": None, "bound": None, "stderr": None, "pass": True}
-        window = min(horizon, 1.0)
-        seq = analysis.majorant_recursion(c3, modulus, window, config.steps, 30)
-        return {
-            "value": _json_num(seq.final_value),
-            "bound": _json_num(float(seq.curves[0, -1])),
-            "stderr": None,
-            "pass": True,
-        }
+            return None, None, None, True
+        seq = analysis.majorant_recursion(c3, modulus, min(horizon, 1.0), config.steps, 30)
+        return seq.final_value, seq.curves[0, -1], None, True
 
-    run_check("linear_growth", check_linear_growth)
+    growth_c = run_check("linear_growth", check_linear_growth)["value"]
+    if growth_c is None:
+        growth_c = coeffs.growth_constant
     run_check("modulus", check_modulus)
     run_check("doob_brownian", check_doob_brownian)
     run_check("doob_jump", check_doob_jump)

@@ -200,7 +200,7 @@ def test_criterion_07_compensation_zero_mean():
         lambda s, xi: 0.1 * xi * xi,
         100_000,
         seed=77,
-        cumulative_compensator=lambda t: 0.1 * 2.0 * E_XI_SQ * np.asarray(t),
+        compensator_rate=lambda s: 0.1 * 2.0 * E_XI_SQ * np.ones_like(s),
     )
     mean = float(ens.terminal.mean())
     se = float(ens.terminal.std(ddof=1) / math.sqrt(ens.terminal.size))

@@ -284,26 +284,13 @@ def test_jump_builder_compensation_is_mean_zero():
         lambda s, xi: xi,
         20000,
         seed=11,
-        cumulative_compensator=lambda t: 2.0 * E_XI * np.asarray(t),
+        compensator_rate=lambda s: 2.0 * E_XI * np.ones_like(s),
     )
     mean, se = ens.terminal.mean(), ens.terminal.std(ddof=1) / math.sqrt(20000)
     assert abs(mean) <= 4.0 * se
     # isometry: Var = rate * E[xi^2] * T for the state-free integrand
     assert ens.terminal_sq.mean() == pytest.approx(2.0 * E_XI_SQ, rel=0.05)
     assert doob_check(ens.sup_sq, ens.terminal_sq).passed
-
-
-def test_jump_builder_rate_and_cumulative_routes_agree_exactly():
-    grid = build_grid(1.0, 16)
-    measure = LevyMeasure.lognormal(2.0)
-    by_rate = compensated_jump_ensemble(
-        grid, measure, lambda s, xi: xi, 500, seed=12, compensator_rate=lambda s: 2.0 * E_XI * np.ones_like(s)
-    )
-    by_cumulative = compensated_jump_ensemble(
-        grid, measure, lambda s, xi: xi, 500, seed=12, cumulative_compensator=lambda t: 2.0 * E_XI * np.asarray(t)
-    )
-    np.testing.assert_allclose(by_rate.terminal, by_cumulative.terminal, rtol=1e-12)
-    np.testing.assert_allclose(by_rate.sup_sq, by_cumulative.sup_sq, rtol=1e-12)
 
 
 def test_jump_builder_quadrature_route_agrees_with_closed_form():

@@ -1,18 +1,17 @@
 """Config round-tripping, artifact layout, and exit codes of the CLI."""
 
 import json
-import os
 import subprocess
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
-import svie
+from svie import cli
+from svie.analysis import uniform_moment_bound
 from svie.cli import RunConfig, _build_model, emit_config, load_config, main, parse_config
 from svie.coefficients import COEFFICIENT_SETS, MODULI
-from svie.errors import ConfigParseError
+from svie.errors import ConfigParseError, NumericalError
 
 CUSTOM = RunConfig(
     coefficient_set="linear_test",
@@ -97,6 +96,8 @@ def test_parse_accepts_comments_blanks_and_spacing():
         ("schema = svie-run/1\nhorizon = fast\n", "horizon"),
         ("schema = svie-run/1\nsteps = 0\n", "steps"),
         ("schema = svie-run/1\nmodulus = cubic\n", "modulus"),
+        ("schema = svie-run/1\npicard_k_max = 2.5\n", "picard_k_max"),
+        ("schema = svie-run/1\nsteps = 1e3\n", "steps"),
     ],
 )
 def test_parse_errors_name_the_problem(text, fragment):
@@ -263,6 +264,57 @@ def test_verify_passes_and_reports_each_check(tmp_path, capsys):
     assert [ln.split(":")[0] for ln in lines] == CHECK_NAMES
 
 
+def verify_checks(tmp_path, config, exit_code):
+    """Run ``svie verify`` on config and return its records by check name."""
+    out = tmp_path / "verify"
+    assert main(["verify", "--config", write_config(tmp_path, config), "--out", str(out)]) == exit_code
+    return {c["name"]: c for c in json.loads((out / "verification.json").read_text())["checks"]}
+
+
+def test_verify_records_a_raising_check_and_falls_back_to_the_analytic_constant(tmp_path, monkeypatch):
+    def broken_audit(*args, **kwargs):
+        raise NumericalError("audit broke")
+
+    monkeypatch.setattr(cli, "audit_linear_growth", broken_audit)
+    config = simulate_config(paths=6)
+    by_name = verify_checks(tmp_path, config, 2)
+    growth = by_name["linear_growth"]
+    assert list(growth) == ["name", "value", "bound", "stderr", "pass", "error"]
+    assert growth == {
+        "name": "linear_growth",
+        "value": None,
+        "bound": None,
+        "stderr": None,
+        "pass": False,
+        "error": "audit broke",
+    }
+    coeffs, _ = _build_model(config)
+    assert by_name["moment_envelope"]["bound"] == uniform_moment_bound(coeffs.growth_constant, config.horizon, 1.0)
+    assert isinstance(by_name["majorant_chain"]["value"], float)
+
+
+def test_verify_majorant_runs_when_picard_gap_raises(tmp_path, monkeypatch):
+    # the chain computes its own slope, so a failed gap check does not leave it a silent pass
+    def broken_sampler(*args, **kwargs):
+        raise NumericalError("sampler broke")
+
+    monkeypatch.setattr(cli, "sample_noise_ensemble", broken_sampler)
+    by_name = verify_checks(tmp_path, simulate_config(paths=4), 2)
+    assert by_name["picard_gap"]["error"] == "sampler broke"
+    assert isinstance(by_name["majorant_chain"]["value"], float)
+    assert isinstance(by_name["majorant_chain"]["bound"], float)
+
+
+def test_verify_majorant_and_gap_bounds_share_one_slope(tmp_path):
+    # on a horizon <= 1 both bounds are c3 * horizon
+    config = simulate_config(paths=4)
+    assert config.horizon <= 1.0
+    by_name = verify_checks(tmp_path, config, 0)
+    gap_bound = by_name["picard_gap"]["bound"]
+    assert isinstance(gap_bound, float)
+    assert by_name["majorant_chain"]["bound"] == pytest.approx(gap_bound, rel=1e-12)
+
+
 def test_verify_fails_on_convex_modulus(tmp_path, capsys):
     cfg_path = write_config(tmp_path, simulate_config(paths=4, modulus="quadratic"))
     out = tmp_path / "vq"
@@ -297,16 +349,13 @@ def test_bad_thread_count_exits_two(tmp_path, capsys):
     assert "threads" in capsys.readouterr().err
 
 
-def test_module_entry_point_runs(tmp_path):
+def test_module_entry_point_runs(tmp_path, child_env):
     cfg_path = write_config(tmp_path, simulate_config(paths=2, steps=4))
-    # the child must import the same svie package as this process
-    src = str(Path(svie.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "svie", "simulate", "--config", cfg_path, "--out", str(tmp_path / "m")],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env,
     )
     assert proc.returncode == 0
     assert (tmp_path / "m" / "summary.json").exists()
