@@ -10,6 +10,8 @@ Contents
   G(v) = int dv / kappa and its inverse, which turn an integral inequality
   y(t) <= y0 + int kappa(y) into the explicit bound G^{-1}(G(y0) + Z).
   With kappa(u) = u this collapses to the Gronwall bound y0 * exp(Z).
+  ``bihari_integral`` lives in ``coefficients``, where the Osgood probe
+  uses it too, and is re-exported here.
 * ``doob_check``: L^p maximal inequality
   E sup |X|^p <= (p/(p-1))^p E |X(T)|^p for ensembles of martingales.
 * ``uniform_moment_bound`` / ``moment_check``: the a priori envelope
@@ -30,10 +32,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, quad
+from scipy.integrate import cumulative_trapezoid
 
-from .coefficients import CoefficientSet, Modulus
-from .errors import AnalysisError, ConfigurationError, DomainError
+from .coefficients import CoefficientSet, Modulus, bihari_integral
+from .errors import AnalysisError, ConfigurationError, DomainError, NumericalError
 from .grid_noise import LevyMeasure, NoisePath, TimeGrid
 from .solver import Ensemble, picard_iterates
 
@@ -58,33 +60,7 @@ __all__ = [
 _BATCH = 16384  # fixed batch size keeps vectorized ensembles reproducible
 
 
-# --- comparison function and its inverse ---------------------------------
-
-
-def bihari_integral(modulus: Modulus, v: float, v_ref: float) -> float:
-    """G(v) - G(v_ref) = int_{v_ref}^{v} du / kappa(u), adaptive to 1e-8.
-
-    G is only defined up to an additive constant, so a reference point is
-    part of the signature.  kappa must stay positive on the span.
-    """
-    v = float(v)
-    v_ref = float(v_ref)
-    for name, val in (("v", v), ("v_ref", v_ref)):
-        if not (math.isfinite(val) and val > 0.0):
-            raise ConfigurationError(f"{name} must be finite and positive, got {val!r}")
-    if v == v_ref:
-        return 0.0
-
-    def inv(u: float) -> float:
-        k = float(modulus.kappa(u))
-        if not k > 0.0:
-            raise DomainError(f"kappa({u!r}) = {k!r}; the comparison integral needs kappa > 0")
-        return 1.0 / k
-
-    res, err = quad(inv, v_ref, v, epsabs=0.0, epsrel=1e-8, limit=400)
-    if err > 1e-6 * max(abs(res), 1e-300):
-        raise AnalysisError(f"comparison integral did not converge: estimate {res!r}, error {err!r}")
-    return float(res)
+# --- inverse of the comparison function ------------------------------------
 
 
 def bihari_bound(y0: float, z_integral: float, modulus: Modulus) -> float:
@@ -297,6 +273,8 @@ def picard_gap(
 
     Each time passes when the estimate stays below c3 * t within four
     standard errors.  m = 0 compares an iterate with itself and is zero.
+    A squared gap that is not finite raises NumericalError naming the
+    iterates and the first such grid time.
     """
     if k < 1:
         raise ConfigurationError(f"k must be at least 1, got {k!r}")
@@ -319,11 +297,18 @@ def picard_gap(
     sups = np.empty((n_paths, grid.steps + 1))
     for row, noise in enumerate(noises):
         iterates = picard_iterates(coeffs, noise, (k, k + m))
-        diff = iterates[k + m].values - iterates[k].values
-        sups[row] = np.maximum.accumulate(diff * diff)
+        # finite iterates can still be too far apart to square
+        with np.errstate(over="ignore"):
+            diff = iterates[k + m].values - iterates[k].values
+            sq = diff * diff
+        bad = ~np.isfinite(sq)
+        if bad.any():
+            t_bad = float(grid.points[np.argmax(bad)])
+            raise NumericalError(f"squared gap between Picard iterates {k} and {k + m} overflows at t = {t_bad}")
+        sups[row] = np.maximum.accumulate(sq)
     estimates, stderrs = mean_stderr(sups)
-    # inf * 0 at t = 0 would poison the envelope when c3 overflows
-    envelope = np.where(grid.points > 0.0, c3 * grid.points, 0.0)
+    # the envelope is 0 at t = 0 even when c3 overflows: inf * 0 is never formed
+    envelope = np.multiply(c3, grid.points, out=np.zeros_like(grid.points), where=grid.points > 0.0)
     passes = estimates - 4.0 * stderrs <= envelope
     return GapReport(grid.points, estimates, stderrs, c3, passes, k, m, n_paths)
 
@@ -401,6 +386,19 @@ class MartingaleEnsemble:
     terminal: np.ndarray
 
 
+def _martingale_ensemble(n_paths: int, draw: Callable[[int], np.ndarray]) -> MartingaleEnsemble:
+    """Reduce ``draw(b)``, a (b, times) block of paths, in batches of _BATCH paths."""
+    if n_paths < 1:
+        raise ConfigurationError(f"n_paths must be at least 1, got {n_paths!r}")
+    sup_sq = np.empty(n_paths)
+    terminal = np.empty(n_paths)
+    for done in range(0, n_paths, _BATCH):
+        x = draw(min(_BATCH, n_paths - done))
+        sup_sq[done : done + len(x)] = np.max(x * x, axis=1)
+        terminal[done : done + len(x)] = x[:, -1]
+    return MartingaleEnsemble(sup_sq=sup_sq, terminal_sq=terminal * terminal, terminal=terminal)
+
+
 def brownian_martingale_ensemble(
     grid: TimeGrid,
     integrand: Callable,
@@ -408,23 +406,11 @@ def brownian_martingale_ensemble(
     seed: int,
 ) -> MartingaleEnsemble:
     """X(t_i) = sum_{j<i} sigma(t_j) dW_j for a deterministic sigma."""
-    if n_paths < 1:
-        raise ConfigurationError(f"n_paths must be at least 1, got {n_paths!r}")
     n = grid.steps
     sigma = np.broadcast_to(np.asarray(integrand(grid.points[:-1]), dtype=np.float64), (n,))
     rng = np.random.default_rng(seed)
-    sup_sq = np.empty(n_paths)
-    terminal = np.empty(n_paths)
-    done = 0
     scale = math.sqrt(grid.dt)
-    while done < n_paths:
-        b = min(_BATCH, n_paths - done)
-        incr = scale * rng.standard_normal((b, n)) * sigma
-        x = np.cumsum(incr, axis=1)
-        sup_sq[done : done + b] = np.max(x * x, axis=1)
-        terminal[done : done + b] = x[:, -1]
-        done += b
-    return MartingaleEnsemble(sup_sq=sup_sq, terminal_sq=terminal * terminal, terminal=terminal)
+    return _martingale_ensemble(n_paths, lambda b: np.cumsum(scale * rng.standard_normal((b, n)) * sigma, axis=1))
 
 
 def compensated_jump_ensemble(
@@ -442,13 +428,10 @@ def compensated_jump_ensemble(
     else computed by one vector quadrature of u against the mark density
     over all grid times.  The running max is evaluated at grid times.
     """
-    if n_paths < 1:
-        raise ConfigurationError(f"n_paths must be at least 1, got {n_paths!r}")
     pts = grid.points
     n = grid.steps
     if measure.total_mass == 0.0:
-        zeros = np.zeros(n_paths)
-        return MartingaleEnsemble(sup_sq=zeros, terminal_sq=zeros.copy(), terminal=zeros.copy())
+        return _martingale_ensemble(n_paths, lambda b: np.zeros((b, n + 1)))
     if compensator_rate is not None:
         rate = np.broadcast_to(np.asarray(compensator_rate(pts), dtype=np.float64), (n + 1,))
     else:
@@ -456,11 +439,8 @@ def compensated_jump_ensemble(
     comp = cumulative_trapezoid(rate, pts, initial=0.0)
     rng = np.random.default_rng(seed)
     mean_count = measure.total_mass * grid.horizon
-    sup_sq = np.empty(n_paths)
-    terminal = np.empty(n_paths)
-    done = 0
-    while done < n_paths:
-        b = min(_BATCH, n_paths - done)
+
+    def draw(b: int) -> np.ndarray:
         counts = rng.poisson(mean_count, b)
         total = int(counts.sum())
         times = grid.horizon * (1.0 - rng.random(total))
@@ -469,8 +449,6 @@ def compensated_jump_ensemble(
         jumps = np.broadcast_to(np.asarray(integrand(times, marks), dtype=np.float64), times.shape)
         first_idx = np.searchsorted(pts, times, side="left")  # first grid time >= tau
         flat = np.bincount(path_of * (n + 1) + first_idx, weights=jumps, minlength=b * (n + 1))
-        x = np.cumsum(flat.reshape(b, n + 1), axis=1) - comp
-        sup_sq[done : done + b] = np.max(x * x, axis=1)
-        terminal[done : done + b] = x[:, -1]
-        done += b
-    return MartingaleEnsemble(sup_sq=sup_sq, terminal_sq=terminal * terminal, terminal=terminal)
+        return np.cumsum(flat.reshape(b, n + 1), axis=1) - comp
+
+    return _martingale_ensemble(n_paths, draw)

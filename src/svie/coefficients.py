@@ -14,6 +14,9 @@ Two sampling audits back the standing assumptions:
   kappa's own contract (zero at zero, positivity, monotonicity, midpoint
   concavity, divergence of int du / kappa(u) at the origin).
 
+``bihari_integral`` is the comparison integral int du / kappa(u) that both
+the Osgood probe here and the Bihari bound in ``analysis`` are built on.
+
 Audits are certificates over their sample set, not proofs.
 """
 
@@ -26,7 +29,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import ConfigurationError
+from .errors import AnalysisError, ConfigurationError, DomainError
 from .grid_noise import LevyMeasure
 
 __all__ = [
@@ -46,12 +49,12 @@ __all__ = [
     "quadratic_modulus",
     "MODULI",
     "modulus_catalogue",
-    "catalogue_scale",
     "scale_for_log_modulus",
     "domain_sampler",
     "pair_sampler",
     "audit_linear_growth",
     "audit_modulus",
+    "bihari_integral",
     "osgood_ladder",
 ]
 
@@ -268,44 +271,29 @@ def coefficient_catalogue(name: str, c: float = 0.1, rate: float = 2.0) -> Coeff
     return COEFFICIENT_SETS[name](c, rate)
 
 
-def catalogue_scale(name: str, c: float = 0.1, rate: float = 2.0) -> float:
-    """Analytic scale for the linear modulus of a catalogue set.
-
-    All catalogue kernels are linear in x, so the squared-difference bound
-    coincides with the linear-growth constant.
-    """
-    coeffs = coefficient_catalogue(name, c, rate)
-    return float(coeffs.growth_constant)
-
-
 # --- samplers -----------------------------------------------------------
+
+
+def _state_sampler(horizon: float, x_bound: float, seed: int, states: int) -> Callable:
+    """Draw (t, s, x_1, ..., x_states) with 0 <= s <= t <= horizon and each |x_k| <= x_bound."""
+    rng = np.random.default_rng(seed)
+
+    def draw(n: int):
+        t = horizon * rng.random(n)
+        s = t * rng.random(n)
+        return (t, s, *(x_bound * (2.0 * rng.random(n) - 1.0) for _ in range(states)))
+
+    return draw
 
 
 def domain_sampler(horizon: float, x_bound: float = 10.0, seed: int = 0) -> Callable:
     """Draw triples (t, s, x) with 0 <= s <= t <= horizon and |x| <= x_bound."""
-    rng = np.random.default_rng(seed)
-
-    def draw(n: int):
-        t = horizon * rng.random(n)
-        s = t * rng.random(n)
-        x = x_bound * (2.0 * rng.random(n) - 1.0)
-        return t, s, x
-
-    return draw
+    return _state_sampler(horizon, x_bound, seed, 1)
 
 
 def pair_sampler(horizon: float, x_bound: float = 10.0, seed: int = 0) -> Callable:
     """Draw quadruples (t, s, x, y) on the same domain as ``domain_sampler``."""
-    rng = np.random.default_rng(seed)
-
-    def draw(n: int):
-        t = horizon * rng.random(n)
-        s = t * rng.random(n)
-        x = x_bound * (2.0 * rng.random(n) - 1.0)
-        y = x_bound * (2.0 * rng.random(n) - 1.0)
-        return t, s, x, y
-
-    return draw
+    return _state_sampler(horizon, x_bound, seed, 2)
 
 
 def _sampled(values, n: int) -> np.ndarray:
@@ -391,26 +379,45 @@ class OsgoodProbe:
     divergent: bool
 
 
-def osgood_ladder(modulus: Modulus, decades: int = 11) -> OsgoodProbe:
-    """Evaluate int_eps^1 du / kappa(u) for eps = 1e-2 ... 1e-(decades+1).
+def bihari_integral(modulus: Modulus, v: float, v_ref: float) -> float:
+    """G(v) - G(v_ref) = int_{v_ref}^{v} du / kappa(u), adaptive to relative 1e-10.
 
-    The integral runs in log coordinates (u = e^w) so steep integrands stay
-    tame.  The ladder is judged divergent when the values keep increasing
-    and the final decade still contributes at least a tenth of the first.
+    G is only defined up to an additive constant, so a reference point is
+    part of the signature.  The integral runs in log coordinates (u = e^w),
+    so steep integrands near the origin stay tame.  kappa must stay
+    positive on the span (DomainError otherwise); an integral whose error
+    estimate stays above 1e-6 relative raises AnalysisError.
     """
-    epsilons = tuple(10.0 ** (-(k + 2)) for k in range(decades))
+    v = float(v)
+    v_ref = float(v_ref)
+    for name, val in (("v", v), ("v_ref", v_ref)):
+        if not (math.isfinite(val) and val > 0.0):
+            raise ConfigurationError(f"{name} must be finite and positive, got {val!r}")
+    if v == v_ref:
+        return 0.0
 
     def integrand(w: float) -> float:
         u = math.exp(w)
         k = float(modulus.kappa(u))
         if not k > 0.0:
-            raise ConfigurationError(f"kappa({u!r}) = {k!r} is not positive; ladder undefined")
+            raise DomainError(f"kappa({u!r}) = {k!r}; the comparison integral needs kappa > 0")
         return u / k
 
-    values = []
-    for eps in epsilons:
-        val, _ = quad(integrand, math.log(eps), 0.0, epsabs=0.0, epsrel=1e-10, limit=400)
-        values.append(val)
+    res, err = quad(integrand, math.log(v_ref), math.log(v), epsabs=0.0, epsrel=1e-10, limit=400)
+    if err > 1e-6 * max(abs(res), 1e-300):
+        raise AnalysisError(f"comparison integral did not converge: estimate {res!r}, error {err!r}")
+    return float(res)
+
+
+def osgood_ladder(modulus: Modulus, decades: int = 11) -> OsgoodProbe:
+    """Evaluate int_eps^1 du / kappa(u) for eps = 1e-2 ... 1e-(decades+1).
+
+    Each rung is ``bihari_integral(modulus, 1, eps)``.  The ladder is judged
+    divergent when the values keep increasing and the final decade still
+    contributes at least a tenth of the first.
+    """
+    epsilons = tuple(10.0 ** (-(k + 2)) for k in range(decades))
+    values = [bihari_integral(modulus, 1.0, eps) for eps in epsilons]
     increments = np.diff([0.0] + values)
     increasing = bool(np.all(increments > 0.0))
     divergent = increasing and increments[-1] >= 0.1 * increments[1]

@@ -118,8 +118,9 @@ class LevyMeasure:
     total_mass : float
         Expected number of jumps per unit time; must be finite and >= 0.
     mark_density : callable or None
-        Probability density of a single mark on ``support``.  Required
-        whenever ``total_mass > 0``; it must integrate to one within 1e-6.
+        Probability density of a single mark on ``support``, called with
+        one float mark at a time.  Required whenever ``total_mass > 0``; it
+        must integrate to one within 1e-6.
     mark_sampler : callable or None
         ``sampler(rng, size) -> ndarray`` drawing marks exactly in
         distribution.  Required for simulation when ``total_mass > 0``.
@@ -163,19 +164,11 @@ class LevyMeasure:
             raise ConfigurationError(f"sigma must be finite and positive, got {sigma!r}")
         norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
 
-        def density(xi):
-            if isinstance(xi, (float, int)):
-                # scalar fast path: quadrature calls this many thousands of times
-                if xi <= 0.0:
-                    return 0.0
-                z = (math.log(xi) - mu) / sigma
-                return norm * math.exp(-0.5 * z * z) / xi
-            xi = np.asarray(xi, dtype=np.float64)
-            pos = xi > 0.0
-            safe = np.where(pos, xi, 1.0)
-            z = (np.log(safe) - mu) / sigma
-            out = np.where(pos, norm * np.exp(-0.5 * z * z) / safe, 0.0)
-            return out if out.ndim else float(out)
+        def density(xi: float) -> float:
+            if xi <= 0.0:
+                return 0.0
+            z = (math.log(xi) - mu) / sigma
+            return norm * math.exp(-0.5 * z * z) / xi
 
         def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
             return np.exp(mu + sigma * rng.standard_normal(size))

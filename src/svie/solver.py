@@ -33,9 +33,10 @@ Volterra kernel changes every row, so increments cannot be reused.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -53,7 +54,6 @@ __all__ = [
     "PicardRun",
     "Ensemble",
     "direct_recursion",
-    "picard_step",
     "picard_solve",
     "picard_iterates",
     "ensemble_simulate",
@@ -81,14 +81,12 @@ class PicardRun:
     """Record of one successive-approximation run.
 
     ``sup_diffs[k-1]`` is max_i |x^k(t_i) - x^{k-1}(t_i)| for iteration k.
-    ``previous`` is the iterate one sweep before ``final``.
     """
 
     converged: bool
     iterations: int
     sup_diffs: np.ndarray
     final: DiscretePath
-    previous: DiscretePath
 
 
 def _initial_curve(coeffs: CoefficientSet, grid: TimeGrid) -> np.ndarray:
@@ -96,6 +94,7 @@ def _initial_curve(coeffs: CoefficientSet, grid: TimeGrid) -> np.ndarray:
     return np.array(np.broadcast_to(np.asarray(coeffs.initial(grid.points), dtype=np.float64), grid.points.shape))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the finiteness check reports an overflow, not numpy
 def _sweep(coeffs: CoefficientSet, noises: Sequence[NoisePath], source: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill the (paths, n + 1) block ``out`` row by row from ``source``.
 
@@ -172,11 +171,12 @@ def direct_recursion(coeffs: CoefficientSet, noise: NoisePath) -> DiscretePath:
     return DiscretePath(grid=noise.grid, values=_solve_one(coeffs, noise))
 
 
-def picard_step(coeffs: CoefficientSet, noise: NoisePath, prev: DiscretePath) -> DiscretePath:
-    """One successive-approximation sweep: evaluate all rows on ``prev``."""
-    if prev.grid != noise.grid:
-        raise ConfigurationError("previous iterate lives on a different grid than the noise path")
-    return DiscretePath(grid=noise.grid, values=_solve_one(coeffs, noise, prev.values))
+def _iterates(coeffs: CoefficientSet, noise: NoisePath) -> Iterator[np.ndarray]:
+    """Successive approximations x^0 = phi, x^1, x^2, ...; each is one sweep reading the one before."""
+    state = _initial_curve(coeffs, noise.grid)
+    while True:
+        yield state
+        state = _solve_one(coeffs, noise, state)
 
 
 def picard_solve(
@@ -197,10 +197,8 @@ def picard_solve(
         k_max = noise.grid.steps + 1
     if k_max < 1:
         raise ConfigurationError(f"k_max must be at least 1, got {k_max!r}")
-    curr = _initial_curve(coeffs, noise.grid)
     sup_diffs = []
-    for _ in range(k_max):
-        prev, curr = curr, _solve_one(coeffs, noise, curr)
+    for prev, curr in itertools.pairwise(itertools.islice(_iterates(coeffs, noise), k_max + 1)):
         sup_diffs.append(float(np.max(np.abs(curr - prev))))
         if sup_diffs[-1] <= tolerance:
             break
@@ -209,25 +207,22 @@ def picard_solve(
         iterations=len(sup_diffs),
         sup_diffs=np.asarray(sup_diffs, dtype=np.float64),
         final=DiscretePath(grid=noise.grid, values=curr),
-        previous=DiscretePath(grid=noise.grid, values=prev),
     )
 
 
 def picard_iterates(coeffs: CoefficientSet, noise: NoisePath, keep: Iterable[int]) -> dict[int, DiscretePath]:
-    """Return the requested iterates {k: x^k}; k = 0 is the initial curve."""
-    wanted = sorted(set(int(k) for k in keep))
-    if wanted and wanted[0] < 0:
-        raise ConfigurationError("iterate indices must be non-negative")
-    out: dict[int, DiscretePath] = {}
+    """Return the requested iterates {k: x^k}; k = 0 is the initial curve.
+
+    No sweep runs past the largest requested k, so ``keep=(0,)`` runs none.
+    """
+    wanted = set(int(k) for k in keep)
     if not wanted:
-        return out
-    state = _initial_curve(coeffs, noise.grid)
-    for k in range(wanted[-1] + 1):
-        if k:
-            state = _solve_one(coeffs, noise, state)
-        if k in wanted:
-            out[k] = DiscretePath(grid=noise.grid, values=state)
-    return out
+        return {}
+    if min(wanted) < 0:
+        raise ConfigurationError("iterate indices must be non-negative")
+    # range first: zip stops before asking the stream for one sweep too many
+    stream = zip(range(max(wanted) + 1), _iterates(coeffs, noise))
+    return {k: DiscretePath(grid=noise.grid, values=state) for k, state in stream if k in wanted}
 
 
 @dataclass(frozen=True)

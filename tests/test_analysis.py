@@ -1,6 +1,7 @@
 """Comparison integrals, maximal inequalities, envelopes, and majorants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from svie.analysis import (
 from svie.coefficients import (
     Modulus,
     deterministic_ode_coefficients,
+    example_coefficients,
     linear_modulus,
     log_modulus,
     quadratic_modulus,
@@ -198,6 +200,16 @@ def test_gap_estimates_grow_monotonically_in_time():
     report = picard_gap(coeffs, noises, 1, 2, linear_modulus(0.25))
     assert np.all(np.diff(report.estimates) >= 0.0)
     assert report.estimates[0] == 0.0
+
+
+def test_gap_envelope_of_an_overflowing_slope_warns_nothing():
+    coeffs = example_coefficients(0.1)
+    noises = sample_noise_ensemble(build_grid(0.5, 8), coeffs.measure, 2, master_seed=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = picard_gap(coeffs, noises, 1, 1, linear_modulus(coeffs.growth_constant), growth_c=1e6)
+    assert report.envelope_slope == math.inf
+    assert report.all_pass
 
 
 def test_gap_validates_arguments():

@@ -12,6 +12,7 @@ from svie.analysis import uniform_moment_bound
 from svie.cli import RunConfig, _build_model, emit_config, load_config, main, parse_config
 from svie.coefficients import COEFFICIENT_SETS, MODULI
 from svie.errors import ConfigParseError, NumericalError
+from svie.grid_noise import build_grid
 
 CUSTOM = RunConfig(
     coefficient_set="linear_test",
@@ -313,6 +314,16 @@ def test_verify_majorant_and_gap_bounds_share_one_slope(tmp_path):
     gap_bound = by_name["picard_gap"]["bound"]
     assert isinstance(gap_bound, float)
     assert by_name["majorant_chain"]["bound"] == pytest.approx(gap_bound, rel=1e-12)
+
+
+def test_verify_names_a_picard_gap_that_overflows(tmp_path):
+    # iterates 1 and 2 stay finite (about 1e152 and 1e303), their squared gap does not
+    config = simulate_config(horizon=0.5, steps=16, paths=10, master_seed=1, jump_coefficient=1e150, jump_rate=40.0)
+    gap = verify_checks(tmp_path, config, 2)["picard_gap"]
+    assert gap["pass"] is False and gap["value"] is None
+    message, _, t_bad = gap["error"].rpartition(" ")
+    assert message == "squared gap between Picard iterates 1 and 2 overflows at t ="
+    assert float(t_bad) in build_grid(config.horizon, config.steps).points
 
 
 def test_verify_fails_on_convex_modulus(tmp_path, capsys):

@@ -16,7 +16,6 @@ from svie.coefficients import (
     _jump_square_integral,
     audit_linear_growth,
     audit_modulus,
-    catalogue_scale,
     coefficient_catalogue,
     deterministic_ode_coefficients,
     domain_sampler,
@@ -101,7 +100,6 @@ def test_catalogue_dispatch_and_unknown_name():
     for name in COEFFICIENT_SETS:
         assert coefficient_catalogue(name, 0.1, 2.0).name == name
     assert coefficient_catalogue("zero").name == "zero"
-    assert catalogue_scale("linear_test", 0.1, 2.0) == linear_test_coefficients(0.1, 2.0).growth_constant
     with pytest.raises(ConfigurationError) as info:
         coefficient_catalogue("no-such-set")
     assert all(name in str(info.value) for name in COEFFICIENT_SETS)
@@ -424,7 +422,7 @@ def test_audits_and_quadrature_solve_raise_no_warnings():
         warnings.simplefilter("error")
         assert audit_linear_growth(coeffs, domain_sampler(0.5, 10.0, seed=1), 200).passed
         assert audit_modulus(
-            coeffs, linear_modulus(catalogue_scale("example")), pair_sampler(0.5, 10.0, seed=2), 200
+            coeffs, linear_modulus(coeffs.growth_constant), pair_sampler(0.5, 10.0, seed=2), 200
         ).passed
         direct_recursion(stripped, sample_noise_path(grid, coeffs.measure, (3, 0)))
         # E[xi^40] = e^800 overflows, as numpy and as Python floats, quietly

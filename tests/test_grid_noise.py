@@ -118,6 +118,36 @@ def test_measure_integrate_scales_with_total_mass():
     assert measure.integrate(lambda xi: xi * xi) == pytest.approx(2.5 * E_XI_SQ, rel=1e-8)
 
 
+def laplace(xi):
+    return 0.5 * math.exp(-abs(xi))
+
+
+def negative_exponential(xi):
+    return math.exp(xi)
+
+
+def uniform_1_2(xi):
+    return 1.0 if 1.0 <= xi <= 2.0 else 0.0
+
+
+@pytest.mark.parametrize(
+    "support,density,fn,per_mass",
+    [
+        ((-math.inf, math.inf), laplace, lambda xi: xi * xi, 2.0),
+        ((-math.inf, math.inf), laplace, abs, 1.0),
+        ((-math.inf, math.inf), laplace, lambda xi: xi + 2.0, 2.0),
+        ((-math.inf, 0.0), negative_exponential, lambda xi: xi, -1.0),
+        ((-math.inf, 0.0), negative_exponential, lambda xi: np.array([xi, xi * xi]), [-1.0, 2.0]),
+        ((1.0, 2.0), uniform_1_2, lambda xi: xi, 1.5),
+    ],
+    ids=["laplace-xi2", "laplace-abs", "laplace-shifted", "negative-xi", "negative-vector", "uniform-xi"],
+)
+def test_integrate_on_two_sided_negative_and_bounded_supports(support, density, fn, per_mass):
+    mass = 2.5
+    measure = LevyMeasure(total_mass=mass, mark_density=density, support=support)
+    np.testing.assert_allclose(measure.integrate(fn), mass * np.asarray(per_mass), rtol=1e-10, atol=0.0)
+
+
 def test_measure_rejects_unnormalized_density():
     with pytest.raises(ConfigurationError):
         LevyMeasure(total_mass=1.0, mark_density=lambda xi: 2.0 * np.exp(-np.asarray(xi)), mark_sampler=None)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from svie.solver import (
     ensemble_simulate,
     picard_iterates,
     picard_solve,
-    picard_step,
 )
 
 
@@ -167,12 +167,9 @@ def test_direct_recursion_matches_a_plain_loop(coeffs):
 def test_first_iterate_uses_initial_curve_everywhere():
     grid = build_grid(1.0, 2)
     coeffs = deterministic_ode_coefficients()
-    noise = quiet_path(grid)
-    start = DiscretePath(grid=grid, values=np.ones(3))
-    step1 = picard_step(coeffs, noise, start)
-    np.testing.assert_allclose(step1.values, [1.0, 1.25, 1.5], atol=0.0)
-    step2 = picard_step(coeffs, noise, step1)
-    np.testing.assert_allclose(step2.values, [1.0, 1.25, 1.5625], atol=0.0)
+    iterates = picard_iterates(coeffs, quiet_path(grid), (1, 2))
+    np.testing.assert_allclose(iterates[1].values, [1.0, 1.25, 1.5], atol=0.0)
+    np.testing.assert_allclose(iterates[2].values, [1.0, 1.25, 1.5625], atol=0.0)
 
 
 def test_iterate_k_is_exact_on_the_first_k_entries():
@@ -224,12 +221,17 @@ def test_zero_coefficients_converge_in_one_iteration():
     np.testing.assert_array_equal(run.final.values, np.ones(9))
 
 
-def test_picard_step_rejects_mismatched_grid():
-    coeffs = deterministic_ode_coefficients()
-    noise = quiet_path(build_grid(1.0, 4))
-    wrong = DiscretePath(grid=build_grid(1.0, 8), values=np.ones(9))
-    with pytest.raises(ConfigurationError):
-        picard_step(coeffs, noise, wrong)
+def test_picard_iterates_sweep_no_further_than_the_last_wanted_k():
+    grid = build_grid(1.0, 4)
+    calls = []
+    base = deterministic_ode_coefficients()
+    coeffs = dataclasses.replace(base, drift=lambda t, s, x: calls.append(t) or base.drift(t, s, x))
+    noise = quiet_path(grid)
+    assert list(picard_iterates(coeffs, noise, (0,))) == [0]
+    assert calls == []
+    assert list(picard_iterates(coeffs, noise, (2, 0))) == [0, 2]
+    # one drift call per row i = 1..n, for each of the two sweeps
+    assert len(calls) == 2 * grid.steps
 
 
 def test_discrete_path_validates_shape():
@@ -317,6 +319,15 @@ def test_quadrature_compensator_rows_do_not_depend_on_the_batch():
     for idx in range(3):
         noise = sample_noise_path(grid, coeffs.measure, (21, idx))
         assert bitwise_equal(ens.values[idx], direct_recursion(coeffs, noise).values)
+
+
+def test_exploding_ensemble_warns_nothing_and_flags_every_path():
+    # the finiteness check reports the overflow; numpy need not warn about it
+    coeffs = example_coefficients(1e150, rate=40.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ens = ensemble_simulate(coeffs, build_grid(0.5, 16), 10, master_seed=1)
+    assert ens.exploded.all()
 
 
 def test_ensemble_mixes_exploded_and_surviving_paths():
