@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .coefficients import CoefficientSet, Modulus, bihari_integral
 from .errors import AnalysisError, ConfigurationError, DomainError, NumericalError
@@ -330,6 +329,11 @@ class MajorantSequence:
         return float(self.curves[-1, -1])
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over x, starting from 0 at x[0]."""
+    return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
+
+
 def majorant_recursion(
     c3: float,
     modulus: Modulus,
@@ -367,7 +371,7 @@ def majorant_recursion(
         curves[0] = first_curve
         for j in range(1, iterations):
             kap = np.asarray(modulus.kappa(curves[j - 1]), dtype=np.float64)
-            curves[j] = cumulative_trapezoid(kap, times, initial=0.0)
+            curves[j] = _cumulative_trapezoid(kap, times)
             allow = 1e-12 + 1e-9 * np.abs(curves[j - 1])  # rounding room, scales with magnitude
             if np.any(curves[j] < -1e-12) or np.any(curves[j] > curves[j - 1] + allow):
                 raise AnalysisError(f"majorant chain broke at iteration {j + 1}: psi_{j + 1} > psi_{j} somewhere")
@@ -390,13 +394,15 @@ def _martingale_ensemble(n_paths: int, draw: Callable[[int], np.ndarray]) -> Mar
     """Reduce ``draw(b)``, a (b, times) block of paths, in batches of _BATCH paths."""
     if n_paths < 1:
         raise ConfigurationError(f"n_paths must be at least 1, got {n_paths!r}")
-    sup_sq = np.empty(n_paths)
+    sup_abs = np.empty(n_paths)
     terminal = np.empty(n_paths)
     for done in range(0, n_paths, _BATCH):
         x = draw(min(_BATCH, n_paths - done))
-        sup_sq[done : done + len(x)] = np.max(x * x, axis=1)
+        sup_abs[done : done + len(x)] = np.max(np.abs(x), axis=1)
         terminal[done : done + len(x)] = x[:, -1]
-    return MartingaleEnsemble(sup_sq=sup_sq, terminal_sq=terminal * terminal, terminal=terminal)
+    # squares of exploding paths overflow to inf, which doob_check rejects
+    with np.errstate(over="ignore"):
+        return MartingaleEnsemble(sup_sq=sup_abs * sup_abs, terminal_sq=terminal * terminal, terminal=terminal)
 
 
 def brownian_martingale_ensemble(
@@ -436,7 +442,7 @@ def compensated_jump_ensemble(
         rate = np.broadcast_to(np.asarray(compensator_rate(pts), dtype=np.float64), (n + 1,))
     else:
         rate = np.broadcast_to(measure.integrate(lambda xi: integrand(pts, xi)), (n + 1,))
-    comp = cumulative_trapezoid(rate, pts, initial=0.0)
+    comp = _cumulative_trapezoid(rate, pts)
     rng = np.random.default_rng(seed)
     mean_count = measure.total_mass * grid.horizon
 

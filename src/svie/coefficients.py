@@ -15,7 +15,8 @@ Two sampling audits back the standing assumptions:
   concavity, divergence of int du / kappa(u) at the origin).
 
 ``bihari_integral`` is the comparison integral int du / kappa(u) that both
-the Osgood probe here and the Bihari bound in ``analysis`` are built on.
+the Osgood probe here and the Bihari bound in ``analysis`` are built on; it
+runs on the package's own adaptive Gauss-Kronrod rule from ``grid_noise``.
 
 Audits are certificates over their sample set, not proofs.
 """
@@ -27,10 +28,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import AnalysisError, ConfigurationError, DomainError
-from .grid_noise import LevyMeasure
+from .grid_noise import LevyMeasure, _gauss_kronrod
 
 __all__ = [
     "CoefficientSet",
@@ -403,10 +403,11 @@ def bihari_integral(modulus: Modulus, v: float, v_ref: float) -> float:
             raise DomainError(f"kappa({u!r}) = {k!r}; the comparison integral needs kappa > 0")
         return u / k
 
-    res, err = quad(integrand, math.log(v_ref), math.log(v), epsabs=0.0, epsrel=1e-10, limit=400)
-    if err > 1e-6 * max(abs(res), 1e-300):
+    lo, hi = sorted((math.log(v_ref), math.log(v)))
+    res, err = _gauss_kronrod(integrand, lo, hi, epsabs=0.0, epsrel=1e-10, limit=400)
+    if not err <= 1e-6 * max(abs(res), 1e-300):  # a nan error fails too
         raise AnalysisError(f"comparison integral did not converge: estimate {res!r}, error {err!r}")
-    return float(res)
+    return float(res) if v > v_ref else -float(res)
 
 
 def osgood_ladder(modulus: Modulus, decades: int = 11) -> OsgoodProbe:
@@ -482,7 +483,8 @@ def audit_modulus(coeffs: CoefficientSet, modulus: Modulus, sampler: Callable, s
     # the jump term is a quadrature estimate with certified relative error
     # MARK_INTEGRAL_REL_TOL; an excess smaller than that is indistinguishable
     # from integration rounding, so it is not counted as slack
-    slack = np.where(finite, lhs - rhs - MARK_INTEGRAL_REL_TOL * np.abs(hdiff), -math.inf)
+    slack = np.subtract(lhs, rhs, where=finite, out=np.full(samples, -math.inf))
+    np.subtract(slack, MARK_INTEGRAL_REL_TOL * np.abs(hdiff), where=finite, out=slack)
     worst = int(np.argmax(slack))
     zero_ok, positive_ok, monotone_ok, concave_ok = _kappa_self_checks(modulus, d)
     probe = osgood_ladder(modulus)

@@ -6,17 +6,21 @@ uniform times, i.i.d. marks), and nothing else.  Every draw is derived from
 a ``(master_seed, path_index)`` lineage through a counter-based bit
 generator, so resampling any path in any order, on any number of threads,
 reproduces identical arrays.
+
+Integrals against the mark density run on ``_gauss_kronrod``, a globally
+adaptive vector-valued 21-point Gauss-Kronrod rule of our own, so the
+package needs numpy only.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.integrate import quad_vec, trapezoid
 
 from .errors import ConfigurationError, NumericalError
 
@@ -41,7 +45,7 @@ _ROLE_JUMPS = 1
 
 # Quadrature constants for integrals against the mark density: probe grid
 # resolution and magnitude range, relative floor below the probed peak at
-# which the core bracket is cut, the subdivisions allowed per quad_vec call
+# which the core bracket is cut, the subdivisions allowed per quadrature call
 # beyond its initial panels, and the safety factor on the reported error.
 _PROBE_COUNT = 161
 _PROBE_MIN = 1e-150
@@ -49,6 +53,35 @@ _PROBE_MAX = 1e150
 _QUAD_SPLITS = 200
 _CORE_FLOOR = 1e-18
 _ERR_SAFETY = 10.0
+
+# QUADPACK's qk21 rule on [-1, 1]: the Kronrod nodes from 1 down to 0, their
+# weights, and the 10-point Gauss weights on the odd-numbered nodes.
+_KRONROD_X = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+)
+_KRONROD_W = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_GAUSS_W = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+# all 21 nodes in ascending order, and one (2, 21) weight matrix whose rows
+# give the Kronrod and the Gauss estimate in one product per panel
+_GK_NODES = np.concatenate([np.negative(_KRONROD_X), _KRONROD_X[-2::-1]])
+_GK_WEIGHTS = np.array([_KRONROD_W + _KRONROD_W[-2::-1], np.zeros(21)])
+_GK_WEIGHTS[1, 1::2] = _GAUSS_W + _GAUSS_W[::-1]
 
 
 def _check_lineage(lineage: tuple[int, int]) -> tuple[int, int]:
@@ -271,7 +304,7 @@ def _integrate_half_line(w: Callable, lo: float, hi: float, rel_tol: float) -> t
         # above _CORE_FLOOR times its own peak, widened by one segment
         rows = np.flatnonzero((mags >= _CORE_FLOOR * peak).any(axis=1))
         edges = logs[max(rows[0] - 1, 0) : min(rows[-1] + 1, len(logs) - 1) + 1].tolist()
-        scale = trapezoid(mags, logs, axis=0)
+        scale = (np.diff(logs)[:, np.newaxis] * (mags[1:] + mags[:-1]) / 2.0).sum(axis=0)  # trapezoid rule
         inv = 1.0 / scale
         index = slice(None) if live.all() else live
 
@@ -288,15 +321,85 @@ def _integrate_half_line(w: Callable, lo: float, hi: float, rel_tol: float) -> t
         # put all its nodes where the integrand is flat and miss the bump
         for a, b, points in ((edges[0], edges[-1], edges[1:-1]), (u_lo, edges[0], None), (edges[-1], u_hi, None)):
             if a < b:
-                part, part_err = quad_vec(
-                    scaled, a, b, epsabs=rel_tol, epsrel=0.0, norm="max", points=points,
-                    limit=len(edges) + _QUAD_SPLITS,
+                part, part_err = _gauss_kronrod(
+                    scaled, a, b, epsabs=rel_tol, epsrel=0.0, limit=len(edges) + _QUAD_SPLITS, points=points
                 )
                 total = total + part
                 total_err += part_err
         value[live] = total * scale
         err[live] = total_err * scale
     return value.reshape(shape), err.reshape(shape)
+
+
+def _gk21_panel(f: Callable, a: float, b: float) -> tuple[np.ndarray, float, float]:
+    """One 21-point Gauss-Kronrod panel on [a, b].
+
+    Returns the Kronrod estimate, QUADPACK's error estimate and the
+    round-off floor 50 eps h int |f|, both as max norms over the elements.
+    """
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    values = [f(x) for x in (c + h * _GK_NODES).tolist()]
+    try:
+        block = np.array(values, dtype=np.float64)  # (node, element)
+    except ValueError:  # scalar node values (f is 0 there) among arrays
+        block = np.stack(np.broadcast_arrays(*values))
+    weights = _GK_WEIGHTS[0]
+    # a non-finite node value makes the floor below inf or nan, which ends the loop
+    with np.errstate(invalid="ignore", over="ignore"):
+        kronrod, gauss = _GK_WEIGHTS @ block
+        err = h * float(np.max(np.abs(kronrod - gauss)))
+        dabs = h * float(np.max(np.abs(weights @ np.abs(block - 0.5 * kronrod))))
+        floor = 50.0 * sys.float_info.epsilon * h * float(np.max(weights @ np.abs(block)))
+    if dabs != 0.0 and err != 0.0:
+        err = dabs * min(1.0, (200.0 * err / dabs) ** 1.5)
+    if floor > sys.float_info.min:
+        err = max(err, floor)
+    return h * kronrod, err, floor
+
+
+def _gauss_kronrod(
+    f: Callable, a: float, b: float, *, epsabs: float, epsrel: float, limit: int, points=None
+) -> tuple[np.ndarray, float]:
+    """Globally adaptive 21-point Gauss-Kronrod quadrature of f over [a, b], a < b.
+
+    ``f`` maps one float to a scalar or a 1-D array.  The panels start at
+    the sorted interior ``points``; the panel with the largest error is
+    bisected first.  Errors are max norms over the elements, summed over
+    panels.  Once there are two panels, the loop stops when the error is
+    below max(epsabs, epsrel * |value|) / 8 or not above the round-off floor
+    summed over every panel evaluated; it also stops when either is not
+    finite, and at ``limit`` panels.  An infinite end maps to t in (0, 1] by
+    x = start + (1 - t) / t (or start - (1 - t) / t).  Returns the value and
+    the error estimate plus the round-off floor.
+    """
+    if math.isinf(a) or math.isinf(b):
+        start, sign = (a, 1.0) if math.isinf(b) else (b, -1.0)
+        finite_f = f
+
+        def f(t: float):
+            return finite_f(start + sign * (1.0 - t) / t) / (t * t)
+
+        points = sorted(1.0 / (1.0 + sign * (p - start)) for p in points or ())
+        a, b = 0.0, 1.0
+    edges = [a, *(points or ()), b]
+    heap = []
+    value = error = rounding = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        part, part_err, floor = _gk21_panel(f, lo, hi)
+        heap.append((-part_err, lo, hi, part))
+        value, error, rounding = value + part, error + part_err, rounding + floor
+    heapq.heapify(heap)
+    while len(heap) < limit and math.isfinite(error) and math.isfinite(rounding):
+        if len(heap) >= 2 and (error <= rounding or error < max(epsabs, epsrel * float(np.max(np.abs(value)))) / 8.0):
+            break
+        neg_err, lo, hi, part = heapq.heappop(heap)
+        value, error = value - part, error + neg_err
+        mid = 0.5 * (lo + hi)
+        for x1, x2 in ((lo, mid), (mid, hi)):
+            part, part_err, floor = _gk21_panel(f, x1, x2)
+            heapq.heappush(heap, (-part_err, x1, x2, part))
+            value, error, rounding = value + part, error + part_err, rounding + floor
+    return value, error + rounding
 
 
 @dataclass(frozen=True)

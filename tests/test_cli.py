@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -324,6 +325,20 @@ def test_verify_names_a_picard_gap_that_overflows(tmp_path):
     message, _, t_bad = gap["error"].rpartition(" ")
     assert message == "squared gap between Picard iterates 1 and 2 overflows at t ="
     assert float(t_bad) in build_grid(config.horizon, config.steps).points
+
+
+def test_verify_on_an_overflowing_picard_gap_raises_no_warning(tmp_path):
+    # the same run as above, with every warning an error: nothing may warn,
+    # and the records must be those of the unfiltered run
+    config = simulate_config(horizon=0.5, steps=16, paths=10, master_seed=1, jump_coefficient=1e150, jump_rate=40.0)
+    strict = tmp_path / "strict"
+    strict.mkdir()
+    verify_checks(tmp_path, config, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verify_checks(strict, config, 2)
+    report = "verify/verification.json"
+    assert (strict / report).read_bytes() == (tmp_path / report).read_bytes()
 
 
 def test_verify_fails_on_convex_modulus(tmp_path, capsys):

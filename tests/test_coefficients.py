@@ -16,6 +16,7 @@ from svie.coefficients import (
     _jump_square_integral,
     audit_linear_growth,
     audit_modulus,
+    bihari_integral,
     coefficient_catalogue,
     deterministic_ode_coefficients,
     domain_sampler,
@@ -209,7 +210,21 @@ def test_osgood_ladder_detects_convergent_integral():
     )
     probe = osgood_ladder(root)
     assert not probe.divergent
-    assert probe.values[-1] == pytest.approx(2.0, rel=1e-6)
+    # int_eps^1 du / sqrt(u) = 2 (1 - sqrt(eps)) on every rung
+    expected = 2.0 * (1.0 - np.sqrt(np.asarray(probe.epsilons)))
+    np.testing.assert_allclose(probe.values, expected, rtol=1e-12)
+
+
+def test_osgood_ladder_log_modulus_matches_closed_form():
+    # int_eps^1 du / kappa = log log(1/eps) below the cap 1/e, plus e - 1 above it
+    probe = osgood_ladder(log_modulus(1.0))
+    expected = np.log(np.log(1.0 / np.asarray(probe.epsilons))) + math.e - 1.0
+    np.testing.assert_allclose(probe.values, expected, rtol=0.0, atol=1e-10)
+
+
+def test_bihari_integral_reverses_sign_with_its_bounds():
+    mod = log_modulus(1.0)
+    assert bihari_integral(mod, 1e-6, 0.9) == -bihari_integral(mod, 0.9, 1e-6)
 
 
 # --- linear-growth audit ------------------------------------------------------

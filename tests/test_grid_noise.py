@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from svie.errors import ConfigurationError, NumericalError
 from svie.grid_noise import (
     LevyMeasure,
     NoisePath,
+    _gauss_kronrod,
     build_grid,
     compensator_integral,
     sample_brownian,
@@ -286,3 +289,69 @@ def test_integrate_reports_a_nan_between_probes():
         measure.integrate(lambda xi: math.nan if 2.0 < xi < 50.0 else 1.0)
     with pytest.raises(NumericalError):
         measure.integrate(lambda xi: np.array([1.0, math.nan if 2.0 < xi < 50.0 else xi]))
+    with pytest.raises(NumericalError):
+        measure.integrate(lambda xi: np.array([1.0, math.inf if 2.0 < xi < 50.0 else xi]))
+
+
+# --- the adaptive Gauss-Kronrod rule ------------------------------------------
+
+
+def gauss_kronrod(f, a, b, points=None):
+    return _gauss_kronrod(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200, points=points)
+
+
+def test_gauss_kronrod_integrates_a_vector_across_interior_points():
+    powers = np.arange(5.0)
+    value, err = gauss_kronrod(lambda x: x**powers, 0.0, 1.0, points=[0.25, 0.5, 0.9])
+    assert value.shape == (5,)
+    np.testing.assert_allclose(value, 1.0 / (powers + 1.0), rtol=1e-12, atol=0.0)
+    assert 0.0 < err < 1e-12
+
+
+@pytest.mark.parametrize(
+    "a,b,f,points", [(0.0, math.inf, lambda x: math.exp(-x), [1.0, 5.0]), (-math.inf, 0.0, math.exp, None)]
+)
+def test_gauss_kronrod_maps_an_infinite_end(a, b, f, points):
+    value, _ = gauss_kronrod(f, a, b, points=points)
+    assert value == pytest.approx(1.0, rel=1e-12)
+
+
+def test_gauss_kronrod_broadcasts_scalar_node_values():
+    # zero (a scalar) left of 1/3, a vector right of it; panels around 1/3 mix both
+    def f(x):
+        return 0.0 if x < 1.0 / 3.0 else np.array([1.0, x - 1.0 / 3.0]) * (x - 1.0 / 3.0) ** 2
+
+    value, _ = gauss_kronrod(f, 0.0, 1.0)
+    np.testing.assert_allclose(value, [(2.0 / 3.0) ** 3 / 3.0, (2.0 / 3.0) ** 4 / 4.0], rtol=1e-12, atol=0.0)
+
+
+def test_gauss_kronrod_bisects_a_lone_panel_before_trusting_it():
+    # one panel can look converged while its nodes miss a bump; a constant
+    # is exact on every panel, so the loop stops right after the first split
+    calls = []
+    value, _ = gauss_kronrod(lambda x: calls.append(x) or 1.0, 0.0, 1.0)
+    assert value == pytest.approx(1.0, rel=1e-15)
+    assert len(calls) == 3 * 21
+
+
+def test_gauss_kronrod_stops_at_a_non_finite_value():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.inf if x > 0.9 else 1.0
+
+    _, err = gauss_kronrod(f, 0.0, 1.0)
+    assert not math.isfinite(err)
+    assert len(calls) == 21  # the first panel met the inf; nothing was split
+
+
+def test_import_and_normalization_quadrature_load_no_scipy(child_env):
+    code = (
+        "import sys, svie\n"
+        "svie.coefficient_catalogue('example', 0.1, 2.0)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
