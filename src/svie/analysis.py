@@ -34,9 +34,10 @@ from typing import Callable
 import numpy as np
 
 from .coefficients import CoefficientSet, Modulus, bihari_integral
-from .errors import AnalysisError, ConfigurationError, DomainError, NumericalError
+from .errors import AnalysisError, ConfigurationError, DomainError, ExplosionError, NumericalError
 from .grid_noise import LevyMeasure, NoisePath, TimeGrid
-from .solver import Ensemble, picard_iterates
+from .solver import Ensemble, _iterates
+from .solver import picard_iterates  # noqa: F401 -- perfbench/tracer.py wraps analysis.picard_iterates by name
 
 __all__ = [
     "bihari_integral",
@@ -272,8 +273,11 @@ def picard_gap(
 
     Each time passes when the estimate stays below c3 * t within four
     standard errors.  m = 0 compares an iterate with itself and is zero.
-    A squared gap that is not finite raises NumericalError naming the
-    iterates and the first such grid time.
+    All paths iterate together, one batched sweep per iterate.  The first
+    path in batch order that exploded in any of sweeps 1..k+m, or whose
+    squared gap is not finite, fails the curve: the first raises
+    ExplosionError with the grid index of its earliest explosion, the
+    second NumericalError naming the iterates and its first such grid time.
     """
     if k < 1:
         raise ConfigurationError(f"k must be at least 1, got {k!r}")
@@ -293,18 +297,21 @@ def picard_gap(
     if m == 0:
         zero = np.zeros(grid.steps + 1)
         return GapReport(grid.points, zero, zero.copy(), c3, np.ones(grid.steps + 1, dtype=bool), k, m, n_paths)
-    sups = np.empty((n_paths, grid.steps + 1))
-    for row, noise in enumerate(noises):
-        iterates = picard_iterates(coeffs, noise, (k, k + m))
-        # finite iterates can still be too far apart to square
-        with np.errstate(over="ignore"):
-            diff = iterates[k + m].values - iterates[k].values
-            sq = diff * diff
-        bad = ~np.isfinite(sq)
-        if bad.any():
-            t_bad = float(grid.points[np.argmax(bad)])
-            raise NumericalError(f"squared gap between Picard iterates {k} and {k + m} overflows at t = {t_bad}")
-        sups[row] = np.maximum.accumulate(sq)
+    iterates = dict(zip(range(k + m + 1), _iterates(coeffs, noises)))
+    (lower, _), (upper, explosion) = iterates[k], iterates[k + m]
+    # finite iterates can still be too far apart to square
+    with np.errstate(over="ignore"):
+        diff = upper - lower
+        sq = diff * diff
+    bad = ~np.isfinite(sq)
+    failed = (explosion >= 0) | bad.any(axis=1)
+    if failed.any():
+        path = np.argmax(failed)
+        if explosion[path] >= 0:
+            raise ExplosionError(explosion[path])
+        t_bad = float(grid.points[np.argmax(bad[path])])
+        raise NumericalError(f"squared gap between Picard iterates {k} and {k + m} overflows at t = {t_bad}")
+    sups = np.maximum.accumulate(sq, axis=1)
     estimates, stderrs = mean_stderr(sups)
     # the envelope is 0 at t = 0 even when c3 overflows: inf * 0 is never formed
     envelope = np.multiply(c3, grid.points, out=np.zeros_like(grid.points), where=grid.points > 0.0)

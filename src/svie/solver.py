@@ -21,11 +21,13 @@ paths at once, with the kernels broadcast over the path axis.  Each path's
 drift, diffusion and compensator increments are summed along its own row,
 and its jumps are then added one by one in time order, so no value depends
 on the other paths of the batch.  ``ensemble_simulate`` is one batch;
-``direct_recursion`` and the Picard functions are batches of one, so each
-ensemble row is bitwise equal to the single-path solve of its lineage.  A
-Picard step is a sweep that reads a previous iterate instead of the rows it
-writes, so a converged Picard iterate is bitwise identical to the direct
-solution.
+``direct_recursion`` is a batch of one, so each ensemble row is bitwise
+equal to the single-path solve of its lineage.  A Picard step is a sweep
+that reads a previous iterate instead of the rows it writes, so a converged
+Picard iterate is bitwise identical to the direct solution.  Successive
+approximation also runs on a batch, one sweep per iterate for all paths
+(``analysis.picard_gap`` uses it), and the Picard functions are batches of
+one, so each path's iterates do not depend on the batch either.
 
 Kernel evaluation cost is O(n^2) per path by design; the t_i argument of a
 Volterra kernel changes every row, so increments cannot be reused.
@@ -153,30 +155,41 @@ def _sweep(coeffs: CoefficientSet, noises: Sequence[NoisePath], source: np.ndarr
     return explosion
 
 
-def _solve_one(coeffs: CoefficientSet, noise: NoisePath, source: np.ndarray | None = None) -> np.ndarray:
-    """Batch-of-one sweep: the direct recursion, or a Picard step from ``source``."""
-    out = np.empty((1, noise.grid.steps + 1), dtype=np.float64)
-    explosion = _sweep(coeffs, [noise], out if source is None else source[np.newaxis], out)[0]
-    if explosion >= 0:
-        raise ExplosionError(explosion)
-    return out[0]
-
-
 def direct_recursion(coeffs: CoefficientSet, noise: NoisePath) -> DiscretePath:
     """Solve the discretized equation exactly, row by row.
 
     Raises ExplosionError with the first offending grid index if the state
     leaves the finite floats.
     """
-    return DiscretePath(grid=noise.grid, values=_solve_one(coeffs, noise))
+    out = np.empty((1, noise.grid.steps + 1), dtype=np.float64)
+    explosion = _sweep(coeffs, [noise], out, out)[0]
+    if explosion >= 0:
+        raise ExplosionError(explosion)
+    return DiscretePath(grid=noise.grid, values=out[0])
 
 
-def _iterates(coeffs: CoefficientSet, noise: NoisePath) -> Iterator[np.ndarray]:
-    """Successive approximations x^0 = phi, x^1, x^2, ...; each is one sweep reading the one before."""
-    state = _initial_curve(coeffs, noise.grid)
+def _iterates(coeffs: CoefficientSet, noises: Sequence[NoisePath]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Successive approximations of a batch: x^0 = phi on every path, then one sweep per iterate.
+
+    Yields ``(x^k, explosion)``: the (paths, n + 1) block of iterate k and,
+    per path, the grid index at which it first exploded in sweeps 1..k (-1
+    where it never did).  An exploded path's row is parked, not a solution.
+    """
+    state = np.tile(_initial_curve(coeffs, noises[0].grid), (len(noises), 1))
+    explosion = np.full(len(noises), -1, dtype=np.int64)
     while True:
-        yield state
-        state = _solve_one(coeffs, noise, state)
+        yield state, explosion
+        # zeros, not empty: a sweep that stops early leaves rows the next one reads
+        source, state = state, np.zeros_like(state)
+        explosion = np.where(explosion < 0, _sweep(coeffs, noises, source, state), explosion)
+
+
+def _path_iterates(coeffs: CoefficientSet, noise: NoisePath) -> Iterator[np.ndarray]:
+    """x^0, x^1, ... of one path: the batch of one, raising ExplosionError at the first exploding sweep."""
+    for state, explosion in _iterates(coeffs, [noise]):
+        if explosion[0] >= 0:
+            raise ExplosionError(explosion[0])
+        yield state[0]
 
 
 def picard_solve(
@@ -198,7 +211,7 @@ def picard_solve(
     if k_max < 1:
         raise ConfigurationError(f"k_max must be at least 1, got {k_max!r}")
     sup_diffs = []
-    for prev, curr in itertools.pairwise(itertools.islice(_iterates(coeffs, noise), k_max + 1)):
+    for prev, curr in itertools.pairwise(itertools.islice(_path_iterates(coeffs, noise), k_max + 1)):
         sup_diffs.append(float(np.max(np.abs(curr - prev))))
         if sup_diffs[-1] <= tolerance:
             break
@@ -221,7 +234,7 @@ def picard_iterates(coeffs: CoefficientSet, noise: NoisePath, keep: Iterable[int
     if min(wanted) < 0:
         raise ConfigurationError("iterate indices must be non-negative")
     # range first: zip stops before asking the stream for one sweep too many
-    stream = zip(range(max(wanted) + 1), _iterates(coeffs, noise))
+    stream = zip(range(max(wanted) + 1), _path_iterates(coeffs, noise))
     return {k: DiscretePath(grid=noise.grid, values=state) for k, state in stream if k in wanted}
 
 

@@ -13,11 +13,13 @@ from svie.analysis import (
     compensated_jump_ensemble,
     doob_check,
     majorant_recursion,
+    mean_stderr,
     moment_check,
     picard_gap,
     uniform_moment_bound,
 )
 from svie.coefficients import (
+    CoefficientSet,
     Modulus,
     deterministic_ode_coefficients,
     example_coefficients,
@@ -26,9 +28,9 @@ from svie.coefficients import (
     quadratic_modulus,
     zero_coefficients,
 )
-from svie.errors import AnalysisError, ConfigurationError, DomainError
-from svie.grid_noise import LevyMeasure, build_grid, sample_noise_ensemble
-from svie.solver import ensemble_simulate
+from svie.errors import AnalysisError, ConfigurationError, DomainError, ExplosionError, NumericalError
+from svie.grid_noise import LevyMeasure, NoisePath, build_grid, sample_noise_ensemble
+from svie.solver import ensemble_simulate, picard_iterates
 
 E_XI = math.exp(0.5)
 E_XI_SQ = math.exp(2.0)
@@ -210,6 +212,113 @@ def test_gap_envelope_of_an_overflowing_slope_warns_nothing():
         report = picard_gap(coeffs, noises, 1, 1, linear_modulus(coeffs.growth_constant), growth_c=1e6)
     assert report.envelope_slope == math.inf
     assert report.all_pass
+
+
+def per_path_gap(coeffs, noises, k, m):
+    """E sup |x^{k+m} - x^k|^2 and its stderr from one Picard solve per path, in batch order."""
+    sups = []
+    for noise in noises:
+        iterates = picard_iterates(coeffs, noise, (k, k + m))
+        with np.errstate(over="ignore"):
+            diff = iterates[k + m].values - iterates[k].values
+            sq = diff * diff
+        bad = ~np.isfinite(sq)
+        if bad.any():
+            t_bad = float(noise.grid.points[np.argmax(bad)])
+            raise NumericalError(f"squared gap between Picard iterates {k} and {k + m} overflows at t = {t_bad}")
+        sups.append(np.maximum.accumulate(sq))
+    return mean_stderr(np.array(sups))
+
+
+def bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize(("k", "m"), [(1, 1), (1, 2)])
+def test_gap_matches_a_per_path_reference_bitwise(k, m):
+    coeffs = example_coefficients(0.1, rate=40.0)
+    noises = sample_noise_ensemble(build_grid(0.5, 32), coeffs.measure, 25, master_seed=12)
+    report = picard_gap(coeffs, noises, k, m, linear_modulus(coeffs.growth_constant))
+    estimates, stderrs = per_path_gap(coeffs, noises, k, m)
+    assert report.estimates.max() > 0.0
+    assert bitwise_equal(report.estimates, estimates)
+    assert bitwise_equal(report.stderrs, stderrs)
+
+
+def raw_jump_coefficients():
+    """h = x * xi with no drift, diffusion or compensator, and phi = 1.
+
+    On a quiet path with marks a then b in different cells, x^1 = 1 + a + b
+    and x^2 = 1 + a + b (1 + a) after the second jump, so the marks choose
+    whether the gap squares to inf (a = b = 1e100), iterate 2 overflows
+    (1e160) or iterate 1 already does (1e308).
+    """
+    return CoefficientSet(
+        drift=lambda t, s, x: np.zeros_like(np.asarray(x, dtype=np.float64)),
+        diffusion=lambda t, s, x: np.zeros_like(np.asarray(x, dtype=np.float64)),
+        initial=lambda t: np.ones_like(np.asarray(t, dtype=np.float64)),
+        measure=LevyMeasure.lognormal(1.0),
+        jump=lambda t, s, x, xi: np.asarray(x) * np.asarray(xi),
+        compensator=lambda t, s, x: np.zeros_like(np.asarray(x, dtype=np.float64)),
+        growth_constant=1.0,
+        name="raw-jump",
+    )
+
+
+GRID_8 = build_grid(1.0, 8)
+KINDS = {
+    # (jump times, marks): the gap squares to inf at t = 0.625
+    "overflow": ((0.3, 0.6), (1e100, 1e100)),
+    # iterate 2 explodes at grid index 5
+    "sweep2": ((0.3, 0.6), (1e160, 1e160)),
+    # iterate 1 explodes at grid index 2
+    "sweep1": ((0.1, 0.2), (1e308, 1e308)),
+    # iterate 1 explodes at grid index 5, iterate 2 earlier, at index 3
+    "sweep1_late": ((0.1, 0.3, 0.6, 0.62), (1e200, 1e200, 1.5e308, 1.5e308)),
+    "finite": ((0.3, 0.6), (0.5, 2.0)),
+}
+
+
+def hand_built_path(kind):
+    times, marks = KINDS[kind]
+    return NoisePath(GRID_8, np.zeros(8), np.array(times), np.array(marks), lineage=(0, 0))
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    [
+        ("overflow", "sweep1"),
+        ("sweep2", "sweep1"),
+        ("finite", "sweep2", "overflow", "sweep1"),
+        ("finite", "overflow", "sweep2"),
+        ("sweep1", "overflow", "sweep2"),
+        ("finite", "sweep1_late", "sweep1"),
+    ],
+)
+def test_gap_fails_on_the_first_failing_path_in_batch_order(kinds):
+    coeffs = raw_jump_coefficients()
+    noises = [hand_built_path(kind) for kind in kinds]
+    with pytest.raises(NumericalError) as expected:
+        per_path_gap(coeffs, noises, 1, 1)
+    with pytest.raises(NumericalError) as raised:
+        picard_gap(coeffs, noises, 1, 1, linear_modulus(1.0))
+    assert type(raised.value) is type(expected.value)
+    assert str(raised.value) == str(expected.value)
+    first = next(kind for kind in kinds if kind != "finite")
+    assert isinstance(raised.value, ExplosionError) == (first != "overflow")
+
+
+def test_gap_of_an_overflowing_model_matches_the_reference_and_warns_nothing():
+    coeffs = example_coefficients(1e150, rate=40.0)
+    noises = sample_noise_ensemble(build_grid(0.5, 16), coeffs.measure, 10, master_seed=1)
+    with pytest.raises(NumericalError) as expected:
+        per_path_gap(coeffs, noises, 1, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError) as raised:
+            picard_gap(coeffs, noises, 1, 1, linear_modulus(coeffs.growth_constant))
+    assert type(raised.value) is type(expected.value)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_gap_validates_arguments():

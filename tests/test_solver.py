@@ -18,6 +18,7 @@ from svie.errors import ConfigurationError, ExplosionError
 from svie.grid_noise import LevyMeasure, NoisePath, build_grid, sample_noise_path
 from svie.solver import (
     DiscretePath,
+    _iterates,
     direct_recursion,
     ensemble_simulate,
     picard_iterates,
@@ -319,6 +320,47 @@ def test_quadrature_compensator_rows_do_not_depend_on_the_batch():
     for idx in range(3):
         noise = sample_noise_path(grid, coeffs.measure, (21, idx))
         assert bitwise_equal(ens.values[idx], direct_recursion(coeffs, noise).values)
+
+
+def batch_iterates(coeffs, noises, keep):
+    """Iterates {k: (paths, n + 1) block} of one batched Picard stream; no path may explode."""
+    stream = dict(zip(range(max(keep) + 1), _iterates(coeffs, noises)))
+    assert (stream[max(keep)][1] < 0).all()
+    return {k: stream[k][0] for k in keep}
+
+
+def test_picard_iterates_do_not_depend_on_the_batch():
+    coeffs = example_coefficients(0.02, rate=40.0)
+    grid = build_grid(0.5, 32)
+    last = grid.steps + 1
+    noises = [sample_noise_path(grid, coeffs.measure, (19, idx)) for idx in range(200)]
+    # rows carrying more than 8 jumps exercise the reduction blocking
+    assert max(noise.jump_times.size for noise in noises[:7]) > 8
+    keep = (1, 2, last)
+    runs = {size: batch_iterates(coeffs, noises[:size], keep) for size in (7, 200)}
+    for k in keep:
+        assert bitwise_equal(runs[7][k], runs[200][k][:7])
+    for idx in range(7):
+        alone = batch_iterates(coeffs, [noises[idx]], keep)
+        for k in keep:
+            assert bitwise_equal(alone[k][0], runs[7][k][idx])
+    for idx, noise in enumerate(noises):
+        assert bitwise_equal(runs[200][last][idx], direct_recursion(coeffs, noise).values)
+
+
+def test_quadrature_compensator_picard_iterates_do_not_depend_on_the_batch():
+    # the mark-space quadrature runs inside every sweep of the Picard batch
+    coeffs = dataclasses.replace(example_coefficients(0.1, rate=2.0), compensator=None)
+    grid = build_grid(0.5, 8)
+    last = grid.steps + 1
+    noises = [sample_noise_path(grid, coeffs.measure, (23, idx)) for idx in range(3)]
+    keep = (1, 2, last)
+    batch = batch_iterates(coeffs, noises, keep)
+    for idx, noise in enumerate(noises):
+        alone = batch_iterates(coeffs, [noise], keep)
+        for k in keep:
+            assert bitwise_equal(alone[k][0], batch[k][idx])
+        assert bitwise_equal(batch[last][idx], direct_recursion(coeffs, noise).values)
 
 
 def test_exploding_ensemble_warns_nothing_and_flags_every_path():
