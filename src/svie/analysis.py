@@ -439,7 +439,8 @@ def compensated_jump_ensemble(
     ``integrand`` u(s, xi) must be deterministic and broadcast over arrays.
     The compensator is integrated from ``compensator_rate`` when given,
     else computed by one vector quadrature of u against the mark density
-    over all grid times.  The running max is evaluated at grid times.
+    over all grid times, which it passes on a leading axis and the marks
+    on a trailing one.  The running max is evaluated at grid times.
     """
     pts = grid.points
     n = grid.steps
@@ -448,7 +449,7 @@ def compensated_jump_ensemble(
     if compensator_rate is not None:
         rate = np.broadcast_to(np.asarray(compensator_rate(pts), dtype=np.float64), (n + 1,))
     else:
-        rate = np.broadcast_to(measure.integrate(lambda xi: integrand(pts, xi)), (n + 1,))
+        rate = np.broadcast_to(measure.integrate(lambda xi: integrand(pts[:, np.newaxis], xi)), (n + 1,))
     comp = _cumulative_trapezoid(rate, pts)
     rng = np.random.default_rng(seed)
     mean_count = measure.total_mass * grid.horizon

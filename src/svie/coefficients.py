@@ -3,7 +3,8 @@
 A model is four kernels: drift f(t, s, x), diffusion g(t, s, x), jump
 h(t, s, x, xi) and an initial curve phi(t), together with the jump measure
 they integrate against.  Kernels must broadcast like numpy ufuncs over
-``s``, ``x`` (and ``xi``) for a scalar ``t``.
+``t``, ``s``, ``x`` and ``xi``; mark-space quadrature puts the marks on a
+trailing axis.
 
 Two sampling audits back the standing assumptions:
 
@@ -30,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AnalysisError, ConfigurationError, DomainError
-from .grid_noise import LevyMeasure, _gauss_kronrod
+from .grid_noise import MARK_INTEGRAL_REL_TOL, LevyMeasure, _gauss_kronrod
 
 __all__ = [
     "CoefficientSet",
@@ -59,7 +60,6 @@ __all__ = [
 ]
 
 AUDIT_SLACK = 1e-12  # uniform absolute slack on audited inequalities
-MARK_INTEGRAL_REL_TOL = 1e-8  # certified relative error of mark-integral quadrature
 
 _E2 = math.exp(2.0)  # second moment of a standard log-normal mark
 _E4 = math.exp(8.0)  # fourth moment
@@ -78,7 +78,9 @@ class CoefficientSet:
     vector quadrature per path and row, a few hundred times slower than a
     closed form.
     ``growth_constant`` is the analytic C of the linear-growth condition
-    when one is known.
+    when one is known.  Kernels broadcast like numpy ufuncs; mark-space
+    quadrature calls ``jump`` with a 1-D array of marks and the states on
+    a trailing axis of length one, so its last axis runs over the marks.
     """
 
     drift: Callable
@@ -310,11 +312,12 @@ def _jump_square_integral(coeffs: CoefficientSet, t, s, x, y=None) -> np.ndarray
     if coeffs.jump is None:
         return np.zeros(n)
     jump = coeffs.jump
+    t, s, x = t[:, np.newaxis], s[:, np.newaxis], x[:, np.newaxis]  # samples on a leading axis, marks trailing
     if y is None:
         fn = lambda xi: np.square(jump(t, s, x, xi))
     else:
-        fn = lambda xi: np.square(jump(t, s, x, xi) - jump(t, s, y, xi))
-    return np.broadcast_to(coeffs.measure.integrate(fn, rel_tol=MARK_INTEGRAL_REL_TOL), (n,))
+        fn = lambda xi: np.square(jump(t, s, x, xi) - jump(t, s, y[:, np.newaxis], xi))
+    return np.broadcast_to(coeffs.measure.integrate(fn), (n,))
 
 
 # --- linear-growth audit -------------------------------------------------
@@ -396,15 +399,16 @@ def bihari_integral(modulus: Modulus, v: float, v_ref: float) -> float:
     if v == v_ref:
         return 0.0
 
-    def integrand(w: float) -> float:
-        u = math.exp(w)
-        k = float(modulus.kappa(u))
-        if not k > 0.0:
-            raise DomainError(f"kappa({u!r}) = {k!r}; the comparison integral needs kappa > 0")
+    def integrand(w: np.ndarray) -> np.ndarray:
+        u = np.exp(w)
+        k = np.broadcast_to(modulus.kappa(u), u.shape)
+        if not np.all(k > 0.0):
+            i = int(np.argmin(k > 0.0))
+            raise DomainError(f"kappa({float(u[i])!r}) = {float(k[i])!r}; the comparison integral needs kappa > 0")
         return u / k
 
     lo, hi = sorted((math.log(v_ref), math.log(v)))
-    res, err = _gauss_kronrod(integrand, lo, hi, epsabs=0.0, epsrel=1e-10, limit=400)
+    res, err = _gauss_kronrod(integrand, lo, hi, epsrel=1e-10, limit=400)
     if not err <= 1e-6 * max(abs(res), 1e-300):  # a nan error fails too
         raise AnalysisError(f"comparison integral did not converge: estimate {res!r}, error {err!r}")
     return float(res) if v > v_ref else -float(res)

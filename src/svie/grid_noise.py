@@ -46,13 +46,15 @@ _ROLE_JUMPS = 1
 # Quadrature constants for integrals against the mark density: probe grid
 # resolution and magnitude range, relative floor below the probed peak at
 # which the core bracket is cut, the subdivisions allowed per quadrature call
-# beyond its initial panels, and the safety factor on the reported error.
+# beyond its initial panels, the safety factor on the reported error, and the
+# certified relative error of every mark integral.
 _PROBE_COUNT = 161
 _PROBE_MIN = 1e-150
 _PROBE_MAX = 1e150
 _QUAD_SPLITS = 200
 _CORE_FLOOR = 1e-18
 _ERR_SAFETY = 10.0
+MARK_INTEGRAL_REL_TOL = 1e-8
 
 # QUADPACK's qk21 rule on [-1, 1]: the Kronrod nodes from 1 down to 0, their
 # weights, and the 10-point Gauss weights on the odd-numbered nodes.
@@ -151,9 +153,10 @@ class LevyMeasure:
     total_mass : float
         Expected number of jumps per unit time; must be finite and >= 0.
     mark_density : callable or None
-        Probability density of a single mark on ``support``, called with
-        one float mark at a time.  Required whenever ``total_mass > 0``; it
-        must integrate to one within 1e-6.
+        Probability density of a single mark on ``support``.  It takes a
+        1-D array of marks and returns one density value per mark (a
+        scalar broadcasts).  Required whenever ``total_mass > 0``; it must
+        integrate to one within 1e-6.
     mark_sampler : callable or None
         ``sampler(rng, size) -> ndarray`` drawing marks exactly in
         distribution.  Required for simulation when ``total_mass > 0``.
@@ -162,7 +165,7 @@ class LevyMeasure:
     """
 
     total_mass: float
-    mark_density: Callable[[float], float] | None = None
+    mark_density: Callable[[np.ndarray], np.ndarray] | None = None
     mark_sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
     support: tuple[float, float] = (0.0, math.inf)
 
@@ -177,8 +180,11 @@ class LevyMeasure:
         if mass > 0.0:
             if self.mark_density is None:
                 raise ConfigurationError("a positive-mass measure needs a mark_density")
-            norm = self.integrate(lambda xi: 1.0) / mass
-            if abs(norm - 1.0) > 1e-6:
+            try:
+                norm = self.integrate(lambda xi: 1.0) / mass
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(f"mark_density must map a 1-D array of marks to one value per mark: {exc}")
+            if not abs(norm - 1.0) <= 1e-6:  # a nan norm fails too
                 raise ConfigurationError(f"mark_density integrates to {norm!r}, expected 1 within 1e-6")
 
     @classmethod
@@ -193,15 +199,16 @@ class LevyMeasure:
         Sampling exponentiates a standard normal draw, which is exact in
         distribution; the density is only used by quadrature checks.
         """
+        if not math.isfinite(mu):
+            raise ConfigurationError(f"mu must be finite, got {mu!r}")
         if not (math.isfinite(sigma) and sigma > 0.0):
             raise ConfigurationError(f"sigma must be finite and positive, got {sigma!r}")
         norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
 
-        def density(xi: float) -> float:
-            if xi <= 0.0:
-                return 0.0
-            z = (math.log(xi) - mu) / sigma
-            return norm * math.exp(-0.5 * z * z) / xi
+        def density(xi: np.ndarray) -> np.ndarray:
+            safe = np.where(xi > 0.0, xi, 1.0)
+            z = (np.log(safe) - mu) / sigma
+            return np.where(xi > 0.0, norm * np.exp(-0.5 * z * z) / safe, 0.0)
 
         def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
             return np.exp(mu + sigma * rng.standard_normal(size))
@@ -218,101 +225,93 @@ class LevyMeasure:
             raise ConfigurationError(f"mark_sampler returned shape {marks.shape}, expected ({size},)")
         return marks
 
-    def integrate(self, fn: Callable[[float], float | np.ndarray], rel_tol: float = 1e-8) -> float | np.ndarray:
+    def integrate(self, fn: Callable[[np.ndarray], float | np.ndarray]) -> float | np.ndarray:
         """Integrate ``fn`` against the measure: total_mass * int fn * density.
 
-        ``fn(xi)`` takes one float mark and returns a scalar or an array of
-        fixed shape; the result has that shape, each element integrated
-        with its own certified relative error ``rel_tol`` in one adaptive
-        pass for the whole array.  The integrand is probed on a log-spaced
-        grid first; adaptive quadrature then runs on the bracket actually
-        carrying mass, with the residual tails added separately.  Probing
-        guards against integrands (heavy mark powers) whose mass sits far
-        from the bulk of the density.  An element that is zero on every
-        probe integrates to 0; one that is not finite on some probe is
-        reported as inf, -inf or nan without being integrated.  Raises
-        NumericalError when an element's certified error exceeds its
-        target, or when the adaptive pass meets a non-finite value that no
-        probe saw.  A measure without mass returns 0.0.
+        ``fn(xi)`` takes a 1-D array of marks and returns values whose last
+        axis runs over them (a scalar broadcasts); the result has the shape
+        of the other axes, each element integrated with its own certified
+        relative error MARK_INTEGRAL_REL_TOL in one adaptive pass.  One
+        call of fn probes a log-spaced grid; adaptive quadrature, one call
+        per Gauss-Kronrod panel, then runs on the bracket carrying mass,
+        with the residual tails added separately.  Probing guards against
+        integrands (heavy mark powers) whose mass sits far from the bulk of
+        the density.  An element that is zero on every probe integrates to
+        0; one that is not finite on some probe is reported as inf, -inf or
+        nan without being integrated.  Raises NumericalError when an
+        element's certified error exceeds its target, or when the adaptive
+        pass meets a non-finite value that no probe saw.  A measure without
+        mass returns 0.0.
         """
         if self.total_mass == 0.0:
             return 0.0
         lo, hi = float(self.support[0]), float(self.support[1])
 
-        def weighted(xi: float):
-            # density first: where it underflows to 0 the product is 0 even
-            # if fn alone would overflow (large mark powers at huge xi)
-            w = float(self.mark_density(xi))
-            if w == 0.0:
-                return 0.0
-            try:
-                return np.asarray(fn(xi), dtype=np.float64) * w
-            except OverflowError:
-                return math.inf
+        def weighted(xi: np.ndarray) -> np.ndarray:
+            density = np.broadcast_to(self.mark_density(xi), xi.shape)
+            # where the density is 0 the product is 0 even if fn alone
+            # overflows (large mark powers at huge xi)
+            return np.where(density == 0.0, 0.0, fn(xi) * density)
 
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if lo >= 0.0:
-                value, err = _integrate_half_line(weighted, lo, hi, rel_tol)
+                value, err = _integrate_half_line(weighted, lo, hi)
             elif hi <= 0.0:
-                value, err = _integrate_half_line(lambda r: weighted(-r), -hi, -lo, rel_tol)
+                value, err = _integrate_half_line(lambda r: weighted(-r), -hi, -lo)
             else:
-                vpos, epos = _integrate_half_line(weighted, 0.0, hi, rel_tol)
-                vneg, eneg = _integrate_half_line(lambda r: weighted(-r), 0.0, -lo, rel_tol)
+                vpos, epos = _integrate_half_line(weighted, 0.0, hi)
+                vneg, eneg = _integrate_half_line(lambda r: weighted(-r), 0.0, -lo)
                 value, err = vpos + vneg, epos + eneg
             # non-finite elements carry no error; a nan error (the quadrature
             # met a non-finite value between probes) fails the check
-            target = np.where(np.isfinite(value), _ERR_SAFETY * rel_tol * np.maximum(np.abs(value), 1e-300), math.inf)
+            target = np.where(
+                np.isfinite(value), _ERR_SAFETY * MARK_INTEGRAL_REL_TOL * np.maximum(np.abs(value), 1e-300), math.inf
+            )
         if not np.all(err <= target):
             raise NumericalError(
-                f"mark integral did not converge: estimate {value!r}, error {err!r}, relative target {rel_tol!r}"
+                f"mark integral did not converge: estimate {value!r}, error {err!r}, "
+                f"relative target {MARK_INTEGRAL_REL_TOL!r}"
             )
         value = self.total_mass * value
         return float(value) if value.ndim == 0 else value
 
 
-def _integrate_half_line(w: Callable, lo: float, hi: float, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _integrate_half_line(w: Callable, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature of w over [lo, hi] with 0 <= lo < hi (hi may be inf).
 
     Returns each element's value and certified error, shaped like w's
-    values.  The quadrature runs in u = log(xi) on w(e^u) e^u, where a
-    log-normal bump is a Gaussian that few Gauss-Kronrod nodes resolve.
-    Every element is divided by its own probe-grid estimate of its integral
-    of |w|, so the max-norm tolerance of one vector quadrature is a
-    relative tolerance for each element.
+    values without their last (point) axis.  The quadrature runs in
+    u = log(xi) on w(e^u) e^u, where a log-normal bump is a Gaussian that
+    few Gauss-Kronrod nodes resolve.  Every element is divided by its own
+    probe-grid estimate of its integral of |w|, so the max-norm tolerance
+    of one vector quadrature is a relative tolerance for each element.
     """
     plo = max(lo, min(_PROBE_MIN, 0.5 * hi))
     phi = min(hi, max(_PROBE_MAX, 2.0 * lo))
     probes = np.geomspace(plo, phi, _PROBE_COUNT)
-    # Python floats, so a Python-float fn overflows by OverflowError
-    raw = [w(p) for p in probes.tolist()]
-    shape = np.broadcast_shapes(*(np.shape(r) for r in raw))
-    vals = np.empty((len(raw), math.prod(shape)))  # (probe, element)
-    for row, r in zip(vals, raw):
-        row[...] = np.ravel(r)
-    vals *= probes[:, np.newaxis]  # the integrand in u = log(xi)
-    finite = np.isfinite(vals).all(axis=0)
+    vals = w(probes) * probes  # the integrand in u = log(xi)
+    shape, vals = vals.shape[:-1], vals.reshape(-1, _PROBE_COUNT)  # (element, probe)
+    finite = np.isfinite(vals).all(axis=1)
     # a non-finite element is not integrated: inf, -inf or nan as its probes sum
-    value = np.where(finite, 0.0, vals.sum(axis=0))
+    value = np.where(finite, 0.0, vals.sum(axis=1))
     err = np.zeros_like(value)
     mags = np.abs(vals)
-    peak = mags.max(axis=0)
+    peak = mags.max(axis=1)
     live = finite & (peak > 0.0)
     if live.any():
-        mags, peak = mags[:, live], peak[live]
+        mags, peak = mags[live], peak[live]
         logs = np.log(probes)
         # the core is the union of every element's bracket of probe segments
         # above _CORE_FLOOR times its own peak, widened by one segment
-        rows = np.flatnonzero((mags >= _CORE_FLOOR * peak).any(axis=1))
-        edges = logs[max(rows[0] - 1, 0) : min(rows[-1] + 1, len(logs) - 1) + 1].tolist()
-        scale = (np.diff(logs)[:, np.newaxis] * (mags[1:] + mags[:-1]) / 2.0).sum(axis=0)  # trapezoid rule
-        inv = 1.0 / scale
+        cols = np.flatnonzero((mags >= _CORE_FLOOR * peak[:, np.newaxis]).any(axis=0))
+        edges = logs[max(cols[0] - 1, 0) : min(cols[-1] + 1, len(logs) - 1) + 1].tolist()
+        scale = (np.diff(logs) * (mags[:, 1:] + mags[:, :-1]) / 2.0).sum(axis=1)  # trapezoid rule
+        inv = 1.0 / scale[:, np.newaxis]
         index = slice(None) if live.all() else live
 
-        def scaled(u: float) -> np.ndarray:
-            xi = math.exp(u)
-            v = np.ravel(w(xi))
-            # a scalar (zero density, or fn returned one value) broadcasts
-            return (v[index] if v.size > 1 else v) * xi * inv
+        def scaled(u: np.ndarray) -> np.ndarray:
+            xi = np.exp(u)
+            return (w(xi) * xi).reshape(-1, u.size)[index] * inv
 
         u_lo = math.log(lo) if lo > 0.0 else -math.inf
         u_hi = math.log(min(hi, sys.float_info.max))
@@ -322,7 +321,7 @@ def _integrate_half_line(w: Callable, lo: float, hi: float, rel_tol: float) -> t
         for a, b, points in ((edges[0], edges[-1], edges[1:-1]), (u_lo, edges[0], None), (edges[-1], u_hi, None)):
             if a < b:
                 part, part_err = _gauss_kronrod(
-                    scaled, a, b, epsabs=rel_tol, epsrel=0.0, limit=len(edges) + _QUAD_SPLITS, points=points
+                    scaled, a, b, epsabs=MARK_INTEGRAL_REL_TOL, limit=len(edges) + _QUAD_SPLITS, points=points
                 )
                 total = total + part
                 total_err += part_err
@@ -332,24 +331,21 @@ def _integrate_half_line(w: Callable, lo: float, hi: float, rel_tol: float) -> t
 
 
 def _gk21_panel(f: Callable, a: float, b: float) -> tuple[np.ndarray, float, float]:
-    """One 21-point Gauss-Kronrod panel on [a, b].
+    """One 21-point Gauss-Kronrod panel on [a, b], one call of f on all its nodes.
 
     Returns the Kronrod estimate, QUADPACK's error estimate and the
     round-off floor 50 eps h int |f|, both as max norms over the elements.
     """
     c, h = 0.5 * (a + b), 0.5 * (b - a)
-    values = [f(x) for x in (c + h * _GK_NODES).tolist()]
-    try:
-        block = np.array(values, dtype=np.float64)  # (node, element)
-    except ValueError:  # scalar node values (f is 0 there) among arrays
-        block = np.stack(np.broadcast_arrays(*values))
+    block = f(c + h * _GK_NODES)  # (element..., node)
     weights = _GK_WEIGHTS[0]
     # a non-finite node value makes the floor below inf or nan, which ends the loop
     with np.errstate(invalid="ignore", over="ignore"):
-        kronrod, gauss = _GK_WEIGHTS @ block
+        sums = block @ _GK_WEIGHTS.T
+        kronrod, gauss = sums[..., 0], sums[..., 1]
         err = h * float(np.max(np.abs(kronrod - gauss)))
-        dabs = h * float(np.max(np.abs(weights @ np.abs(block - 0.5 * kronrod))))
-        floor = 50.0 * sys.float_info.epsilon * h * float(np.max(weights @ np.abs(block)))
+        dabs = h * float(np.max(np.abs(block - 0.5 * kronrod[..., np.newaxis]) @ weights))
+        floor = 50.0 * sys.float_info.epsilon * h * float(np.max(np.abs(block) @ weights))
     if dabs != 0.0 and err != 0.0:
         err = dabs * min(1.0, (200.0 * err / dabs) ** 1.5)
     if floor > sys.float_info.min:
@@ -358,25 +354,26 @@ def _gk21_panel(f: Callable, a: float, b: float) -> tuple[np.ndarray, float, flo
 
 
 def _gauss_kronrod(
-    f: Callable, a: float, b: float, *, epsabs: float, epsrel: float, limit: int, points=None
+    f: Callable, a: float, b: float, *, epsabs: float = 0.0, epsrel: float = 0.0, limit: int, points=None
 ) -> tuple[np.ndarray, float]:
     """Globally adaptive 21-point Gauss-Kronrod quadrature of f over [a, b], a < b.
 
-    ``f`` maps one float to a scalar or a 1-D array.  The panels start at
-    the sorted interior ``points``; the panel with the largest error is
-    bisected first.  Errors are max norms over the elements, summed over
-    panels.  Once there are two panels, the loop stops when the error is
-    below max(epsabs, epsrel * |value|) / 8 or not above the round-off floor
-    summed over every panel evaluated; it also stops when either is not
-    finite, and at ``limit`` panels.  An infinite end maps to t in (0, 1] by
-    x = start + (1 - t) / t (or start - (1 - t) / t).  Returns the value and
-    the error estimate plus the round-off floor.
+    ``f`` maps a 1-D array of points to an array whose last axis runs over
+    them.  The panels start at the sorted interior ``points``; the panel
+    with the largest error is bisected first.  Errors are max norms over
+    the elements, summed over panels.  Once there are two panels, the loop
+    stops when the error is below max(epsabs, epsrel * |value|) / 8 or not
+    above the round-off floor summed over every panel evaluated; it also
+    stops when either is not finite, and at ``limit`` panels.  An infinite
+    end maps to t in (0, 1] by x = start + (1 - t) / t (or start - (1 - t)
+    / t).  Returns the value and the error estimate plus the round-off
+    floor.
     """
     if math.isinf(a) or math.isinf(b):
         start, sign = (a, 1.0) if math.isinf(b) else (b, -1.0)
         finite_f = f
 
-        def f(t: float):
+        def f(t: np.ndarray):
             return finite_f(start + sign * (1.0 - t) / t) / (t * t)
 
         points = sorted(1.0 / (1.0 + sign * (p - start)) for p in points or ())
@@ -486,8 +483,9 @@ def compensator_integral(coeffs: "CoefficientSet", t, s, x):
 
     Uses the coefficient set's closed form when present, otherwise one
     vector quadrature against the mark density per slice along the last
-    axis (one path's row in the solver), each element with certified
-    relative error 1e-8.  Slices are integrated separately so that a row's
+    axis (one path's row in the solver, its states on a leading axis and
+    the marks on a trailing one), each element with certified relative
+    error MARK_INTEGRAL_REL_TOL.  Slices are integrated separately so that a row's
     values never depend on the other rows of a batch.  ``s`` and ``x`` may
     be arrays; ``s <= t`` is required elementwise.
     """
@@ -503,7 +501,7 @@ def compensator_integral(coeffs: "CoefficientSet", t, s, x):
         out = np.broadcast_to(np.asarray(coeffs.compensator(t, s, x), dtype=np.float64), shape).copy()
     else:
         rows, width = math.prod(shape[:-1]), math.prod(shape[-1:])
-        tb, sb, xb = (np.broadcast_to(a, shape).reshape(rows, width) for a in (t_arr, s_arr, x_arr))
+        tb, sb, xb = (np.broadcast_to(a, shape).reshape(rows, width, 1) for a in (t_arr, s_arr, x_arr))
         jump, measure = coeffs.jump, coeffs.measure
         out = np.array(
             [

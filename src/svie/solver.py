@@ -248,13 +248,16 @@ class Ensemble:
 
     grid: TimeGrid
     values: np.ndarray
-    exploded: np.ndarray
     explosion_index: np.ndarray
     master_seed: int
 
     @property
     def n_paths(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def exploded(self) -> np.ndarray:
+        return self.explosion_index >= 0
 
     @property
     def survivors(self) -> np.ndarray:
@@ -274,12 +277,5 @@ def ensemble_simulate(coeffs: CoefficientSet, grid: TimeGrid, n_paths: int, mast
     noises = [sample_noise_path(grid, coeffs.measure, (master_seed, idx)) for idx in range(n_paths)]
     values = np.empty((n_paths, grid.steps + 1), dtype=np.float64)
     explosion_index = _sweep(coeffs, noises, values, values)
-    exploded = explosion_index >= 0
-    values[exploded] = np.nan
-    return Ensemble(
-        grid=grid,
-        values=values,
-        exploded=exploded,
-        explosion_index=explosion_index,
-        master_seed=int(master_seed),
-    )
+    values[explosion_index >= 0] = np.nan
+    return Ensemble(grid=grid, values=values, explosion_index=explosion_index, master_seed=int(master_seed))

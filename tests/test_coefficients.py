@@ -440,6 +440,5 @@ def test_audits_and_quadrature_solve_raise_no_warnings():
             coeffs, linear_modulus(coeffs.growth_constant), pair_sampler(0.5, 10.0, seed=2), 200
         ).passed
         direct_recursion(stripped, sample_noise_path(grid, coeffs.measure, (3, 0)))
-        # E[xi^40] = e^800 overflows, as numpy and as Python floats, quietly
-        assert coeffs.measure.integrate(lambda xi: np.float64(xi) ** 40) == math.inf
+        # E[xi^40] = e^800 overflows quietly
         assert coeffs.measure.integrate(lambda xi: xi**40) == math.inf

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from svie import grid_noise
 from svie.errors import ConfigurationError, NumericalError
 from svie.grid_noise import (
     LevyMeasure,
@@ -122,15 +123,15 @@ def test_measure_integrate_scales_with_total_mass():
 
 
 def laplace(xi):
-    return 0.5 * math.exp(-abs(xi))
+    return 0.5 * np.exp(-np.abs(xi))
 
 
 def negative_exponential(xi):
-    return math.exp(xi)
+    return np.exp(xi)
 
 
 def uniform_1_2(xi):
-    return 1.0 if 1.0 <= xi <= 2.0 else 0.0
+    return np.where((1.0 <= xi) & (xi <= 2.0), 1.0, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -140,7 +141,7 @@ def uniform_1_2(xi):
         ((-math.inf, math.inf), laplace, abs, 1.0),
         ((-math.inf, math.inf), laplace, lambda xi: xi + 2.0, 2.0),
         ((-math.inf, 0.0), negative_exponential, lambda xi: xi, -1.0),
-        ((-math.inf, 0.0), negative_exponential, lambda xi: np.array([xi, xi * xi]), [-1.0, 2.0]),
+        ((-math.inf, 0.0), negative_exponential, lambda xi: np.stack([xi, xi * xi]), [-1.0, 2.0]),
         ((1.0, 2.0), uniform_1_2, lambda xi: xi, 1.5),
     ],
     ids=["laplace-xi2", "laplace-abs", "laplace-shifted", "negative-xi", "negative-vector", "uniform-xi"],
@@ -154,6 +155,32 @@ def test_integrate_on_two_sided_negative_and_bounded_supports(support, density, 
 def test_measure_rejects_unnormalized_density():
     with pytest.raises(ConfigurationError):
         LevyMeasure(total_mass=1.0, mark_density=lambda xi: 2.0 * np.exp(-np.asarray(xi)), mark_sampler=None)
+
+
+def test_measure_rejects_a_nan_density():
+    # a nan norm fails the normalisation check instead of slipping past it
+    with pytest.raises(ConfigurationError, match="integrates to nan"):
+        LevyMeasure(total_mass=1.0, mark_density=lambda xi: math.nan)
+
+
+def test_lognormal_rejects_a_non_finite_mu():
+    for mu in (math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="mu"):
+            LevyMeasure.lognormal(1.0, mu=mu)
+
+
+@pytest.mark.parametrize(
+    "density",
+    [
+        lambda xi: math.exp(-xi),  # one float mark at a time
+        lambda xi: 1.0 if xi < 1.0 else 0.0,  # a scalar branch
+        lambda xi: np.exp(-xi)[:-1],  # one value short
+    ],
+    ids=["math-exp", "scalar-branch", "wrong-length"],
+)
+def test_measure_rejects_a_density_off_the_array_contract(density):
+    with pytest.raises(ConfigurationError, match="1-D array of marks"):
+        LevyMeasure(total_mass=1.0, mark_density=density)
 
 
 def test_measure_rejects_negative_mass():
@@ -194,15 +221,15 @@ def test_compensator_integral_broadcasts_and_checks_ordering():
 
 def test_integrate_survives_integrands_that_overflow_in_the_tail():
     measure = LevyMeasure.lognormal(1.0)
-    value = measure.integrate(lambda xi: xi**4 * math.exp(min(xi, 0.0)))
+    value = measure.integrate(lambda xi: xi**4 * np.exp(np.minimum(xi, 0.0)))
     assert math.isfinite(value)
 
 
 def test_integrate_reports_nonconvergence():
     measure = LevyMeasure.lognormal(1.0)
     with pytest.raises(NumericalError):
-        # oscillates too fast for the requested tolerance
-        measure.integrate(lambda xi: math.sin(1e9 * xi), rel_tol=1e-13)
+        # oscillates too fast for the certified tolerance
+        measure.integrate(lambda xi: np.sin(1e9 * xi))
 
 
 def test_noise_ensemble_uses_consecutive_lineages():
@@ -246,7 +273,7 @@ def test_integrate_returns_the_shape_of_fn():
     # every element meets the tolerance on its own, whatever its size
     measure = LevyMeasure.lognormal(1.0)
     powers = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
-    out = measure.integrate(lambda xi: xi**powers)
+    out = measure.integrate(lambda xi: xi ** powers[:, np.newaxis])
     assert out.shape == (5,)
     np.testing.assert_allclose(out, np.exp(0.5 * powers**2), rtol=1e-8)
     assert isinstance(measure.integrate(lambda xi: xi), float)
@@ -285,12 +312,29 @@ def test_integrate_reports_a_nan_between_probes():
     # no probe lands in (2, 50), so only the adaptive pass meets the nan;
     # it must not come back as a value that passed the error check
     measure = LevyMeasure.lognormal(1.0)
+    gap = lambda xi, bad, other: np.where((2.0 < xi) & (xi < 50.0), bad, other)
     with pytest.raises(NumericalError):
-        measure.integrate(lambda xi: math.nan if 2.0 < xi < 50.0 else 1.0)
+        measure.integrate(lambda xi: gap(xi, math.nan, 1.0))
     with pytest.raises(NumericalError):
-        measure.integrate(lambda xi: np.array([1.0, math.nan if 2.0 < xi < 50.0 else xi]))
+        measure.integrate(lambda xi: np.stack([np.ones_like(xi), gap(xi, math.nan, xi)]))
     with pytest.raises(NumericalError):
-        measure.integrate(lambda xi: np.array([1.0, math.inf if 2.0 < xi < 50.0 else xi]))
+        measure.integrate(lambda xi: np.stack([np.ones_like(xi), gap(xi, math.inf, xi)]))
+
+
+def test_integrate_calls_fn_once_to_probe_and_once_per_panel(monkeypatch):
+    # every call gets a 1-D array of marks: 161 probes first, then the 21
+    # nodes of one Gauss-Kronrod panel per call
+    measure = LevyMeasure.lognormal(2.0)
+    panels = []
+    panel = grid_noise._gk21_panel
+    monkeypatch.setattr(grid_noise, "_gk21_panel", lambda f, a, b: panels.append((a, b)) or panel(f, a, b))
+    shapes = []
+    x = np.array([[1.0], [-2.0], [0.5]])
+    value = measure.integrate(lambda xi: shapes.append(np.shape(xi)) or x * xi * xi)
+    np.testing.assert_allclose(value, 2.0 * E_XI_SQ * x[:, 0], rtol=MARK_INTEGRAL_REL_TOL, atol=0.0)
+    assert shapes[0] == (161,)
+    assert shapes[1:] == [(21,)] * len(panels)
+    assert 0 < len(panels) < 40
 
 
 # --- the adaptive Gauss-Kronrod rule ------------------------------------------
@@ -302,24 +346,25 @@ def gauss_kronrod(f, a, b, points=None):
 
 def test_gauss_kronrod_integrates_a_vector_across_interior_points():
     powers = np.arange(5.0)
-    value, err = gauss_kronrod(lambda x: x**powers, 0.0, 1.0, points=[0.25, 0.5, 0.9])
+    value, err = gauss_kronrod(lambda x: x ** powers[:, np.newaxis], 0.0, 1.0, points=[0.25, 0.5, 0.9])
     assert value.shape == (5,)
     np.testing.assert_allclose(value, 1.0 / (powers + 1.0), rtol=1e-12, atol=0.0)
     assert 0.0 < err < 1e-12
 
 
 @pytest.mark.parametrize(
-    "a,b,f,points", [(0.0, math.inf, lambda x: math.exp(-x), [1.0, 5.0]), (-math.inf, 0.0, math.exp, None)]
+    "a,b,f,points", [(0.0, math.inf, lambda x: np.exp(-x), [1.0, 5.0]), (-math.inf, 0.0, np.exp, None)]
 )
 def test_gauss_kronrod_maps_an_infinite_end(a, b, f, points):
     value, _ = gauss_kronrod(f, a, b, points=points)
     assert value == pytest.approx(1.0, rel=1e-12)
 
 
-def test_gauss_kronrod_broadcasts_scalar_node_values():
-    # zero (a scalar) left of 1/3, a vector right of it; panels around 1/3 mix both
+def test_gauss_kronrod_integrates_a_piecewise_zero_integrand():
+    # zero left of 1/3, a vector right of it; panels around 1/3 mix both
     def f(x):
-        return 0.0 if x < 1.0 / 3.0 else np.array([1.0, x - 1.0 / 3.0]) * (x - 1.0 / 3.0) ** 2
+        d = x - 1.0 / 3.0
+        return np.where(d < 0.0, 0.0, np.stack([d * d, d**3]))
 
     value, _ = gauss_kronrod(f, 0.0, 1.0)
     np.testing.assert_allclose(value, [(2.0 / 3.0) ** 3 / 3.0, (2.0 / 3.0) ** 4 / 4.0], rtol=1e-12, atol=0.0)
@@ -329,21 +374,21 @@ def test_gauss_kronrod_bisects_a_lone_panel_before_trusting_it():
     # one panel can look converged while its nodes miss a bump; a constant
     # is exact on every panel, so the loop stops right after the first split
     calls = []
-    value, _ = gauss_kronrod(lambda x: calls.append(x) or 1.0, 0.0, 1.0)
+    value, _ = gauss_kronrod(lambda x: calls.append(len(x)) or np.ones_like(x), 0.0, 1.0)
     assert value == pytest.approx(1.0, rel=1e-15)
-    assert len(calls) == 3 * 21
+    assert calls == [21] * 3  # one call per panel, all 21 nodes at once
 
 
 def test_gauss_kronrod_stops_at_a_non_finite_value():
     calls = []
 
     def f(x):
-        calls.append(x)
-        return math.inf if x > 0.9 else 1.0
+        calls.append(len(x))
+        return np.where(x > 0.9, math.inf, 1.0)
 
     _, err = gauss_kronrod(f, 0.0, 1.0)
     assert not math.isfinite(err)
-    assert len(calls) == 21  # the first panel met the inf; nothing was split
+    assert calls == [21]  # the first panel met the inf; nothing was split
 
 
 def test_import_and_normalization_quadrature_load_no_scipy(child_env):
