@@ -5,7 +5,7 @@ On a grid with n steps the scheme is lower triangular: iterate k already
 equals the fixed point on the first k entries, so at most n + 1 sweeps
 reach it exactly, not just approximately.  This script prints the sup
 distance between consecutive iterates and confirms the final iterate is
-bitwise identical to the direct row-by-row recursion.
+bitwise identical to the direct recursion.
 """
 
 import numpy as np

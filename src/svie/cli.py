@@ -7,7 +7,7 @@ passed or the solve converged, 1 the Picard iteration did not converge,
 deterministic: rerunning an identical config and seed reproduces every
 artifact byte for byte.  ``--threads`` is kept for compatibility: it is
 validated (at least 1) and has no effect, since an ensemble is one batch
-through the solver's row kernel.
+through the solver's sweep.
 """
 
 from __future__ import annotations
@@ -185,6 +185,15 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _paths_csv(times: np.ndarray, values: np.ndarray) -> str:
+    """paths.csv: a ``path_id,t,x`` line per path and grid time, numbers as ``_fmt`` writes them.
+
+    The grid times are formatted once, into one line template that each path fills in.
+    """
+    lines = "".join(f"{{0}},{_fmt(t)},%.17g\n" for t in times)
+    return "path_id,t,x\n" + "".join(lines.format(pid) % tuple(vals.tolist()) for pid, vals in enumerate(values))
+
+
 def _json_num(x) -> float | None:
     if x is None:
         return None
@@ -203,11 +212,7 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
     grid = build_grid(config.horizon, config.steps)
     coeffs, _ = _build_model(config)
     ensemble = ensemble_simulate(coeffs, grid, config.paths, config.master_seed)
-    rows = ["path_id,t,x"]
-    for pid in range(ensemble.n_paths):
-        vals = ensemble.values[pid]
-        rows.extend(f"{pid},{_fmt(t)},{_fmt(x)}" for t, x in zip(grid.points, vals))
-    (out_dir / "paths.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    (out_dir / "paths.csv").write_text(_paths_csv(grid.points, ensemble.values), encoding="utf-8")
     surv = ensemble.survivors
     if surv.shape[0] > 0:
         second, second_se = analysis.mean_stderr(surv * surv)

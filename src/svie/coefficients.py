@@ -75,12 +75,14 @@ class CoefficientSet:
     None, so ``jump is None`` is the one test for "no jumps".
     ``compensator`` is an optional closed form for int h(t, s, x, xi)
     nu(dxi); when absent the solver integrates h against ``measure`` by one
-    vector quadrature per path and row, a few hundred times slower than a
-    closed form.
+    vector quadrature per path and column, a few hundred times slower than
+    a closed form.
     ``growth_constant`` is the analytic C of the linear-growth condition
-    when one is known.  Kernels broadcast like numpy ufuncs; mark-space
-    quadrature calls ``jump`` with a 1-D array of marks and the states on
-    a trailing axis of length one, so its last axis runs over the marks.
+    when one is known.  Kernels broadcast like numpy ufuncs: the solver calls
+    them with the later grid times t_{j+1..n} as a 1-D ``t``, the scalar t_j
+    as ``s`` (``jump`` gets columns of jump times and marks) and a (paths, 1)
+    column of states as ``x``.  Mark-space quadrature calls ``jump`` with a
+    1-D array of marks and the states on a trailing axis of length one.
     """
 
     drift: Callable

@@ -483,11 +483,11 @@ def compensator_integral(coeffs: "CoefficientSet", t, s, x):
 
     Uses the coefficient set's closed form when present, otherwise one
     vector quadrature against the mark density per slice along the last
-    axis (one path's row in the solver, its states on a leading axis and
-    the marks on a trailing one), each element with certified relative
-    error MARK_INTEGRAL_REL_TOL.  Slices are integrated separately so that a row's
-    values never depend on the other rows of a batch.  ``s`` and ``x`` may
-    be arrays; ``s <= t`` is required elementwise.
+    axis (per path and column in the solver: one path's cells in the later
+    rows, the marks on a trailing axis), each element with certified
+    relative error MARK_INTEGRAL_REL_TOL.  Slices are integrated separately
+    so that a path's values never depend on the other paths of a batch.
+    ``t``, ``s`` and ``x`` may be arrays; ``s <= t`` is required elementwise.
     """
     t_arr = np.asarray(t, dtype=np.float64)
     s_arr = np.asarray(s, dtype=np.float64)

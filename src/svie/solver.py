@@ -16,21 +16,22 @@ lower triangular, which is why successive approximation started from
 x^0 = phi reproduces the direct recursion exactly after at most n
 iterations and the (n+1)-th sweep changes nothing.
 
-Every solver runs one row kernel over a (paths, n + 1) block: row i of all
-paths at once, with the kernels broadcast over the path axis.  Each path's
-drift, diffusion and compensator increments are summed along its own row,
-and its jumps are then added one by one in time order, so no value depends
-on the other paths of the batch.  ``ensemble_simulate`` is one batch;
+Every solver runs one column-push sweep over a (paths, n + 1) block.  Each
+row starts at phi; once column j is final, one call per kernel on the later
+grid times t_{j+1..n} pushes it into every later row of all paths, and the
+jumps with floor(tau) = j follow.  Each path sums its cells in the same
+order, j = 0, 1, ..., its own jumps in time order, so no value depends on
+the other paths of the batch.  ``ensemble_simulate`` is one batch;
 ``direct_recursion`` is a batch of one, so each ensemble row is bitwise
 equal to the single-path solve of its lineage.  A Picard step is a sweep
-that reads a previous iterate instead of the rows it writes, so a converged
+that pushes a previous iterate instead of the rows it writes, so a converged
 Picard iterate is bitwise identical to the direct solution.  Successive
 approximation also runs on a batch, one sweep per iterate for all paths
 (``analysis.picard_gap`` uses it), and the Picard functions are batches of
 one, so each path's iterates do not depend on the batch either.
 
-Kernel evaluation cost is O(n^2) per path by design; the t_i argument of a
-Volterra kernel changes every row, so increments cannot be reused.
+A sweep evaluates O(n^2) kernel cells per path, but the (t, s) part of a
+kernel only once per cell for the whole batch.
 """
 
 from __future__ import annotations
@@ -98,65 +99,65 @@ def _initial_curve(coeffs: CoefficientSet, grid: TimeGrid) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # the finiteness check reports an overflow, not numpy
 def _sweep(coeffs: CoefficientSet, noises: Sequence[NoisePath], source: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill the (paths, n + 1) block ``out`` row by row from ``source``.
+    """Fill the (paths, n + 1) block ``out`` column by column from ``source``.
 
-    When ``source`` is ``out``, row i reads the rows this sweep already
-    wrote, which is the direct recursion; when it is a previous iterate,
-    this is one Picard step.  Returns each path's first grid index with a
-    non-finite state, -1 where there is none.  From that row on the path's
-    state is parked at 0, so kernels only ever see finite states, and the
-    caller discards the row.  The sweep stops once every path has exploded.
+    Rows start at phi; once column j of ``out`` is final, column j of
+    ``source`` is pushed into every later row.  When ``source`` is ``out``
+    this is the direct recursion; when it is a previous iterate, one Picard
+    step.  Returns each path's first grid index with a non-finite state, -1
+    where there is none.  That state is parked at 0, so kernels only ever see
+    finite states, and the caller discards the row.  The sweep stops once
+    every path has exploded, and parks the rows it did not reach at 0 too.
     """
     grid = noises[0].grid
     pts, dt = grid.points, grid.dt
     n_paths = len(noises)
-    phi = _initial_curve(coeffs, grid)
     dW = np.stack([noise.brownian for noise in noises])
     drift, diffusion, jump = coeffs.drift, coeffs.diffusion, coeffs.jump
     comp = None
     jcounts = np.zeros(len(pts), dtype=np.int64)
     if jump is not None:
         comp = coeffs.compensator or (lambda t, s, x: compensator_integral(coeffs, t, s, x))
-        # every jump of the batch in one time-sorted list, so row i's jumps
-        # are a prefix of it; each path meets its own jumps in time order
+        # every jump of the batch in one time-sorted list, so the jumps of
+        # column j (t_j < tau <= t_{j+1}) are one slice of it; each path
+        # meets its own jumps in time order
         jtimes = np.concatenate([noise.jump_times for noise in noises])
         order = np.argsort(jtimes, kind="stable")
         jtimes = jtimes[order]
         jmarks = np.concatenate([noise.jump_marks for noise in noises])[order]
         jpath = np.repeat(np.arange(n_paths), [noise.jump_times.size for noise in noises])[order]
-        # state index: last grid point strictly before tau (adapted read)
-        jstate = np.searchsorted(pts, jtimes, side="left") - 1
-        jsource = jpath * len(pts) + jstate  # flat index into source
         jcounts = np.searchsorted(jtimes, pts, side="right")
     explosion = np.full(n_paths, -1, dtype=np.int64)
-    row = np.full(n_paths, phi[0])
-    for i in range(len(pts)):
-        if i:
-            t_i, s_j, x_j = pts[i], pts[:i], source[:, :i]
-            f = drift(t_i, s_j, x_j)
-            if comp is not None:
-                f = f - comp(t_i, s_j, x_j)
-            # one sum per path over its own contiguous row of increments
-            row = phi[i] + np.add.reduce(f * dt + diffusion(t_i, s_j, x_j) * dW[:, :i], axis=1)
-            m = jcounts[i]
-            if m:
-                # unbuffered and in list order: each path adds its own jumps
-                # left to right, whatever else is in the batch
-                np.add.at(row, jpath[:m], jump(t_i, jtimes[:m], source.take(jsource[:m]), jmarks[:m]))
+    out[:] = _initial_curve(coeffs, grid)
+    for j in range(len(pts)):
+        col = out[:, j]
         # the sum is finite unless some state is not (or the sum overflows,
         # which the mask then clears); one reduction is cheaper than a mask
-        if not math.isfinite(np.add.reduce(row)):
-            bad = ~np.isfinite(row)
-            explosion[bad & (explosion < 0)] = i
+        if not math.isfinite(np.add.reduce(col)):
+            bad = ~np.isfinite(col)
+            explosion[bad & (explosion < 0)] = j
             if (explosion >= 0).all():
+                out[:, j:] = 0.0
                 break
-            row[bad] = 0.0
-        out[:, i] = row
+            col[bad] = 0.0
+        if j == grid.steps:
+            break
+        t, s, x = pts[j + 1 :], pts[j], source[:, j, None]
+        f = drift(t, s, x)
+        if comp is not None:
+            f = f - comp(t, s, x)
+        out[:, j + 1 :] += f * dt + diffusion(t, s, x) * dW[:, j, None]
+        lo, hi = jcounts[j], jcounts[j + 1]
+        if lo < hi:
+            # unbuffered and in list order: each path adds its own jumps
+            # left to right, whatever else is in the batch
+            paths = jpath[lo:hi]
+            np.add.at(out[:, j + 1 :], paths, jump(t, jtimes[lo:hi, None], source[paths, j, None], jmarks[lo:hi, None]))
     return explosion
 
 
 def direct_recursion(coeffs: CoefficientSet, noise: NoisePath) -> DiscretePath:
-    """Solve the discretized equation exactly, row by row.
+    """Solve the discretized equation exactly: the sweep on a batch of one.
 
     Raises ExplosionError with the first offending grid index if the state
     leaves the finite floats.
@@ -179,8 +180,8 @@ def _iterates(coeffs: CoefficientSet, noises: Sequence[NoisePath]) -> Iterator[t
     explosion = np.full(len(noises), -1, dtype=np.int64)
     while True:
         yield state, explosion
-        # zeros, not empty: a sweep that stops early leaves rows the next one reads
-        source, state = state, np.zeros_like(state)
+        # empty, not zeros: the sweep writes every row, 0 where an early stop left it
+        source, state = state, np.empty_like(state)
         explosion = np.where(explosion < 0, _sweep(coeffs, noises, source, state), explosion)
 
 
@@ -265,7 +266,7 @@ class Ensemble:
 
 
 def ensemble_simulate(coeffs: CoefficientSet, grid: TimeGrid, n_paths: int, master_seed: int) -> Ensemble:
-    """Simulate n_paths independent paths as one batch through the row kernel.
+    """Simulate n_paths independent paths as one batch through the sweep.
 
     Path index idx is the noise lineage (master_seed, idx), sampled from
     ``coeffs.measure``, the measure the sweep compensates with.  Its row is

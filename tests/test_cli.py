@@ -6,6 +6,7 @@ import sys
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from svie import cli
@@ -196,6 +197,20 @@ def test_simulate_outputs_do_not_depend_on_out_dir_or_threads(tmp_path):
     assert main(["simulate", "--config", cfg_path, "--out", str(b), "--threads", "8"]) == 0
     assert (a / "paths.csv").read_bytes() == (b / "paths.csv").read_bytes()
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+
+
+def test_paths_csv_formats_every_number_as_the_per_value_formatter_does():
+    times = build_grid(0.5, 12).points
+    rng = np.random.default_rng(5)
+    values = rng.choice([-1.0, 1.0], size=(4, 13)) * 10.0 ** rng.uniform(-5.0, 5.0, size=(4, 13))
+    values[1] = np.nan  # an exploded path
+    values[2, 3], values[2, 4], values[3, 0] = -0.0, 0.0, 1e5
+    lines = ["path_id,t,x"]
+    for pid, row in enumerate(values):
+        lines.extend(f"{pid},{format(float(t), '.17g')},{format(float(x), '.17g')}" for t, x in zip(times, row))
+    text = cli._paths_csv(times, values)
+    assert text == "\n".join(lines) + "\n"
+    assert "\n1,0.5,nan\n" in text and "\n2,0.125,-0\n" in text
 
 
 def test_simulate_seed_override_changes_paths(tmp_path):

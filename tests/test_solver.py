@@ -15,10 +15,11 @@ from svie.coefficients import (
     zero_coefficients,
 )
 from svie.errors import ConfigurationError, ExplosionError
-from svie.grid_noise import LevyMeasure, NoisePath, build_grid, sample_noise_path
+from svie.grid_noise import LevyMeasure, NoisePath, build_grid, compensator_integral, sample_noise_path
 from svie.solver import (
     DiscretePath,
     _iterates,
+    _sweep,
     direct_recursion,
     ensemble_simulate,
     picard_iterates,
@@ -137,6 +138,36 @@ def test_explosion_raises_with_grid_index():
     assert info.value.grid_index == 2
 
 
+def test_overflow_in_a_later_row_is_reported_where_that_row_is_reached():
+    # row 3 alone takes 1e308 + 1e308 = inf from column 0 and -inf from
+    # column 1, so its sum is nan while rows 1 and 2 stay finite; row 4 is
+    # never reached, because every path has exploded by then
+    grid = build_grid(4.0, 4)
+    big = lambda t, s, x: np.where(np.abs(t - 3.0) < 0.5, np.where(s < 0.5, 1e308, -1e308), 0.0) * x
+    coeffs = CoefficientSet(
+        drift=big,
+        diffusion=big,
+        initial=lambda t: np.ones_like(np.asarray(t, dtype=np.float64)),
+        measure=LevyMeasure.empty(),
+        name="overflow-at-row-3",
+    )
+    noise = dataclasses.replace(quiet_path(grid), brownian=np.array([1.0, 1.0, 0.0, 0.0]))
+    with pytest.raises(ExplosionError) as info:
+        direct_recursion(coeffs, noise)
+    assert info.value.grid_index == 3
+    # the Picard sweep from phi meets the same nan; it parks the row it
+    # stopped on and the row it never reached at 0
+    stream = _iterates(coeffs, [noise])
+    next(stream)
+    state, explosion = next(stream)
+    assert explosion.tolist() == [3]
+    np.testing.assert_array_equal(state, [[1.0, 1.0, 1.0, 0.0, 0.0]])
+    # a quiet path in the same batch keeps its own, finite solution
+    out = np.empty((2, grid.steps + 1))
+    assert _sweep(coeffs, [noise, quiet_path(grid)], out, out).tolist() == [3, -1]
+    assert bitwise_equal(out[1], direct_recursion(coeffs, quiet_path(grid)).values)
+
+
 def loop_reference(coeffs, noise):
     """The scheme of the solver module's docstring, one scalar kernel call per term."""
     pts, dt = noise.grid.points, noise.grid.dt
@@ -153,13 +184,54 @@ def loop_reference(coeffs, noise):
     return x
 
 
-@pytest.mark.parametrize("coeffs", [example_coefficients(0.02, rate=40.0), linear_test_coefficients(0.2, rate=5.0)])
+def time_dependent_coefficients(c=0.1, rate=20.0):
+    """Kernels that depend on t - s: f = (1 + t - s) x / 4, g = x / 2, h = c xi x e^{-(t - s)}."""
+    decay = lambda t, s: np.exp(-(np.asarray(t, dtype=np.float64) - s))
+    return CoefficientSet(
+        drift=lambda t, s, x: 0.25 * (1.0 + np.asarray(t, dtype=np.float64) - s) * x,
+        diffusion=lambda t, s, x: 0.5 * np.asarray(x, dtype=np.float64),
+        initial=lambda t: np.ones_like(np.asarray(t, dtype=np.float64)),
+        measure=LevyMeasure.lognormal(rate),
+        jump=lambda t, s, x, xi: c * np.asarray(xi, dtype=np.float64) * x * decay(t, s),
+        compensator=lambda t, s, x: c * rate * math.exp(0.5) * np.asarray(x, dtype=np.float64) * decay(t, s),
+        name="time-dependent",
+    )
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [example_coefficients(0.02, rate=40.0), linear_test_coefficients(0.2, rate=5.0), time_dependent_coefficients()],
+)
 def test_direct_recursion_matches_a_plain_loop(coeffs):
     # summation order differs from the loop, so agreement is to rounding only
     grid = build_grid(0.5, 48)
     for idx in range(3):
         noise = sample_noise_path(grid, coeffs.measure, (17, idx))
         np.testing.assert_allclose(direct_recursion(coeffs, noise).values, loop_reference(coeffs, noise), rtol=1e-12)
+
+
+def test_kernels_see_later_grid_times_a_scalar_s_and_a_column_of_states():
+    grid = build_grid(0.5, 48)
+    base = time_dependent_coefficients()
+    seen = []
+
+    def drift(t, s, x):
+        seen.append((np.shape(t), np.shape(s), np.shape(x)))
+        return base.drift(t, s, x)
+
+    ensemble_simulate(dataclasses.replace(base, drift=drift), grid, 5, master_seed=17)
+    assert seen == [((grid.steps - j,), (), (5, 1)) for j in range(grid.steps)]
+
+
+def test_time_dependent_kernels_do_not_depend_on_the_batch():
+    coeffs = time_dependent_coefficients()
+    grid = build_grid(0.5, 48)
+    runs = {size: ensemble_simulate(coeffs, grid, size, master_seed=29) for size in (1, 7, 200)}
+    # paths with many jumps exercise the jump pushes
+    assert max(sample_noise_path(grid, coeffs.measure, (29, idx)).jump_times.size for idx in range(7)) > 8
+    assert not runs[200].exploded.any()
+    assert bitwise_equal(runs[1].values[0], runs[7].values[0])
+    assert bitwise_equal(runs[7].values, runs[200].values[:7])
 
 
 # --- successive approximation -------------------------------------------------
@@ -361,6 +433,58 @@ def test_quadrature_compensator_picard_iterates_do_not_depend_on_the_batch():
         for k in keep:
             assert bitwise_equal(alone[k][0], batch[k][idx])
         assert bitwise_equal(batch[last][idx], direct_recursion(coeffs, noise).values)
+
+
+def peaked_mark_coefficients():
+    """Jump kernel c x xi exp(-xi |x| / (1 + t - s)), peaked at xi = (1 + t - s) / |x|; no closed-form compensator.
+
+    Where the peak sits, and so how the mark-space quadrature subdivides,
+    depends on each path's state and on the row's time; a strong diffusion
+    spreads the states, so the paths of a batch need different panels.
+    """
+    c = 0.2
+
+    def jump(t, s, x, xi):
+        xi = np.asarray(xi, dtype=np.float64)
+        return c * x * xi * np.exp(-xi * np.abs(x) / (1.0 + np.asarray(t, dtype=np.float64) - s))
+
+    return CoefficientSet(
+        drift=lambda t, s, x: 0.25 * np.asarray(x, dtype=np.float64),
+        diffusion=lambda t, s, x: 2.0 * np.asarray(x, dtype=np.float64),
+        initial=lambda t: np.ones_like(np.asarray(t, dtype=np.float64)),
+        measure=LevyMeasure.lognormal(4.0),
+        jump=jump,
+        name="peaked-marks",
+    )
+
+
+def test_state_dependent_mark_quadrature_does_not_depend_on_the_batch(monkeypatch):
+    # each path's column of compensator cells is its own vector quadrature;
+    # one quadrature over the whole (paths, n - j) block would subdivide
+    # where any path's peak sits and move the others' values
+    coeffs = peaked_mark_coefficients()
+    grid = build_grid(0.5, 8)
+    last = grid.steps + 1
+    shapes = []
+
+    def recorded(*args):
+        shapes.append(np.shape(result := compensator_integral(*args)))
+        return result
+
+    monkeypatch.setattr("svie.solver.compensator_integral", recorded)
+    ens = ensemble_simulate(coeffs, grid, 3, master_seed=41)
+    monkeypatch.undo()
+    assert shapes == [(3, grid.steps - j) for j in range(grid.steps)]
+    assert not ens.exploded.any()
+    noises = [sample_noise_path(grid, coeffs.measure, (41, idx)) for idx in range(3)]
+    keep = (1, 2, last)
+    batch = batch_iterates(coeffs, noises, keep)
+    for idx, noise in enumerate(noises):
+        assert bitwise_equal(ens.values[idx], direct_recursion(coeffs, noise).values)
+        alone = batch_iterates(coeffs, [noise], keep)
+        for k in keep:
+            assert bitwise_equal(alone[k][0], batch[k][idx])
+        assert bitwise_equal(batch[last][idx], ens.values[idx])
 
 
 def test_exploding_ensemble_warns_nothing_and_flags_every_path():
