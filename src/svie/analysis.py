@@ -36,7 +36,7 @@ import numpy as np
 from .coefficients import CoefficientSet, Modulus, bihari_integral
 from .errors import AnalysisError, ConfigurationError, DomainError, ExplosionError, NumericalError
 from .grid_noise import LevyMeasure, NoisePath, TimeGrid
-from .solver import Ensemble, _iterates
+from .solver import Ensemble, _iterates, _noise_batch
 from .solver import picard_iterates  # noqa: F401 -- perfbench/tracer.py wraps analysis.picard_iterates by name
 
 __all__ = [
@@ -283,11 +283,9 @@ def picard_gap(
         raise ConfigurationError(f"k must be at least 1, got {k!r}")
     if m < 0:
         raise ConfigurationError(f"m must be non-negative, got {m!r}")
-    if not noises:
-        raise ConfigurationError("need at least one noise path")
-    grid = noises[0].grid
-    if any(noise.grid != grid for noise in noises):
-        raise ConfigurationError("all noise paths must share one grid")
+    # checked and laid out once, before the m = 0 shortcut, for all k + m sweeps
+    batch = _noise_batch(noises)
+    grid = batch.grid
     if growth_c is None:
         growth_c = coeffs.growth_constant
     if growth_c is None:
@@ -297,7 +295,7 @@ def picard_gap(
     if m == 0:
         zero = np.zeros(grid.steps + 1)
         return GapReport(grid.points, zero, zero.copy(), c3, np.ones(grid.steps + 1, dtype=bool), k, m, n_paths)
-    iterates = dict(zip(range(k + m + 1), _iterates(coeffs, noises)))
+    iterates = dict(zip(range(k + m + 1), _iterates(coeffs, batch)))
     (lower, _), (upper, explosion) = iterates[k], iterates[k + m]
     # finite iterates can still be too far apart to square
     with np.errstate(over="ignore"):

@@ -4,8 +4,8 @@ A simulation consumes three sources of randomness per path: Brownian
 increments on a uniform grid, a finite-activity jump train (Poisson count,
 uniform times, i.i.d. marks), and nothing else.  Every draw is derived from
 a ``(master_seed, path_index)`` lineage through a counter-based bit
-generator, so resampling any path in any order, on any number of threads,
-reproduces identical arrays.
+generator, so resampling any path in any order or batch reproduces
+identical arrays.
 
 Integrals against the mark density run on ``_gauss_kronrod``, a globally
 adaptive vector-valued 21-point Gauss-Kronrod rule of our own, so the
@@ -241,7 +241,8 @@ class LevyMeasure:
         nan without being integrated.  Raises NumericalError when an
         element's certified error exceeds its target, or when the adaptive
         pass meets a non-finite value that no probe saw.  A measure without
-        mass returns 0.0.
+        mass returns 0.0.  Probes sit about 1.9 decades apart: a peak of fn
+        narrower than that can fall between two and integrate to 0 silently.
         """
         if self.total_mass == 0.0:
             return 0.0

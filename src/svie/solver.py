@@ -28,7 +28,8 @@ that pushes a previous iterate instead of the rows it writes, so a converged
 Picard iterate is bitwise identical to the direct solution.  Successive
 approximation also runs on a batch, one sweep per iterate for all paths
 (``analysis.picard_gap`` uses it), and the Picard functions are batches of
-one, so each path's iterates do not depend on the batch either.
+one, so each path's iterates do not depend on the batch either.  Each
+solve checks and lays out its noise once, in ``_noise_batch``.
 
 A sweep evaluates O(n^2) kernel cells per path, but the (t, s) part of a
 kernel only once per cell for the whole batch.
@@ -39,7 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -97,8 +98,39 @@ def _initial_curve(coeffs: CoefficientSet, grid: TimeGrid) -> np.ndarray:
     return np.array(np.broadcast_to(np.asarray(coeffs.initial(grid.points), dtype=np.float64), grid.points.shape))
 
 
+class _NoiseBatch(NamedTuple):
+    """A batch's noise on one grid, checked and laid out by ``_noise_batch`` once per solve.
+
+    ``brownian`` holds the (paths, n) increments.  All jumps are in one stable
+    time-sorted list, each with its row in ``jump_paths``, so a path meets its
+    own in time order; column j holds ``jump_cells[j]:jump_cells[j + 1]``.
+    """
+
+    grid: TimeGrid
+    brownian: np.ndarray
+    jump_times: np.ndarray
+    jump_marks: np.ndarray
+    jump_paths: np.ndarray
+    jump_cells: np.ndarray
+
+
+def _noise_batch(noises: Sequence[NoisePath]) -> _NoiseBatch:
+    if not noises:
+        raise ConfigurationError("need at least one noise path")
+    grid = noises[0].grid
+    if any(noise.grid != grid for noise in noises):
+        raise ConfigurationError("all noise paths must share one grid")
+    times = np.concatenate([noise.jump_times for noise in noises])
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+    marks = np.concatenate([noise.jump_marks for noise in noises])[order]
+    paths = np.repeat(np.arange(len(noises)), [noise.jump_times.size for noise in noises])[order]
+    brownian = np.stack([noise.brownian for noise in noises])
+    return _NoiseBatch(grid, brownian, times, marks, paths, np.searchsorted(times, grid.points, side="right"))
+
+
 @np.errstate(over="ignore", invalid="ignore")  # the finiteness check reports an overflow, not numpy
-def _sweep(coeffs: CoefficientSet, noises: Sequence[NoisePath], source: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _sweep(coeffs: CoefficientSet, batch: _NoiseBatch, source: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill the (paths, n + 1) block ``out`` column by column from ``source``.
 
     Rows start at phi; once column j of ``out`` is final, column j of
@@ -108,26 +140,15 @@ def _sweep(coeffs: CoefficientSet, noises: Sequence[NoisePath], source: np.ndarr
     where there is none.  That state is parked at 0, so kernels only ever see
     finite states, and the caller discards the row.  The sweep stops once
     every path has exploded, and parks the rows it did not reach at 0 too.
+    ``batch`` is checked and laid out once per solve, by ``_noise_batch``.
     """
-    grid = noises[0].grid
+    grid, dW, jtimes, jmarks, jpath, jcells = batch
     pts, dt = grid.points, grid.dt
-    n_paths = len(noises)
-    dW = np.stack([noise.brownian for noise in noises])
     drift, diffusion, jump = coeffs.drift, coeffs.diffusion, coeffs.jump
     comp = None
-    jcounts = np.zeros(len(pts), dtype=np.int64)
     if jump is not None:
         comp = coeffs.compensator or (lambda t, s, x: compensator_integral(coeffs, t, s, x))
-        # every jump of the batch in one time-sorted list, so the jumps of
-        # column j (t_j < tau <= t_{j+1}) are one slice of it; each path
-        # meets its own jumps in time order
-        jtimes = np.concatenate([noise.jump_times for noise in noises])
-        order = np.argsort(jtimes, kind="stable")
-        jtimes = jtimes[order]
-        jmarks = np.concatenate([noise.jump_marks for noise in noises])[order]
-        jpath = np.repeat(np.arange(n_paths), [noise.jump_times.size for noise in noises])[order]
-        jcounts = np.searchsorted(jtimes, pts, side="right")
-    explosion = np.full(n_paths, -1, dtype=np.int64)
+    explosion = np.full(len(dW), -1, dtype=np.int64)
     out[:] = _initial_curve(coeffs, grid)
     for j in range(len(pts)):
         col = out[:, j]
@@ -147,8 +168,8 @@ def _sweep(coeffs: CoefficientSet, noises: Sequence[NoisePath], source: np.ndarr
         if comp is not None:
             f = f - comp(t, s, x)
         out[:, j + 1 :] += f * dt + diffusion(t, s, x) * dW[:, j, None]
-        lo, hi = jcounts[j], jcounts[j + 1]
-        if lo < hi:
+        lo, hi = jcells[j], jcells[j + 1]
+        if jump is not None and lo < hi:
             # unbuffered and in list order: each path adds its own jumps
             # left to right, whatever else is in the batch
             paths = jpath[lo:hi]
@@ -163,31 +184,31 @@ def direct_recursion(coeffs: CoefficientSet, noise: NoisePath) -> DiscretePath:
     leaves the finite floats.
     """
     out = np.empty((1, noise.grid.steps + 1), dtype=np.float64)
-    explosion = _sweep(coeffs, [noise], out, out)[0]
+    explosion = _sweep(coeffs, _noise_batch([noise]), out, out)[0]
     if explosion >= 0:
         raise ExplosionError(explosion)
     return DiscretePath(grid=noise.grid, values=out[0])
 
 
-def _iterates(coeffs: CoefficientSet, noises: Sequence[NoisePath]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Successive approximations of a batch: x^0 = phi on every path, then one sweep per iterate.
+def _iterates(coeffs: CoefficientSet, batch: _NoiseBatch) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Successive approximations of a batch laid out once: x^0 = phi on every path, then one sweep per iterate.
 
     Yields ``(x^k, explosion)``: the (paths, n + 1) block of iterate k and,
     per path, the grid index at which it first exploded in sweeps 1..k (-1
     where it never did).  An exploded path's row is parked, not a solution.
     """
-    state = np.tile(_initial_curve(coeffs, noises[0].grid), (len(noises), 1))
-    explosion = np.full(len(noises), -1, dtype=np.int64)
+    state = np.tile(_initial_curve(coeffs, batch.grid), (len(batch.brownian), 1))
+    explosion = np.full(len(state), -1, dtype=np.int64)
     while True:
         yield state, explosion
         # empty, not zeros: the sweep writes every row, 0 where an early stop left it
         source, state = state, np.empty_like(state)
-        explosion = np.where(explosion < 0, _sweep(coeffs, noises, source, state), explosion)
+        explosion = np.where(explosion < 0, _sweep(coeffs, batch, source, state), explosion)
 
 
 def _path_iterates(coeffs: CoefficientSet, noise: NoisePath) -> Iterator[np.ndarray]:
     """x^0, x^1, ... of one path: the batch of one, raising ExplosionError at the first exploding sweep."""
-    for state, explosion in _iterates(coeffs, [noise]):
+    for state, explosion in _iterates(coeffs, _noise_batch([noise])):
         if explosion[0] >= 0:
             raise ExplosionError(explosion[0])
         yield state[0]
@@ -275,8 +296,8 @@ def ensemble_simulate(coeffs: CoefficientSet, grid: TimeGrid, n_paths: int, mast
     """
     if n_paths < 1:
         raise ConfigurationError(f"n_paths must be at least 1, got {n_paths!r}")
-    noises = [sample_noise_path(grid, coeffs.measure, (master_seed, idx)) for idx in range(n_paths)]
     values = np.empty((n_paths, grid.steps + 1), dtype=np.float64)
-    explosion_index = _sweep(coeffs, noises, values, values)
+    batch = _noise_batch([sample_noise_path(grid, coeffs.measure, (master_seed, idx)) for idx in range(n_paths)])
+    explosion_index = _sweep(coeffs, batch, values, values)
     values[explosion_index >= 0] = np.nan
     return Ensemble(grid=grid, values=values, explosion_index=explosion_index, master_seed=int(master_seed))

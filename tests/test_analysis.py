@@ -334,6 +334,10 @@ def test_gap_validates_arguments():
     mixed = noises + sample_noise_ensemble(build_grid(0.5, 16), coeffs.measure, 1, master_seed=7)
     with pytest.raises(ConfigurationError):
         picard_gap(coeffs, mixed, 1, 1, linear_modulus(0.25))
+    # same step count, other horizon: the increments stack, so only the grid check rejects them
+    stretched = noises + sample_noise_ensemble(build_grid(1.0, 8), coeffs.measure, 1, master_seed=7)
+    with pytest.raises(ConfigurationError, match="share one grid"):
+        picard_gap(coeffs, stretched, 1, 1, linear_modulus(0.25))
 
 
 # --- majorant recursion ---------------------------------------------------------

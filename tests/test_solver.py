@@ -19,6 +19,7 @@ from svie.grid_noise import LevyMeasure, NoisePath, build_grid, compensator_inte
 from svie.solver import (
     DiscretePath,
     _iterates,
+    _noise_batch,
     _sweep,
     direct_recursion,
     ensemble_simulate,
@@ -157,15 +158,29 @@ def test_overflow_in_a_later_row_is_reported_where_that_row_is_reached():
     assert info.value.grid_index == 3
     # the Picard sweep from phi meets the same nan; it parks the row it
     # stopped on and the row it never reached at 0
-    stream = _iterates(coeffs, [noise])
+    stream = _iterates(coeffs, _noise_batch([noise]))
     next(stream)
     state, explosion = next(stream)
     assert explosion.tolist() == [3]
     np.testing.assert_array_equal(state, [[1.0, 1.0, 1.0, 0.0, 0.0]])
     # a quiet path in the same batch keeps its own, finite solution
     out = np.empty((2, grid.steps + 1))
-    assert _sweep(coeffs, [noise, quiet_path(grid)], out, out).tolist() == [3, -1]
+    assert _sweep(coeffs, _noise_batch([noise, quiet_path(grid)]), out, out).tolist() == [3, -1]
     assert bitwise_equal(out[1], direct_recursion(coeffs, quiet_path(grid)).values)
+
+
+def test_a_jump_free_model_ignores_the_jumps_of_its_noise():
+    # jump=None switches the jump term off, even when the noise carries jumps
+    coeffs = dataclasses.replace(example_coefficients(0.02, rate=40.0), jump=None, compensator=None)
+    grid = build_grid(0.5, 16)
+    brownian = np.random.default_rng(5).normal(0.0, math.sqrt(grid.dt), grid.steps)
+    jumpy = dataclasses.replace(quiet_path(grid, (0.1, 0.11, 0.3, 0.5), (2.0, 0.5, 3.0, 1.0)), brownian=brownian)
+    plain = dataclasses.replace(quiet_path(grid), brownian=brownian)
+    expected = direct_recursion(coeffs, plain).values
+    assert bitwise_equal(direct_recursion(coeffs, jumpy).values, expected)
+    out = np.empty((2, grid.steps + 1))
+    assert _sweep(coeffs, _noise_batch([quiet_path(grid, (0.2,), (5.0,)), jumpy]), out, out).tolist() == [-1, -1]
+    assert bitwise_equal(out[1], expected)
 
 
 def loop_reference(coeffs, noise):
@@ -368,13 +383,18 @@ def broadcasting_coefficients():
     )
 
 
+def most_jumps_in_one_cell(noise):
+    """The largest number of the path's jumps with one floor(tau), 0 without jumps."""
+    return np.bincount(np.searchsorted(noise.grid.points, noise.jump_times) - 1).max(initial=0)
+
+
 @pytest.mark.parametrize("coeffs", [example_coefficients(0.02, rate=40.0), broadcasting_coefficients()])
 def test_ensemble_rows_do_not_depend_on_the_batch(coeffs):
     grid = build_grid(0.5, 64)
     runs = {size: ensemble_simulate(coeffs, grid, size, master_seed=13) for size in (1, 7, 1000)}
     noises = [sample_noise_path(grid, coeffs.measure, (13, idx)) for idx in range(7)]
-    # rows carrying more than 8 jumps exercise the reduction blocking
-    assert max(noise.jump_times.size for noise in noises) > 8
+    # two jumps of one path in one cell: np.add.at must add them in time order
+    assert max(most_jumps_in_one_cell(noise) for noise in noises) >= 2
     assert not runs[1000].exploded.any()
     assert bitwise_equal(runs[1].values[0], runs[7].values[0])
     assert bitwise_equal(runs[7].values, runs[1000].values[:7])
@@ -396,7 +416,7 @@ def test_quadrature_compensator_rows_do_not_depend_on_the_batch():
 
 def batch_iterates(coeffs, noises, keep):
     """Iterates {k: (paths, n + 1) block} of one batched Picard stream; no path may explode."""
-    stream = dict(zip(range(max(keep) + 1), _iterates(coeffs, noises)))
+    stream = dict(zip(range(max(keep) + 1), _iterates(coeffs, _noise_batch(noises))))
     assert (stream[max(keep)][1] < 0).all()
     return {k: stream[k][0] for k in keep}
 
@@ -406,8 +426,8 @@ def test_picard_iterates_do_not_depend_on_the_batch():
     grid = build_grid(0.5, 32)
     last = grid.steps + 1
     noises = [sample_noise_path(grid, coeffs.measure, (19, idx)) for idx in range(200)]
-    # rows carrying more than 8 jumps exercise the reduction blocking
-    assert max(noise.jump_times.size for noise in noises[:7]) > 8
+    # two jumps of one path in one cell: np.add.at must add them in time order
+    assert max(most_jumps_in_one_cell(noise) for noise in noises[:7]) >= 2
     keep = (1, 2, last)
     runs = {size: batch_iterates(coeffs, noises[:size], keep) for size in (7, 200)}
     for k in keep:
