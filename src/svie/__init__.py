@@ -9,124 +9,15 @@ bounds for the driving martingales, a uniform second-moment envelope,
 and the comparison argument that squeezes the approximation gap to zero.
 """
 
-from .analysis import (
-    DoobReport,
-    GapReport,
-    MajorantSequence,
-    MartingaleEnsemble,
-    MomentReport,
-    bihari_bound,
-    bihari_integral,
-    brownian_martingale_ensemble,
-    compensated_jump_ensemble,
-    doob_check,
-    majorant_recursion,
-    moment_check,
-    picard_gap,
-    uniform_moment_bound,
-)
-from .coefficients import (
-    AUDIT_SLACK,
-    CoefficientSet,
-    GrowthAudit,
-    Modulus,
-    ModulusAudit,
-    OsgoodProbe,
-    audit_linear_growth,
-    audit_modulus,
-    coefficient_catalogue,
-    domain_sampler,
-    example_coefficients,
-    linear_modulus,
-    log_modulus,
-    modulus_catalogue,
-    osgood_ladder,
-    pair_sampler,
-    quadratic_modulus,
-    scale_for_log_modulus,
-)
-from .errors import (
-    AnalysisError,
-    ConfigParseError,
-    ConfigurationError,
-    DomainError,
-    ExplosionError,
-    NumericalError,
-    SvieError,
-)
-from .grid_noise import (
-    LevyMeasure,
-    NoisePath,
-    TimeGrid,
-    build_grid,
-    compensator_integral,
-    sample_noise_ensemble,
-    sample_noise_path,
-)
-from .solver import (
-    DiscretePath,
-    Ensemble,
-    PicardRun,
-    direct_recursion,
-    ensemble_simulate,
-    picard_iterates,
-    picard_solve,
-)
+from . import analysis, coefficients, errors, grid_noise, solver
+from .analysis import *
+from .coefficients import *
+from .errors import *
+from .grid_noise import *
+from .solver import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AUDIT_SLACK",
-    "AnalysisError",
-    "CoefficientSet",
-    "ConfigParseError",
-    "ConfigurationError",
-    "DiscretePath",
-    "DomainError",
-    "DoobReport",
-    "Ensemble",
-    "ExplosionError",
-    "GapReport",
-    "GrowthAudit",
-    "LevyMeasure",
-    "MajorantSequence",
-    "MartingaleEnsemble",
-    "Modulus",
-    "ModulusAudit",
-    "MomentReport",
-    "NoisePath",
-    "NumericalError",
-    "OsgoodProbe",
-    "PicardRun",
-    "SvieError",
-    "TimeGrid",
-    "audit_linear_growth",
-    "audit_modulus",
-    "bihari_bound",
-    "bihari_integral",
-    "brownian_martingale_ensemble",
-    "build_grid",
-    "coefficient_catalogue",
-    "compensated_jump_ensemble",
-    "compensator_integral",
-    "direct_recursion",
-    "doob_check",
-    "domain_sampler",
-    "ensemble_simulate",
-    "example_coefficients",
-    "linear_modulus",
-    "log_modulus",
-    "majorant_recursion",
-    "modulus_catalogue",
-    "moment_check",
-    "osgood_ladder",
-    "pair_sampler",
-    "picard_gap",
-    "picard_iterates",
-    "picard_solve",
-    "quadratic_modulus",
-    "sample_noise_ensemble",
-    "sample_noise_path",
-    "scale_for_log_modulus",
-    "uniform_moment_bound",
-]
+# each module's __all__ is the one list of its public names; cli stays out
+# so that importing the package loads neither argparse nor the command line
+__all__ = errors.__all__ + grid_noise.__all__ + coefficients.__all__ + solver.__all__ + analysis.__all__

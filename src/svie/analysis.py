@@ -10,8 +10,8 @@ Contents
   G(v) = int dv / kappa and its inverse, which turn an integral inequality
   y(t) <= y0 + int kappa(y) into the explicit bound G^{-1}(G(y0) + Z).
   With kappa(u) = u this collapses to the Gronwall bound y0 * exp(Z).
-  ``bihari_integral`` lives in ``coefficients``, where the Osgood probe
-  uses it too, and is re-exported here.
+  ``bihari_integral`` is defined and exported by ``coefficients``, where
+  the Osgood probe uses it too; ``bihari_bound`` here inverts it.
 * ``doob_check``: L^p maximal inequality
   E sup |X|^p <= (p/(p-1))^p E |X(T)|^p for ensembles of martingales.
 * ``uniform_moment_bound`` / ``moment_check``: the a priori envelope
@@ -26,6 +26,7 @@ Contents
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -40,7 +41,6 @@ from .solver import Ensemble, _iterates, _noise_batch
 from .solver import picard_iterates  # noqa: F401 -- perfbench/tracer.py wraps analysis.picard_iterates by name
 
 __all__ = [
-    "bihari_integral",
     "bihari_bound",
     "mean_stderr",
     "DoobReport",
@@ -134,9 +134,9 @@ def mean_stderr(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def doob_check(sup_sq: np.ndarray, terminal_sq: np.ndarray, p: float = 2.0, slack: float = 0.05) -> DoobReport:
     """Check E sup |X|^p <= (p/(p-1))^p E |X(T)|^p on an ensemble.
 
-    Inputs are per-path running maxima of |X|^2 and terminal |X(T)|^2; for
-    p other than 2 they are raised to p/2.  The verdict allows the given
-    relative slack plus four combined standard errors.
+    Inputs are per-path running maxima of |X|^2 and terminal |X(T)|^2,
+    raised to p/2.  The verdict allows the given relative slack plus four
+    combined standard errors.
     """
     sup_sq = np.asarray(sup_sq, dtype=np.float64)
     terminal_sq = np.asarray(terminal_sq, dtype=np.float64)
@@ -148,11 +148,8 @@ def doob_check(sup_sq: np.ndarray, terminal_sq: np.ndarray, p: float = 2.0, slac
         raise AnalysisError("ensemble contains non-finite values")
     if np.any(sup_sq + 1e-12 < terminal_sq):
         raise AnalysisError("running maxima fall below terminal values; ensemble is inconsistent")
-    half_p = 0.5 * p
-    lhs_samples = sup_sq if p == 2.0 else np.power(sup_sq, half_p)
-    rhs_samples = terminal_sq if p == 2.0 else np.power(terminal_sq, half_p)
-    lhs, se_lhs = map(float, mean_stderr(lhs_samples))
-    rhs, se_rhs = map(float, mean_stderr(rhs_samples))
+    lhs, se_lhs = map(float, mean_stderr(np.power(sup_sq, 0.5 * p)))
+    rhs, se_rhs = map(float, mean_stderr(np.power(terminal_sq, 0.5 * p)))
     constant = (p / (p - 1.0)) ** p
     bound = constant * rhs * (1.0 + slack) + 4.0 * math.hypot(se_lhs, constant * se_rhs)
     return DoobReport(
@@ -295,8 +292,7 @@ def picard_gap(
     if m == 0:
         zero = np.zeros(grid.steps + 1)
         return GapReport(grid.points, zero, zero.copy(), c3, np.ones(grid.steps + 1, dtype=bool), k, m, n_paths)
-    iterates = dict(zip(range(k + m + 1), _iterates(coeffs, batch)))
-    (lower, _), (upper, explosion) = iterates[k], iterates[k + m]
+    (lower, _), (upper, explosion) = itertools.islice(_iterates(coeffs, batch), k, k + m + 1, m)
     # finite iterates can still be too far apart to square
     with np.errstate(over="ignore"):
         diff = upper - lower

@@ -34,6 +34,7 @@ from .errors import AnalysisError, ConfigurationError, DomainError
 from .grid_noise import MARK_INTEGRAL_REL_TOL, LevyMeasure, _gauss_kronrod
 
 __all__ = [
+    "AUDIT_SLACK",
     "CoefficientSet",
     "Modulus",
     "GrowthAudit",
@@ -186,6 +187,13 @@ def _ones_like(t):
     return out if out.ndim else 1.0
 
 
+def _lognormal_measure(rate: float) -> LevyMeasure:
+    """Log-normal marks at the given jump rate; rate 0 switches jumps off."""
+    if not math.isfinite(rate) or rate < 0.0:
+        raise ConfigurationError(f"jump rate must be finite and non-negative, got {rate!r}")
+    return LevyMeasure.lognormal(rate=rate) if rate > 0.0 else LevyMeasure.empty()
+
+
 def example_coefficients(c: float, rate: float = 2.0) -> CoefficientSet:
     """Worked jump-diffusion model with log-normal marks.
 
@@ -197,9 +205,7 @@ def example_coefficients(c: float, rate: float = 2.0) -> CoefficientSet:
     c = float(c)
     if not math.isfinite(c) or c <= 0.0:
         raise ConfigurationError(f"jump coefficient c must be finite and positive, got {c!r}")
-    if not math.isfinite(rate) or rate < 0.0:
-        raise ConfigurationError(f"jump rate must be finite and non-negative, got {rate!r}")
-    measure = LevyMeasure.lognormal(rate=rate) if rate > 0.0 else LevyMeasure.empty()
+    measure = _lognormal_measure(rate)
     comp_slope = c * rate * _E2
     return CoefficientSet(
         drift=lambda t, s, x: 0.5 * np.asarray(x, dtype=np.float64),
@@ -231,7 +237,7 @@ def linear_test_coefficients(c: float = 0.1, rate: float = 2.0) -> CoefficientSe
     c = float(c)
     if not math.isfinite(c) or c <= 0.0:
         raise ConfigurationError(f"jump coefficient c must be finite and positive, got {c!r}")
-    measure = LevyMeasure.lognormal(rate=rate) if rate > 0.0 else LevyMeasure.empty()
+    measure = _lognormal_measure(rate)
     comp_slope = c * rate * _E1
     return CoefficientSet(
         drift=lambda t, s, x: 0.25 * np.asarray(x, dtype=np.float64),

@@ -91,6 +91,8 @@ def _check_lineage(lineage: tuple[int, int]) -> tuple[int, int]:
         seed, idx = lineage
     except (TypeError, ValueError):
         raise ConfigurationError(f"seed lineage must be a (master_seed, path_index) pair, got {lineage!r}")
+    if int(seed) != seed or int(idx) != idx:
+        raise ConfigurationError(f"seed lineage must hold integers, got {lineage!r}")
     seed = int(seed)
     idx = int(idx)
     if not 0 <= seed < 2**64:
@@ -129,6 +131,8 @@ class TimeGrid:
         steps = int(self.steps)
         if not math.isfinite(horizon) or horizon <= 0.0:
             raise ConfigurationError(f"horizon must be finite and positive, got {self.horizon!r}")
+        if steps != self.steps:
+            raise ConfigurationError(f"steps must be an integer, got {self.steps!r}")
         if steps < 1:
             raise ConfigurationError(f"steps must be at least 1, got {self.steps!r}")
         object.__setattr__(self, "horizon", horizon)

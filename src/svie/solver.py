@@ -46,12 +46,8 @@ import numpy as np
 
 from .coefficients import CoefficientSet
 from .errors import ConfigurationError, ExplosionError
-from .grid_noise import (
-    NoisePath,
-    TimeGrid,
-    compensator_integral,
-    sample_noise_path,
-)
+from .grid_noise import NoisePath, TimeGrid, compensator_integral, sample_noise_ensemble
+from .grid_noise import sample_noise_path  # noqa: F401 -- perfbench/tracer.py wraps solver.sample_noise_path by name
 
 __all__ = [
     "DiscretePath",
@@ -294,10 +290,8 @@ def ensemble_simulate(coeffs: CoefficientSet, grid: TimeGrid, n_paths: int, mast
     bitwise equal to ``direct_recursion`` on that lineage: no value depends
     on the batch.
     """
-    if n_paths < 1:
-        raise ConfigurationError(f"n_paths must be at least 1, got {n_paths!r}")
+    batch = _noise_batch(sample_noise_ensemble(grid, coeffs.measure, n_paths, master_seed))
     values = np.empty((n_paths, grid.steps + 1), dtype=np.float64)
-    batch = _noise_batch([sample_noise_path(grid, coeffs.measure, (master_seed, idx)) for idx in range(n_paths)])
     explosion_index = _sweep(coeffs, batch, values, values)
     values[explosion_index >= 0] = np.nan
     return Ensemble(grid=grid, values=values, explosion_index=explosion_index, master_seed=int(master_seed))

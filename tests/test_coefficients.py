@@ -75,6 +75,15 @@ def test_example_rejects_bad_jump_coefficient():
         example_coefficients(-1.0)
 
 
+@pytest.mark.parametrize("factory", [example_coefficients, linear_test_coefficients])
+@pytest.mark.parametrize("rate", [-1.0, math.nan])
+def test_factories_reject_a_bad_jump_rate(factory, rate):
+    with pytest.raises(ConfigurationError, match="jump rate must be finite and non-negative"):
+        factory(0.1, rate)
+    with pytest.raises(ConfigurationError, match="jump rate must be finite and non-negative"):
+        coefficient_catalogue(factory(0.1, 0.0).name, 0.1, rate)
+
+
 def test_deterministic_ode_has_no_noise():
     coeffs = deterministic_ode_coefficients()
     assert coeffs.drift(1.0, 0.5, 2.0) == pytest.approx(1.0)

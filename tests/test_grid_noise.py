@@ -35,7 +35,7 @@ def test_grid_points_are_uniform_and_inclusive():
     assert grid.points.flags.writeable is False
 
 
-@pytest.mark.parametrize("horizon,steps", [(0.0, 4), (-1.0, 4), (math.inf, 4), (0.5, 0), (0.5, -3)])
+@pytest.mark.parametrize("horizon,steps", [(0.0, 4), (-1.0, 4), (math.inf, 4), (0.5, 0), (0.5, -3), (0.5, 2.7)])
 def test_grid_rejects_bad_parameters(horizon, steps):
     with pytest.raises(ConfigurationError):
         build_grid(horizon, steps)
@@ -67,6 +67,10 @@ def test_lineage_bounds_are_enforced():
         sample_brownian(grid, (0, 2**32))
     with pytest.raises(ConfigurationError):
         sample_brownian(grid, (-1, 0))
+    with pytest.raises(ConfigurationError):
+        sample_brownian(grid, (1.5, 0))
+    with pytest.raises(ConfigurationError):
+        sample_brownian(grid, (0, 0.5))
 
 
 def test_empty_measure_has_no_jumps():

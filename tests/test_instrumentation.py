@@ -23,6 +23,12 @@ def tiny_verify(tmp_path):
     return ["-m", "svie", "verify", "--config", str(config), "--out", str(tmp_path / "out")]
 
 
+def tiny_simulate(tmp_path):
+    config = tmp_path / "simulate.cfg"
+    config.write_text(emit_config(RunConfig(steps=4, paths=2)), encoding="utf-8")
+    return ["-m", "svie", "simulate", "--config", str(config), "--out", str(tmp_path / "out")]
+
+
 def tiny_quad(tmp_path):
     return [str(PERFBENCH / "quad_workload.py"), "--seed", "0", "--steps", "4", "--paths", "2",
             "--out", str(tmp_path / "paths.json")]  # fmt: skip
@@ -30,8 +36,8 @@ def tiny_quad(tmp_path):
 
 @pytest.mark.parametrize(
     "mode,workload",
-    [("spans", tiny_verify), ("spans", tiny_quad), ("kernels", tiny_verify)],
-    ids=["spans-verify", "spans-quad", "kernels-verify"],
+    [("spans", tiny_verify), ("spans", tiny_simulate), ("spans", tiny_quad), ("kernels", tiny_verify)],
+    ids=["spans-verify", "spans-simulate", "spans-quad", "kernels-verify"],
 )
 def test_tracer_runs_a_tiny_workload(mode, workload, tmp_path, child_env):
     trace = tmp_path / "trace.json"
