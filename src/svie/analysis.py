@@ -36,7 +36,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet, Modulus, bihari_integral
 from .errors import AnalysisError, ConfigurationError, DomainError, ExplosionError, NumericalError
-from .grid_noise import LevyMeasure, NoisePath, TimeGrid
+from .grid_noise import LevyMeasure, NoisePath, TimeGrid, _check_int
 from .solver import Ensemble, _iterates, _noise_batch
 from .solver import picard_iterates  # noqa: F401 -- perfbench/tracer.py wraps analysis.picard_iterates by name
 
@@ -57,7 +57,8 @@ __all__ = [
     "compensated_jump_ensemble",
 ]
 
-_BATCH = 16384  # fixed batch size keeps vectorized ensembles reproducible
+_BATCH = 16384  # paths per random draw of the Doob builders; fixes the jump builder's draw order
+_BLOCK = 1024  # paths per in-place reduction in one reused ~1 MB buffer; divides _BATCH, changes no output
 
 
 # --- inverse of the comparison function ------------------------------------
@@ -391,16 +392,21 @@ class MartingaleEnsemble:
     terminal: np.ndarray
 
 
-def _martingale_ensemble(n_paths: int, draw: Callable[[int], np.ndarray]) -> MartingaleEnsemble:
-    """Reduce ``draw(b)``, a (b, times) block of paths, in batches of _BATCH paths."""
-    if n_paths < 1:
-        raise ConfigurationError(f"n_paths must be at least 1, got {n_paths!r}")
+def _martingale_ensemble(n_paths: int, seed: int, width: int, draw: Callable) -> MartingaleEnsemble:
+    """Reduce paths of ``width`` times block by block: ``draw(rng, b)`` draws a batch
+    of b paths and returns ``fill(x, r)``, which writes its paths r, r+1, ... into x."""
+    n_paths = _check_int("n_paths", n_paths, 1)
+    rng = np.random.default_rng(_check_int("seed", seed, 0))
     sup_abs = np.empty(n_paths)
     terminal = np.empty(n_paths)
-    for done in range(0, n_paths, _BATCH):
-        x = draw(min(_BATCH, n_paths - done))
-        sup_abs[done : done + len(x)] = np.max(np.abs(x), axis=1)
-        terminal[done : done + len(x)] = x[:, -1]
+    block = np.empty((min(_BLOCK, n_paths), width))
+    for lo in range(0, n_paths, _BLOCK):
+        if lo % _BATCH == 0:
+            fill = draw(rng, min(_BATCH, n_paths - lo))
+        x = block[: min(_BLOCK, n_paths - lo)]
+        fill(x, lo % _BATCH)
+        terminal[lo : lo + len(x)] = x[:, -1]
+        np.max(np.abs(x, out=x), axis=1, out=sup_abs[lo : lo + len(x)])
     # squares of exploding paths overflow to inf, which doob_check rejects
     with np.errstate(over="ignore"):
         return MartingaleEnsemble(sup_sq=sup_abs * sup_abs, terminal_sq=terminal * terminal, terminal=terminal)
@@ -412,12 +418,16 @@ def brownian_martingale_ensemble(
     n_paths: int,
     seed: int,
 ) -> MartingaleEnsemble:
-    """X(t_i) = sum_{j<i} sigma(t_j) dW_j for a deterministic sigma."""
+    """X(t_i) = sum_{j<i} sigma(t_j) dW_j for a deterministic sigma; normals are drawn per block."""
     n = grid.steps
     sigma = np.broadcast_to(np.asarray(integrand(grid.points[:-1]), dtype=np.float64), (n,))
-    rng = np.random.default_rng(seed)
     scale = math.sqrt(grid.dt)
-    return _martingale_ensemble(n_paths, lambda b: np.cumsum(scale * rng.standard_normal((b, n)) * sigma, axis=1))
+
+    def fill(rng: np.random.Generator, x: np.ndarray) -> None:
+        np.multiply(rng.standard_normal(out=x), scale, out=x)  # not z * (scale * sigma), which rounds differently
+        np.cumsum(np.multiply(x, sigma, out=x), axis=1, out=x)
+
+    return _martingale_ensemble(n_paths, seed, n, lambda rng, b: lambda x, r: fill(rng, x))
 
 
 def compensated_jump_ensemble(
@@ -435,28 +445,36 @@ def compensated_jump_ensemble(
     else computed by one vector quadrature of u against the mark density
     over all grid times, which it passes on a leading axis and the marks
     on a trailing one.  The running max is evaluated at grid times.
+    Counts, times and marks are drawn per batch, then summed onto the grid
+    per block in draw order, so the blocks change no output.
     """
     pts = grid.points
     n = grid.steps
     if measure.total_mass == 0.0:
-        return _martingale_ensemble(n_paths, lambda b: np.zeros((b, n + 1)))
+        return _martingale_ensemble(n_paths, seed, n + 1, lambda rng, b: lambda x, r: x.fill(0.0))
     if compensator_rate is not None:
         rate = np.broadcast_to(np.asarray(compensator_rate(pts), dtype=np.float64), (n + 1,))
     else:
         rate = np.broadcast_to(measure.integrate(lambda xi: integrand(pts[:, np.newaxis], xi)), (n + 1,))
     comp = _cumulative_trapezoid(rate, pts)
-    rng = np.random.default_rng(seed)
     mean_count = measure.total_mass * grid.horizon
 
-    def draw(b: int) -> np.ndarray:
+    def draw(rng: np.random.Generator, b: int) -> Callable:
         counts = rng.poisson(mean_count, b)
         total = int(counts.sum())
         times = grid.horizon * (1.0 - rng.random(total))
         marks = measure.sample_marks(rng, total)
-        path_of = np.repeat(np.arange(b), counts)
         jumps = np.broadcast_to(np.asarray(integrand(times, marks), dtype=np.float64), times.shape)
-        first_idx = np.searchsorted(pts, times, side="left")  # first grid time >= tau
-        flat = np.bincount(path_of * (n + 1) + first_idx, weights=jumps, minlength=b * (n + 1))
-        return np.cumsum(flat.reshape(b, n + 1), axis=1) - comp
+        # flat (path, first grid time >= tau) cell of each jump, path by path
+        cells = np.repeat(np.arange(b) * (n + 1), counts) + np.searchsorted(pts, times, side="left")
+        starts = np.concatenate(([0], np.cumsum(counts)))
 
-    return _martingale_ensemble(n_paths, draw)
+        def fill(x: np.ndarray, r: int) -> None:
+            lo, hi = starts[r], starts[r + len(x)]
+            flat = np.bincount(cells[lo:hi] - r * (n + 1), weights=jumps[lo:hi], minlength=x.size)
+            np.cumsum(flat.reshape(x.shape), axis=1, out=x)
+            np.subtract(x, comp, out=x)
+
+        return fill
+
+    return _martingale_ensemble(n_paths, seed, n + 1, draw)

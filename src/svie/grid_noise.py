@@ -86,6 +86,19 @@ _GK_WEIGHTS = np.array([_KRONROD_W + _KRONROD_W[-2::-1], np.zeros(21)])
 _GK_WEIGHTS[1, 1::2] = _GAUSS_W + _GAUSS_W[::-1]
 
 
+def _check_int(name: str, value, low: int) -> int:
+    """``value`` as an int; integral floats and numpy integers pass."""
+    try:
+        integral = int(value) == value
+    except (TypeError, ValueError, OverflowError):  # None, a string, nan, inf
+        integral = False
+    if not integral:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ConfigurationError(f"{name} must be at least {low}, got {value!r}")
+    return int(value)
+
+
 def _check_lineage(lineage: tuple[int, int]) -> tuple[int, int]:
     try:
         seed, idx = lineage
@@ -109,7 +122,8 @@ def _generator(lineage: tuple[int, int], role: int) -> np.random.Generator:
     generators never depend on sampling order or thread scheduling.
     """
     seed, idx = _check_lineage(lineage)
-    key = [seed, ((idx & _MASK32) << 32) | (role & _MASK32)]
+    # a uint64 array, not a list: numpy casts list entries >= 2^63 through float64
+    key = np.array([seed, ((idx & _MASK32) << 32) | (role & _MASK32)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -128,13 +142,9 @@ class TimeGrid:
 
     def __post_init__(self):
         horizon = float(self.horizon)
-        steps = int(self.steps)
         if not math.isfinite(horizon) or horizon <= 0.0:
             raise ConfigurationError(f"horizon must be finite and positive, got {self.horizon!r}")
-        if steps != self.steps:
-            raise ConfigurationError(f"steps must be an integer, got {self.steps!r}")
-        if steps < 1:
-            raise ConfigurationError(f"steps must be at least 1, got {self.steps!r}")
+        steps = _check_int("steps", self.steps, 1)
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "dt", horizon / steps)
@@ -478,8 +488,7 @@ def sample_noise_ensemble(
     grid: TimeGrid, measure: LevyMeasure, n_paths: int, master_seed: int
 ) -> list[NoisePath]:
     """Paths with lineages (master_seed, 0..n_paths-1)."""
-    if n_paths < 1:
-        raise ConfigurationError(f"n_paths must be at least 1, got {n_paths!r}")
+    n_paths = _check_int("n_paths", n_paths, 1)
     return [sample_noise_path(grid, measure, (master_seed, i)) for i in range(n_paths)]
 
 

@@ -1,11 +1,13 @@
 """Comparison integrals, maximal inequalities, envelopes, and majorants."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from svie import analysis
 from svie.analysis import (
     bihari_bound,
     bihari_integral,
@@ -440,3 +442,138 @@ def test_jump_builder_quadrature_route_reads_each_grid_time():
     )
     np.testing.assert_allclose(by_quadrature.terminal, closed.terminal, rtol=1e-6, atol=1e-9)
     np.testing.assert_allclose(by_quadrature.sup_sq, closed.sup_sq, rtol=1e-6, atol=1e-9)
+
+
+# --- block-streamed builders: bitwise contract and memory bound -----------------
+
+
+def _one_shot_ensemble(n_paths, draw):
+    # reference: each batch of _BATCH paths drawn as one dense (paths, times)
+    # array and reduced out of place, with no blocks
+    sup_abs, terminal = np.empty(n_paths), np.empty(n_paths)
+    for done in range(0, n_paths, analysis._BATCH):
+        x = draw(min(analysis._BATCH, n_paths - done))
+        sup_abs[done : done + len(x)] = np.max(np.abs(x), axis=1)
+        terminal[done : done + len(x)] = x[:, -1]
+    return sup_abs * sup_abs, terminal * terminal, terminal
+
+
+def _one_shot_brownian(grid, integrand, n_paths, seed):
+    n = grid.steps
+    sigma = np.broadcast_to(np.asarray(integrand(grid.points[:-1]), dtype=np.float64), (n,))
+    rng = np.random.default_rng(seed)
+    scale = math.sqrt(grid.dt)
+    return _one_shot_ensemble(n_paths, lambda b: np.cumsum(scale * rng.standard_normal((b, n)) * sigma, axis=1))
+
+
+def _one_shot_jump(grid, measure, integrand, n_paths, seed, compensator_rate=None):
+    pts, n = grid.points, grid.steps
+    if measure.total_mass == 0.0:
+        return _one_shot_ensemble(n_paths, lambda b: np.zeros((b, n + 1)))
+    if compensator_rate is not None:
+        rate = np.broadcast_to(np.asarray(compensator_rate(pts), dtype=np.float64), (n + 1,))
+    else:
+        rate = np.broadcast_to(measure.integrate(lambda xi: integrand(pts[:, np.newaxis], xi)), (n + 1,))
+    comp = analysis._cumulative_trapezoid(rate, pts)
+    rng = np.random.default_rng(seed)
+
+    def draw(b):
+        counts = rng.poisson(measure.total_mass * grid.horizon, b)
+        total = int(counts.sum())
+        times = grid.horizon * (1.0 - rng.random(total))
+        marks = measure.sample_marks(rng, total)
+        path_of = np.repeat(np.arange(b), counts)
+        jumps = np.broadcast_to(np.asarray(integrand(times, marks), dtype=np.float64), times.shape)
+        first_idx = np.searchsorted(pts, times, side="left")
+        flat = np.bincount(path_of * (n + 1) + first_idx, weights=jumps, minlength=b * (n + 1))
+        return np.cumsum(flat.reshape(b, n + 1), axis=1) - comp
+
+    return _one_shot_ensemble(n_paths, draw)
+
+
+_JUMP_INTEGRAND = lambda s, xi: (1.0 + np.asarray(s)) * xi
+_BUILDER_CASES = {
+    "brownian": (
+        lambda grid, n, seed: brownian_martingale_ensemble(grid, lambda s: 0.3 + s, n, seed),
+        lambda grid, n, seed: _one_shot_brownian(grid, lambda s: 0.3 + s, n, seed),
+    ),
+    "jump-closed-form": (
+        lambda grid, n, seed: compensated_jump_ensemble(
+            grid, LevyMeasure.lognormal(3.0), _JUMP_INTEGRAND, n, seed, lambda s: 3.0 * E_XI * (1.0 + s)
+        ),
+        lambda grid, n, seed: _one_shot_jump(
+            grid, LevyMeasure.lognormal(3.0), _JUMP_INTEGRAND, n, seed, lambda s: 3.0 * E_XI * (1.0 + s)
+        ),
+    ),
+    "jump-quadrature": (
+        lambda grid, n, seed: compensated_jump_ensemble(grid, LevyMeasure.lognormal(3.0), _JUMP_INTEGRAND, n, seed),
+        lambda grid, n, seed: _one_shot_jump(grid, LevyMeasure.lognormal(3.0), _JUMP_INTEGRAND, n, seed),
+    ),
+    "jump-zero-mass": (
+        lambda grid, n, seed: compensated_jump_ensemble(grid, LevyMeasure.empty(), _JUMP_INTEGRAND, n, seed),
+        lambda grid, n, seed: _one_shot_jump(grid, LevyMeasure.empty(), _JUMP_INTEGRAND, n, seed),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BUILDER_CASES))
+@pytest.mark.parametrize(
+    "n_paths", [1, analysis._BLOCK - 1, analysis._BLOCK + 1, analysis._BATCH + 3], ids=["1", "block-1", "block+1", "batch+3"]
+)
+def test_block_streamed_builders_equal_the_one_shot_builders_bitwise(case, n_paths):
+    streamed, one_shot = _BUILDER_CASES[case]
+    grid = build_grid(1.0, 8)
+    ens = streamed(grid, n_paths, 21)
+    sup_sq, terminal_sq, terminal = one_shot(grid, n_paths, 21)
+    for got, want in ((ens.sup_sq, sup_sq), (ens.terminal_sq, terminal_sq), (ens.terminal, terminal)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", ["brownian", "jump-closed-form"])
+def test_builder_memory_is_bounded_by_a_block_and_a_batch(case):
+    # the returned arrays and the two per-path reductions take 32 bytes a
+    # path; everything else the builder holds must not grow with n_paths
+    streamed = _BUILDER_CASES[case][0]
+    grid = build_grid(1.0, 128)
+    working = {}
+    for n_paths in (20_000, 100_000):
+        tracemalloc.start()
+        try:
+            streamed(grid, n_paths, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if n_paths == 100_000:
+            assert peak < 8e6
+        working[n_paths] = peak - 32 * n_paths
+    assert working[100_000] <= working[20_000] + 0.25e6
+
+
+@pytest.mark.parametrize("build", ["brownian", "jump", "noise"])
+@pytest.mark.parametrize(
+    "n_paths,seed",
+    [(2.5, 1), (math.inf, 1), (0, 1), (4, -1), (4, 2.5)],
+    ids=["fractional-paths", "infinite-paths", "no-paths", "negative-seed", "fractional-seed"],
+)
+def test_builders_reject_bad_counts_and_seeds_with_configuration_error(build, n_paths, seed):
+    grid = build_grid(1.0, 4)
+    calls = {
+        "brownian": lambda: brownian_martingale_ensemble(grid, lambda s: np.ones_like(s), n_paths, seed),
+        "jump": lambda: compensated_jump_ensemble(grid, LevyMeasure.lognormal(1.0), lambda s, xi: xi, n_paths, seed),
+        "noise": lambda: sample_noise_ensemble(grid, LevyMeasure.lognormal(1.0), n_paths, seed),
+    }
+    with pytest.raises(ConfigurationError):
+        calls[build]()
+
+
+def test_builders_accept_integral_floats_and_numpy_integers():
+    grid = build_grid(1.0, 4)
+    measure = LevyMeasure.lognormal(1.0)
+    for build in (
+        lambda n, seed: brownian_martingale_ensemble(grid, lambda s: np.ones_like(s), n, seed).terminal,
+        lambda n, seed: compensated_jump_ensemble(grid, measure, lambda s, xi: xi, n, seed).terminal,
+        lambda n, seed: np.array([p.brownian for p in sample_noise_ensemble(grid, measure, n, seed)]),
+    ):
+        want = build(8, 3)
+        np.testing.assert_array_equal(build(8.0, 3.0), want)
+        np.testing.assert_array_equal(build(np.int64(8), np.uint32(3)), want)

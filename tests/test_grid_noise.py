@@ -4,6 +4,7 @@ import dataclasses
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ def test_grid_points_are_uniform_and_inclusive():
     assert grid.points.flags.writeable is False
 
 
-@pytest.mark.parametrize("horizon,steps", [(0.0, 4), (-1.0, 4), (math.inf, 4), (0.5, 0), (0.5, -3), (0.5, 2.7)])
+@pytest.mark.parametrize("horizon,steps", [(0.0, 4), (-1.0, 4), (math.inf, 4), (0.5, 0), (0.5, -3), (0.5, 2.7), (0.5, math.nan)])
 def test_grid_rejects_bad_parameters(horizon, steps):
     with pytest.raises(ConfigurationError):
         build_grid(horizon, steps)
@@ -71,6 +72,21 @@ def test_lineage_bounds_are_enforced():
         sample_brownian(grid, (1.5, 0))
     with pytest.raises(ConfigurationError):
         sample_brownian(grid, (0, 0.5))
+
+
+def test_master_seeds_above_2_63_do_not_collide():
+    grid = build_grid(1.0, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns when it casts a key entry through float64
+        assert not np.array_equal(sample_brownian(grid, (2**63, 0)), sample_brownian(grid, (2**63 + 1, 0)))
+        assert not np.array_equal(sample_brownian(grid, (2**64 - 1, 3)), sample_brownian(grid, (0, 3)))
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**53 + 1, 2**62 + 7, 2**63 - 1])
+def test_seeds_below_2_63_draw_as_a_list_key_does(seed):
+    for idx, role in ((0, 0), (7, 1)):
+        by_list = np.random.Generator(np.random.Philox(key=[seed, (idx << 32) | role]))
+        np.testing.assert_array_equal(grid_noise._generator((seed, idx), role).random(16), by_list.random(16))
 
 
 def test_empty_measure_has_no_jumps():
