@@ -36,7 +36,8 @@ import numpy as np
 
 from .coefficients import CoefficientSet, Modulus, bihari_integral
 from .errors import AnalysisError, ConfigurationError, DomainError, ExplosionError, NumericalError
-from .grid_noise import LevyMeasure, NoisePath, TimeGrid, _check_int
+from .errors import _check_int, _check_real
+from .grid_noise import LevyMeasure, NoisePath, TimeGrid
 from .solver import Ensemble, _iterates, _noise_batch
 from .solver import picard_iterates  # noqa: F401 -- perfbench/tracer.py wraps analysis.picard_iterates by name
 
@@ -71,12 +72,7 @@ def bihari_bound(y0: float, z_integral: float, modulus: Modulus) -> float:
     Osgood condition pins the solution at zero.  A target beyond the
     reachable range of G raises DomainError.
     """
-    y0 = float(y0)
-    z = float(z_integral)
-    if not (math.isfinite(y0) and y0 >= 0.0):
-        raise ConfigurationError(f"y0 must be finite and non-negative, got {y0!r}")
-    if not (math.isfinite(z) and z >= 0.0):
-        raise ConfigurationError(f"z_integral must be finite and non-negative, got {z!r}")
+    y0, z = _check_real("y0", y0, 0.0), _check_real("z_integral", z_integral, 0.0)
     if y0 == 0.0:
         if modulus.osgood_divergent:
             return 0.0
@@ -143,8 +139,8 @@ def doob_check(sup_sq: np.ndarray, terminal_sq: np.ndarray, p: float = 2.0, slac
     terminal_sq = np.asarray(terminal_sq, dtype=np.float64)
     if sup_sq.shape != terminal_sq.shape or sup_sq.ndim != 1 or len(sup_sq) == 0:
         raise ConfigurationError("sup and terminal arrays must be 1-d, non-empty and aligned")
-    if not (math.isfinite(p) and p > 1.0):
-        raise ConfigurationError(f"the maximal inequality needs p > 1, got {p!r}")
+    p = _check_real("p", p, 1.0, strict=True)  # the maximal inequality needs p > 1
+    slack = _check_real("slack", slack, 0.0)  # an infinite slack would pass any ensemble
     if not np.all(np.isfinite(sup_sq)) or not np.all(np.isfinite(terminal_sq)):
         raise AnalysisError("ensemble contains non-finite values")
     if np.any(sup_sq + 1e-12 < terminal_sq):
@@ -170,12 +166,9 @@ def doob_check(sup_sq: np.ndarray, terminal_sq: np.ndarray, p: float = 2.0, slac
 
 def uniform_moment_bound(growth_c: float, horizon: float, initial_sq_mean: float) -> float:
     """Envelope 4 (1 + E|phi(T)|^2) exp(4 C max(T, 1)^2), inf on overflow."""
-    if not (math.isfinite(growth_c) and growth_c >= 0.0):
-        raise ConfigurationError(f"growth constant must be finite and non-negative, got {growth_c!r}")
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise ConfigurationError(f"horizon must be finite and positive, got {horizon!r}")
-    if not (math.isfinite(initial_sq_mean) and initial_sq_mean >= 0.0):
-        raise ConfigurationError(f"initial_sq_mean must be finite and non-negative, got {initial_sq_mean!r}")
+    growth_c = _check_real("growth constant", growth_c, 0.0)
+    horizon = _check_real("horizon", horizon, 0.0, strict=True)
+    initial_sq_mean = _check_real("initial_sq_mean", initial_sq_mean, 0.0)
     t_tilde = max(horizon, 1.0)
     exponent = 4.0 * growth_c * t_tilde * t_tilde
     if exponent > 709.0:
@@ -277,10 +270,7 @@ def picard_gap(
     ExplosionError with the grid index of its earliest explosion, the
     second NumericalError naming the iterates and its first such grid time.
     """
-    if k < 1:
-        raise ConfigurationError(f"k must be at least 1, got {k!r}")
-    if m < 0:
-        raise ConfigurationError(f"m must be non-negative, got {m!r}")
+    k, m = _check_int("k", k, 1), _check_int("m", m, 0)
     # checked and laid out once, before the m = 0 shortcut, for all k + m sweeps
     batch = _noise_batch(noises)
     grid = batch.grid
@@ -349,13 +339,8 @@ def majorant_recursion(
     the first grid time violating it is named.  Integration is cumulative
     trapezoidal on the uniform grid.
     """
-    c3 = float(c3)
-    if not (math.isfinite(c3) and c3 >= 0.0):
-        raise ConfigurationError(f"c3 must be finite and non-negative, got {c3!r}")
-    if not (math.isfinite(window) and window > 0.0):
-        raise ConfigurationError(f"window must be finite and positive, got {window!r}")
-    if steps < 1 or iterations < 1:
-        raise ConfigurationError("steps and iterations must be at least 1")
+    c3, window = _check_real("c3", c3, 0.0), _check_real("window", window, 0.0, strict=True)
+    steps, iterations = _check_int("steps", steps, 1), _check_int("iterations", iterations, 1)
     times = (window / steps) * np.arange(steps + 1, dtype=np.float64)
     # an overflowing kappa comes out as inf, which the precondition and
     # chain checks below reject on their own terms
@@ -377,7 +362,7 @@ def majorant_recursion(
             allow = 1e-12 + 1e-9 * np.abs(curves[j - 1])  # rounding room, scales with magnitude
             if np.any(curves[j] < -1e-12) or np.any(curves[j] > curves[j - 1] + allow):
                 raise AnalysisError(f"majorant chain broke at iteration {j + 1}: psi_{j + 1} > psi_{j} somewhere")
-    return MajorantSequence(c3=c3, window=float(window), times=times, curves=curves)
+    return MajorantSequence(c3=c3, window=window, times=times, curves=curves)
 
 
 # --- martingale ensemble builders -------------------------------------------

@@ -35,8 +35,8 @@ from .coefficients import (
     pair_sampler,
     scale_for_log_modulus,
 )
-from .errors import ConfigParseError, ConfigurationError, SvieError
-from .grid_noise import build_grid, sample_noise_ensemble, sample_noise_path
+from .errors import ConfigParseError, ConfigurationError, SvieError, _check_int, _check_real
+from .grid_noise import _check_lineage, build_grid, sample_noise_ensemble, sample_noise_path
 from .solver import ensemble_simulate, picard_solve
 
 __all__ = ["RunConfig", "parse_config", "emit_config", "load_config", "main"]
@@ -76,24 +76,20 @@ class RunConfig:
             )
         if self.modulus not in MODULI:
             raise ConfigurationError(f"modulus must be one of {', '.join(MODULI)}, got {self.modulus!r}")
-        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
-            raise ConfigurationError(f"horizon must be finite and positive, got {self.horizon!r}")
-        if self.steps < 1:
-            raise ConfigurationError(f"steps must be at least 1, got {self.steps!r}")
-        if self.paths < 1:
-            raise ConfigurationError(f"paths must be at least 1, got {self.paths!r}")
-        if not 0 <= self.master_seed < 2**64:
-            raise ConfigurationError(f"master_seed must lie in [0, 2^64), got {self.master_seed!r}")
-        if not (math.isfinite(self.jump_coefficient) and self.jump_coefficient > 0.0):
-            raise ConfigurationError(f"jump_coefficient must be finite and positive, got {self.jump_coefficient!r}")
-        if not (math.isfinite(self.jump_rate) and self.jump_rate >= 0.0):
-            raise ConfigurationError(f"jump_rate must be finite and non-negative, got {self.jump_rate!r}")
-        if not (math.isfinite(self.picard_tolerance) and self.picard_tolerance >= 0.0):
-            raise ConfigurationError(
-                f"picard_tolerance must be finite and non-negative, got {self.picard_tolerance!r}"
-            )
-        if self.picard_k_max is not None and self.picard_k_max < 1:
-            raise ConfigurationError(f"picard_k_max must be at least 1, got {self.picard_k_max!r}")
+        # stored normalised (8.0 as 8), so emit_config writes text parse_config reads back
+        checked = {
+            "horizon": _check_real("horizon", self.horizon, 0.0, strict=True),
+            "steps": _check_int("steps", self.steps, 1),
+            "paths": _check_int("paths", self.paths, 1),
+            "master_seed": _check_lineage((self.master_seed, 0))[0],
+            "jump_coefficient": _check_real("jump_coefficient", self.jump_coefficient, 0.0, strict=True),
+            "jump_rate": _check_real("jump_rate", self.jump_rate, 0.0),
+            "picard_tolerance": _check_real("picard_tolerance", self.picard_tolerance, 0.0),
+        }
+        if self.picard_k_max is not None:
+            checked["picard_k_max"] = _check_int("picard_k_max", self.picard_k_max, 1)
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         if not self.out_dir:
             raise ConfigurationError("out_dir must be a non-empty path")
 
@@ -371,8 +367,7 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config) if args.config else RunConfig()
         if args.seed is not None:
             config = replace(config, master_seed=args.seed)
-        if args.threads < 1:
-            raise ConfigurationError(f"--threads must be at least 1, got {args.threads}")
+        _check_int("--threads", args.threads, 1)
         out_dir = Path(args.out) if args.out else Path(config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":

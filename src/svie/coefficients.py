@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AnalysisError, ConfigurationError, DomainError
+from .errors import AnalysisError, ConfigurationError, DomainError, _check_int, _check_real
 from .grid_noise import MARK_INTEGRAL_REL_TOL, LevyMeasure, _gauss_kronrod
 
 __all__ = [
@@ -117,10 +117,7 @@ class Modulus:
     name: str = "custom"
 
     def __post_init__(self):
-        scale = float(self.scale)
-        if not math.isfinite(scale) or scale < 0.0:
-            raise ConfigurationError(f"modulus scale must be finite and non-negative, got {self.scale!r}")
-        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "scale", _check_real("modulus scale", self.scale, 0.0))
 
 
 # --- modulus catalogue -------------------------------------------------
@@ -171,8 +168,8 @@ def modulus_catalogue(kind: str, scale: float) -> Modulus:
 
 def scale_for_log_modulus(linear_scale: float, d_max: float) -> float:
     """Smallest scale putting L^2 * d under scale * kappa_log(d) for d in (0, d_max]."""
-    if d_max <= 0.0:
-        raise ConfigurationError("d_max must be positive")
+    linear_scale = _check_real("linear_scale", linear_scale, 0.0)
+    d_max = _check_real("d_max", d_max, 0.0, strict=True)
     cap = math.exp(-1.0)
     if d_max <= cap:
         return linear_scale / math.log(1.0 / d_max)
@@ -189,8 +186,7 @@ def _ones_like(t):
 
 def _lognormal_measure(rate: float) -> LevyMeasure:
     """Log-normal marks at the given jump rate; rate 0 switches jumps off."""
-    if not math.isfinite(rate) or rate < 0.0:
-        raise ConfigurationError(f"jump rate must be finite and non-negative, got {rate!r}")
+    rate = _check_real("jump rate", rate, 0.0)
     return LevyMeasure.lognormal(rate=rate) if rate > 0.0 else LevyMeasure.empty()
 
 
@@ -202,9 +198,7 @@ def example_coefficients(c: float, rate: float = 2.0) -> CoefficientSet:
     form c * rate * e^2 * x, and the linear-growth constant is
     max(1/4, 16, rate * e^8 * c^2).
     """
-    c = float(c)
-    if not math.isfinite(c) or c <= 0.0:
-        raise ConfigurationError(f"jump coefficient c must be finite and positive, got {c!r}")
+    c = _check_real("jump coefficient c", c, 0.0, strict=True)
     measure = _lognormal_measure(rate)
     comp_slope = c * rate * _E2
     return CoefficientSet(
@@ -234,9 +228,7 @@ def deterministic_ode_coefficients() -> CoefficientSet:
 
 def linear_test_coefficients(c: float = 0.1, rate: float = 2.0) -> CoefficientSet:
     """Globally Lipschitz set: f = x/4, g = x/2, h = c xi x, phi = 1."""
-    c = float(c)
-    if not math.isfinite(c) or c <= 0.0:
-        raise ConfigurationError(f"jump coefficient c must be finite and positive, got {c!r}")
+    c = _check_real("jump coefficient c", c, 0.0, strict=True)
     measure = _lognormal_measure(rate)
     comp_slope = c * rate * _E1
     return CoefficientSet(
@@ -350,8 +342,7 @@ def audit_linear_growth(coeffs: CoefficientSet, sampler: Callable, samples: int 
     are added.  Any non-finite kernel value fails the audit and is reported
     with the offending (t, s, x).
     """
-    if samples < 1:
-        raise ConfigurationError("samples must be at least 1")
+    samples = _check_int("samples", samples, 1)
     t, s, x = sampler(samples)
     t, s, x = (np.asarray(a, dtype=np.float64) for a in (t, s, x))
     fsq = _sampled(coeffs.drift(t, s, x), samples) ** 2
@@ -399,11 +390,7 @@ def bihari_integral(modulus: Modulus, v: float, v_ref: float) -> float:
     positive on the span (DomainError otherwise); an integral whose error
     estimate stays above 1e-6 relative raises AnalysisError.
     """
-    v = float(v)
-    v_ref = float(v_ref)
-    for name, val in (("v", v), ("v_ref", v_ref)):
-        if not (math.isfinite(val) and val > 0.0):
-            raise ConfigurationError(f"{name} must be finite and positive, got {val!r}")
+    v, v_ref = _check_real("v", v, 0.0, strict=True), _check_real("v_ref", v_ref, 0.0, strict=True)
     if v == v_ref:
         return 0.0
 
@@ -427,8 +414,9 @@ def osgood_ladder(modulus: Modulus, decades: int = 11) -> OsgoodProbe:
 
     Each rung is ``bihari_integral(modulus, 1, eps)``.  The ladder is judged
     divergent when the values keep increasing and the final decade still
-    contributes at least a tenth of the first.
+    contributes at least a tenth of the first; it needs two decades at least.
     """
+    decades = _check_int("decades", decades, 2)
     epsilons = tuple(10.0 ** (-(k + 2)) for k in range(decades))
     values = [bihari_integral(modulus, 1.0, eps) for eps in epsilons]
     increments = np.diff([0.0] + values)
@@ -480,8 +468,7 @@ def audit_modulus(coeffs: CoefficientSet, modulus: Modulus, sampler: Callable, s
 
     Also probes kappa's own contract and the declared Osgood divergence.
     """
-    if samples < 1:
-        raise ConfigurationError("samples must be at least 1")
+    samples = _check_int("samples", samples, 1)
     t, s, x, y = sampler(samples)
     t, s, x, y = (np.asarray(a, dtype=np.float64) for a in (t, s, x, y))
     fdiff = (_sampled(coeffs.drift(t, s, x), samples) - _sampled(coeffs.drift(t, s, y), samples)) ** 2

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 __all__ = [
     "SvieError",
     "ConfigurationError",
@@ -49,3 +51,36 @@ class ExplosionError(NumericalError):
 
 class AnalysisError(SvieError):
     """A verification routine could not produce a meaningful verdict."""
+
+
+def _check_int(name: str, value, low: int) -> int:
+    """``value`` as an int of at least ``low``; integral floats and numpy integers pass."""
+    try:
+        integral = int(value) == value
+    except (TypeError, ValueError, OverflowError):  # None, a string, nan, inf
+        integral = False
+    if not integral:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ConfigurationError(f"{name} must be at least {low}, got {value!r}")
+    return int(value)
+
+
+def _check_real(name: str, value, low: float | None = None, strict: bool = False) -> float:
+    """``value`` as a finite float at or above ``low`` (strictly above when ``strict``).
+
+    None, strings, nan and inf fail; the message names the argument and its rule.
+    """
+    try:
+        real = math.nan if isinstance(value, str) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        real = math.nan
+    if math.isfinite(real) and (low is None or (real > low if strict else real >= low)):
+        return real
+    if low is None:
+        rule = "finite"
+    elif low == 0.0:
+        rule = "finite and positive" if strict else "finite and non-negative"
+    else:
+        rule = f"finite and {'greater than' if strict else 'at least'} {low:g}"
+    raise ConfigurationError(f"{name} must be {rule}, got {value!r}")

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, _check_int, _check_real
 
 if TYPE_CHECKING:
     from .coefficients import CoefficientSet
@@ -86,31 +86,15 @@ _GK_WEIGHTS = np.array([_KRONROD_W + _KRONROD_W[-2::-1], np.zeros(21)])
 _GK_WEIGHTS[1, 1::2] = _GAUSS_W + _GAUSS_W[::-1]
 
 
-def _check_int(name: str, value, low: int) -> int:
-    """``value`` as an int; integral floats and numpy integers pass."""
-    try:
-        integral = int(value) == value
-    except (TypeError, ValueError, OverflowError):  # None, a string, nan, inf
-        integral = False
-    if not integral:
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ConfigurationError(f"{name} must be at least {low}, got {value!r}")
-    return int(value)
-
-
 def _check_lineage(lineage: tuple[int, int]) -> tuple[int, int]:
     try:
         seed, idx = lineage
     except (TypeError, ValueError):
         raise ConfigurationError(f"seed lineage must be a (master_seed, path_index) pair, got {lineage!r}")
-    if int(seed) != seed or int(idx) != idx:
-        raise ConfigurationError(f"seed lineage must hold integers, got {lineage!r}")
-    seed = int(seed)
-    idx = int(idx)
-    if not 0 <= seed < 2**64:
+    seed, idx = _check_int("master_seed", seed, 0), _check_int("path_index", idx, 0)
+    if seed >= 2**64:
         raise ConfigurationError(f"master_seed must lie in [0, 2^64), got {seed}")
-    if not 0 <= idx < 2**32:
+    if idx >= 2**32:
         raise ConfigurationError(f"path_index must lie in [0, 2^32), got {idx}")
     return seed, idx
 
@@ -141,9 +125,7 @@ class TimeGrid:
     points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        horizon = float(self.horizon)
-        if not math.isfinite(horizon) or horizon <= 0.0:
-            raise ConfigurationError(f"horizon must be finite and positive, got {self.horizon!r}")
+        horizon = _check_real("horizon", self.horizon, 0.0, strict=True)
         steps = _check_int("steps", self.steps, 1)
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "steps", steps)
@@ -184,9 +166,7 @@ class LevyMeasure:
     support: tuple[float, float] = (0.0, math.inf)
 
     def __post_init__(self):
-        mass = float(self.total_mass)
-        if not math.isfinite(mass) or mass < 0.0:
-            raise ConfigurationError(f"total_mass must be finite and non-negative, got {self.total_mass!r}")
+        mass = _check_real("total_mass", self.total_mass, 0.0)
         object.__setattr__(self, "total_mass", mass)
         lo, hi = self.support
         if not lo < hi:
@@ -213,10 +193,7 @@ class LevyMeasure:
         Sampling exponentiates a standard normal draw, which is exact in
         distribution; the density is only used by quadrature checks.
         """
-        if not math.isfinite(mu):
-            raise ConfigurationError(f"mu must be finite, got {mu!r}")
-        if not (math.isfinite(sigma) and sigma > 0.0):
-            raise ConfigurationError(f"sigma must be finite and positive, got {sigma!r}")
+        mu, sigma = _check_real("mu", mu), _check_real("sigma", sigma, 0.0, strict=True)
         norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
 
         def density(xi: np.ndarray) -> np.ndarray:
@@ -227,7 +204,7 @@ class LevyMeasure:
         def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
             return np.exp(mu + sigma * rng.standard_normal(size))
 
-        return cls(total_mass=float(rate), mark_density=density, mark_sampler=sampler, support=(0.0, math.inf))
+        return cls(total_mass=rate, mark_density=density, mark_sampler=sampler, support=(0.0, math.inf))
 
     def sample_marks(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if size == 0:

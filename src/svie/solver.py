@@ -45,7 +45,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .errors import ConfigurationError, ExplosionError
+from .errors import ConfigurationError, ExplosionError, _check_int, _check_real
 from .grid_noise import NoisePath, TimeGrid, compensator_integral, sample_noise_ensemble
 from .grid_noise import sample_noise_path  # noqa: F401 -- perfbench/tracer.py wraps solver.sample_noise_path by name
 
@@ -222,12 +222,8 @@ def picard_solve(
     is exact and iterate n + 1 repeats it, so tolerance 0 always converges
     within the default budget.
     """
-    if not (math.isfinite(tolerance) and tolerance >= 0.0):
-        raise ConfigurationError(f"tolerance must be finite and non-negative, got {tolerance!r}")
-    if k_max is None:
-        k_max = noise.grid.steps + 1
-    if k_max < 1:
-        raise ConfigurationError(f"k_max must be at least 1, got {k_max!r}")
+    tolerance = _check_real("tolerance", tolerance, 0.0)
+    k_max = noise.grid.steps + 1 if k_max is None else _check_int("k_max", k_max, 1)
     sup_diffs = []
     for prev, curr in itertools.pairwise(itertools.islice(_path_iterates(coeffs, noise), k_max + 1)):
         sup_diffs.append(float(np.max(np.abs(curr - prev))))
@@ -246,11 +242,9 @@ def picard_iterates(coeffs: CoefficientSet, noise: NoisePath, keep: Iterable[int
 
     No sweep runs past the largest requested k, so ``keep=(0,)`` runs none.
     """
-    wanted = set(int(k) for k in keep)
+    wanted = {_check_int("keep", k, 0) for k in keep}
     if not wanted:
         return {}
-    if min(wanted) < 0:
-        raise ConfigurationError("iterate indices must be non-negative")
     # range first: zip stops before asking the stream for one sweep too many
     stream = zip(range(max(wanted) + 1), _path_iterates(coeffs, noise))
     return {k: DiscretePath(grid=noise.grid, values=state) for k, state in stream if k in wanted}

@@ -41,7 +41,8 @@ def write_config(tmp_path, config, name="run.cfg"):
 
 
 def test_config_round_trips_through_text():
-    for config in (RunConfig(), CUSTOM):
+    # integral floats are stored as ints, so their text parses back
+    for config in (RunConfig(), CUSTOM, RunConfig(steps=8.0), RunConfig(master_seed=3.0)):
         assert parse_config(emit_config(config)) == config
 
 

@@ -231,6 +231,14 @@ def test_osgood_ladder_log_modulus_matches_closed_form():
     np.testing.assert_allclose(probe.values, expected, rtol=0.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("decades", [0, 1])
+def test_osgood_ladder_needs_two_decades(decades):
+    # the verdict compares the last increment with the second one
+    with pytest.raises(ConfigurationError, match=f"decades must be at least 2, got {decades}"):
+        osgood_ladder(linear_modulus(1.0), decades)
+    assert len(osgood_ladder(linear_modulus(1.0), 2).values) == 2
+
+
 def test_bihari_integral_reverses_sign_with_its_bounds():
     mod = log_modulus(1.0)
     assert bihari_integral(mod, 1e-6, 0.9) == -bihari_integral(mod, 0.9, 1e-6)

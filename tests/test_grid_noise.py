@@ -72,6 +72,9 @@ def test_lineage_bounds_are_enforced():
         sample_brownian(grid, (1.5, 0))
     with pytest.raises(ConfigurationError):
         sample_brownian(grid, (0, 0.5))
+    for lineage in ((math.nan, 0), (math.inf, 0), (0, math.nan)):
+        with pytest.raises(ConfigurationError):
+            sample_brownian(grid, lineage)
 
 
 def test_master_seeds_above_2_63_do_not_collide():
