@@ -4,7 +4,8 @@ A model is four kernels: drift f(t, s, x), diffusion g(t, s, x), jump
 h(t, s, x, xi) and an initial curve phi(t), together with the jump measure
 they integrate against.  Kernels must broadcast like numpy ufuncs over
 ``t``, ``s``, ``x`` and ``xi``; mark-space quadrature puts the marks on a
-trailing axis.
+trailing axis.  A ``SeparableKernel``, a short sum of a(t) b(s) psi(x)
+terms as in every catalogue model, lets the solver push in O(n r).
 
 Two sampling audits back the standing assumptions:
 
@@ -24,6 +25,7 @@ Audits are certificates over their sample set, not proofs.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -36,6 +38,7 @@ from .grid_noise import MARK_INTEGRAL_REL_TOL, LevyMeasure, _gauss_kronrod
 __all__ = [
     "AUDIT_SLACK",
     "CoefficientSet",
+    "SeparableKernel",
     "Modulus",
     "GrowthAudit",
     "ModulusAudit",
@@ -67,6 +70,59 @@ _E4 = math.exp(8.0)  # fourth moment
 _E1 = math.exp(0.5)  # first moment
 
 
+def _takes(fn, count: int) -> bool:
+    """Whether ``fn`` can be called with ``count`` positional arguments, as far as its signature tells."""
+    if not callable(fn):
+        return False
+    try:
+        inspect.signature(fn).bind(*range(count))
+    except ValueError:  # no signature to read
+        return True
+    except TypeError:
+        return False
+    return True
+
+
+@dataclass(frozen=True)
+class SeparableKernel:
+    """A kernel written as a sum of separable terms: sum_r time_r(t) lag_r(s) state_r(x[, xi]).
+
+    ``terms`` is an ordered tuple of ``(time, lag, state)``.  ``time`` and
+    ``lag`` are elementwise functions of one time, or None for the constant
+    1; ``state(x)`` is the state part, ``state(x, xi)`` for a jump kernel
+    (``marks=True``).  The kernel is its factor sum: calling it adds the
+    terms in order, skipping None factors, and broadcasts like any kernel,
+    so a term with both factors None is exactly its ``state``.  A kernel
+    with no terms is zero.  The solver's factored push reads the factors.
+    """
+
+    terms: tuple
+    marks: bool = False
+    name: str = "separable kernel"
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(self.terms))
+        state = ("state", 1 + self.marks, "a function of (x, xi)" if self.marks else "a function of x")
+        rules = (("time", 1, "a function of t or None"), ("lag", 1, "a function of s or None"), state)
+        for k, term in enumerate(self.terms):
+            if not (isinstance(term, tuple) and len(term) == 3):
+                raise ConfigurationError(f"{self.name}: term {k} must be a (time, lag, state) tuple, got {term!r}")
+            for (part, count, rule), fn in zip(rules, term):
+                if not (fn is None and part != "state" or _takes(fn, count)):
+                    raise ConfigurationError(f"{self.name}: term {k} {part} must be {rule}, got {fn!r}")
+
+    def __call__(self, t, s, *state):
+        if not self.terms:
+            return np.zeros(np.broadcast_shapes(*(np.shape(a) for a in (t, s, *state))))
+        total = None
+        for time, lag, part in self.terms:
+            value = part(*state)
+            value = value if lag is None else lag(s) * value
+            value = value if time is None else time(t) * value
+            total = value if total is None else total + value
+        return total
+
+
 @dataclass(frozen=True)
 class CoefficientSet:
     """Kernels of one jump-diffusion Volterra model.
@@ -79,11 +135,15 @@ class CoefficientSet:
     vector quadrature per path and column, a few hundred times slower than
     a closed form.
     ``growth_constant`` is the analytic C of the linear-growth condition
-    when one is known.  Kernels broadcast like numpy ufuncs: the solver calls
-    them with the later grid times t_{j+1..n} as a 1-D ``t``, the scalar t_j
-    as ``s`` (``jump`` gets columns of jump times and marks) and a (paths, 1)
-    column of states as ``x``.  Mark-space quadrature calls ``jump`` with a
-    1-D array of marks and the states on a trailing axis of length one.
+    when one is known.  Kernels broadcast like numpy ufuncs: the column push
+    calls them with the later grid times t_{j+1..n} as a 1-D ``t``, the
+    scalar t_j as ``s`` (``jump`` gets columns of jump times and marks) and
+    a (paths, 1) column of states as ``x``.  Mark-space quadrature calls
+    ``jump`` with a 1-D array of marks and the states on a trailing axis of
+    length one.  When every kernel the solver calls is a ``SeparableKernel``
+    (a closed-form ``compensator`` included), it runs the factored push
+    instead: ``state`` parts get 1-D arrays of states (and marks), ``time``
+    and ``lag`` factors the grid points (and jump times) once per sweep.
     """
 
     drift: Callable
@@ -101,6 +161,10 @@ class CoefficientSet:
             object.__setattr__(self, "compensator", None)
         if self.jump is not None and self.measure.mark_sampler is None:
             raise ConfigurationError("a jump kernel with positive mass needs a measure that can sample marks")
+        for slot in ("drift", "diffusion", "jump", "compensator"):
+            kernel = getattr(self, slot)
+            if isinstance(kernel, SeparableKernel) and kernel.marks != (slot == "jump"):
+                raise ConfigurationError(f"{kernel.name}: a separable {slot} kernel needs marks={slot == 'jump'}")
 
 
 @dataclass(frozen=True)
@@ -179,6 +243,11 @@ def scale_for_log_modulus(linear_scale: float, d_max: float) -> float:
 # --- coefficient catalogue ---------------------------------------------
 
 
+def _linear(slope: float, name: str) -> SeparableKernel:
+    """slope * x: one term with no (t, s) factor."""
+    return SeparableKernel(((None, None, lambda x: slope * np.asarray(x, dtype=np.float64)),), name=name)
+
+
 def _ones_like(t):
     out = np.ones_like(np.asarray(t, dtype=np.float64))
     return out if out.ndim else 1.0
@@ -196,18 +265,25 @@ def example_coefficients(c: float, rate: float = 2.0) -> CoefficientSet:
     f = x/2, g = 4 cos^2(t - s) x, h = c xi^2 x, phi = 1, with mark law
     exp(N(0, 1)) at the given jump rate.  The compensator has the closed
     form c * rate * e^2 * x, and the linear-growth constant is
-    max(1/4, 16, rate * e^8 * c^2).
+    max(1/4, 16, rate * e^8 * c^2).  g has rank 3:
+    4 cos^2(t - s) = 2 + 2 cos 2t cos 2s + 2 sin 2t sin 2s.
     """
     c = _check_real("jump coefficient c", c, 0.0, strict=True)
     measure = _lognormal_measure(rate)
-    comp_slope = c * rate * _E2
+    two_x = lambda x: 2.0 * np.asarray(x, dtype=np.float64)
+    cos2 = lambda u: np.cos(2.0 * np.asarray(u, dtype=np.float64))
+    sin2 = lambda u: np.sin(2.0 * np.asarray(u, dtype=np.float64))
     return CoefficientSet(
-        drift=lambda t, s, x: 0.5 * np.asarray(x, dtype=np.float64),
-        diffusion=lambda t, s, x: 4.0 * np.cos(np.asarray(t, dtype=np.float64) - s) ** 2 * x,
-        jump=lambda t, s, x, xi: c * np.asarray(xi, dtype=np.float64) ** 2 * x,
+        drift=_linear(0.5, "example drift"),
+        diffusion=SeparableKernel(
+            ((None, None, two_x), (cos2, cos2, two_x), (sin2, sin2, two_x)), name="example diffusion"
+        ),
+        jump=SeparableKernel(
+            ((None, None, lambda x, xi: c * np.asarray(xi, dtype=np.float64) ** 2 * x),), True, "example jump"
+        ),
         initial=_ones_like,
         measure=measure,
-        compensator=lambda t, s, x: comp_slope * np.asarray(x, dtype=np.float64),
+        compensator=_linear(c * rate * _E2, "example compensator"),
         growth_constant=max(0.25, 16.0, rate * _E4 * c * c),
         name="example",
     )
@@ -216,8 +292,8 @@ def example_coefficients(c: float, rate: float = 2.0) -> CoefficientSet:
 def deterministic_ode_coefficients() -> CoefficientSet:
     """f = x/2 with no noise at all; x(t) converges to exp(t/2) from phi = 1."""
     return CoefficientSet(
-        drift=lambda t, s, x: 0.5 * np.asarray(x, dtype=np.float64),
-        diffusion=lambda t, s, x: np.zeros_like(np.asarray(x, dtype=np.float64)),
+        drift=_linear(0.5, "deterministic_ode drift"),
+        diffusion=SeparableKernel((), name="deterministic_ode diffusion"),
         jump=None,
         initial=_ones_like,
         measure=LevyMeasure.empty(),
@@ -230,14 +306,15 @@ def linear_test_coefficients(c: float = 0.1, rate: float = 2.0) -> CoefficientSe
     """Globally Lipschitz set: f = x/4, g = x/2, h = c xi x, phi = 1."""
     c = _check_real("jump coefficient c", c, 0.0, strict=True)
     measure = _lognormal_measure(rate)
-    comp_slope = c * rate * _E1
     return CoefficientSet(
-        drift=lambda t, s, x: 0.25 * np.asarray(x, dtype=np.float64),
-        diffusion=lambda t, s, x: 0.5 * np.asarray(x, dtype=np.float64),
-        jump=lambda t, s, x, xi: c * np.asarray(xi, dtype=np.float64) * x,
+        drift=_linear(0.25, "linear_test drift"),
+        diffusion=_linear(0.5, "linear_test diffusion"),
+        jump=SeparableKernel(
+            ((None, None, lambda x, xi: c * np.asarray(xi, dtype=np.float64) * x),), True, "linear_test jump"
+        ),
         initial=_ones_like,
         measure=measure,
-        compensator=lambda t, s, x: comp_slope * np.asarray(x, dtype=np.float64),
+        compensator=_linear(c * rate * _E1, "linear_test compensator"),
         growth_constant=max(0.0625, 0.25, c * c * rate * _E2),
         name="linear_test",
     )
@@ -245,10 +322,9 @@ def linear_test_coefficients(c: float = 0.1, rate: float = 2.0) -> CoefficientSe
 
 def zero_coefficients() -> CoefficientSet:
     """All kernels zero; every path equals the initial curve phi = 1."""
-    zero = lambda t, s, x: np.zeros_like(np.asarray(x, dtype=np.float64))
     return CoefficientSet(
-        drift=zero,
-        diffusion=zero,
+        drift=SeparableKernel((), name="zero drift"),
+        diffusion=SeparableKernel((), name="zero diffusion"),
         jump=None,
         initial=_ones_like,
         measure=LevyMeasure.empty(),

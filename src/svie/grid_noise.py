@@ -193,6 +193,7 @@ class LevyMeasure:
         Sampling exponentiates a standard normal draw, which is exact in
         distribution; the density is only used by quadrature checks.
         """
+        rate = _check_real("rate", rate, 0.0)
         mu, sigma = _check_real("mu", mu), _check_real("sigma", sigma, 0.0, strict=True)
         norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
 

@@ -69,6 +69,7 @@ REAL_ARGUMENTS = {
     "RunConfig.picard_tolerance": (lambda v: RunConfig(picard_tolerance=v), "picard_tolerance", 1e-10),
     "TimeGrid.horizon": (lambda v: build_grid(v, 4), "horizon", 1.0),
     "LevyMeasure.total_mass": (lambda v: LevyMeasure(total_mass=v), "total_mass", 0.0),
+    "LevyMeasure.lognormal.rate": (lambda v: LevyMeasure.lognormal(v), "rate", 1.0),
     "LevyMeasure.lognormal.mu": (lambda v: LevyMeasure.lognormal(1.0, mu=v), "mu", 0.0),
     "LevyMeasure.lognormal.sigma": (lambda v: LevyMeasure.lognormal(1.0, sigma=v), "sigma", 1.0),
     "Modulus.scale": (lambda v: linear_modulus(v), "modulus scale", 1.0),

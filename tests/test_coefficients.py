@@ -13,6 +13,7 @@ from svie.coefficients import (
     MARK_INTEGRAL_REL_TOL,
     MODULI,
     CoefficientSet,
+    SeparableKernel,
     _jump_square_integral,
     audit_linear_growth,
     audit_modulus,
@@ -144,6 +145,92 @@ def test_jump_requires_mark_sampler():
             measure=measure,
             jump=lambda t, s, x, xi: x,
         )
+
+
+# --- separable kernels --------------------------------------------------------
+
+
+def bitwise_equal(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_separable_kernels_broadcast_in_every_call_shape():
+    rng = np.random.default_rng(8)
+    separable = SeparableKernel(((np.exp, np.cos, lambda x, xi: x * xi), (None, None, lambda x, xi: xi)), marks=True)
+    plain = lambda t, s, x, xi: np.exp(t) * np.cos(s) * x * xi + xi
+    diffusion = example_coefficients(0.1).diffusion
+    old_diffusion = lambda t, s, x: 4.0 * np.cos(np.asarray(t, dtype=np.float64) - s) ** 2 * x
+    t, s = np.linspace(0.2, 0.5, 6), 0.1
+    # the column push: later grid times, a scalar s (jump times for the jump
+    # kernel, as columns), a column of states
+    x, times, marks = rng.normal(size=(4, 1)), rng.random((3, 1)) * 0.1, rng.random((3, 1))
+    np.testing.assert_allclose(diffusion(t, s, x), old_diffusion(t, s, x), rtol=1e-13, atol=1e-14)
+    assert separable(t, times, x[:3], marks).shape == (3, 6)
+    np.testing.assert_allclose(separable(t, times, x[:3], marks), plain(t, times, x[:3], marks), rtol=1e-14)
+    # mark quadrature: the states on a leading axis, the marks trailing
+    xi = rng.random(5)
+    got = separable(t[:, None], s, x[:1].T.repeat(6, axis=0), xi)
+    assert got.shape == (6, 5)
+    np.testing.assert_allclose(got, plain(t[:, None], s, x[:1].T.repeat(6, axis=0), xi), rtol=1e-14)
+    # the audits: one value per sample
+    tt, ss, xx = domain_sampler(0.5, seed=4)(7)
+    np.testing.assert_allclose(diffusion(tt, ss, xx), old_diffusion(tt, ss, xx), rtol=1e-13, atol=1e-14)
+    np.testing.assert_allclose(separable(tt, ss, xx, xi[:1]), plain(tt, ss, xx, xi[:1]), rtol=1e-14)
+
+
+def test_a_term_without_time_or_lag_factors_is_the_old_kernel_bitwise():
+    c, rate = 0.3, 2.0
+    coeffs = example_coefficients(c, rate)
+    old_drift = lambda t, s, x: 0.5 * np.asarray(x, dtype=np.float64)
+    old_jump = lambda t, s, x, xi: c * np.asarray(xi, dtype=np.float64) ** 2 * x
+    old_compensator = lambda t, s, x: c * rate * E_XI_SQ * np.asarray(x, dtype=np.float64)
+    t, s, x = domain_sampler(0.5, seed=6)(200)
+    xi = np.random.default_rng(6).lognormal(size=200)
+    assert bitwise_equal(coeffs.drift(t, s, x), old_drift(t, s, x))
+    assert bitwise_equal(coeffs.compensator(t, s, x), old_compensator(t, s, x))
+    assert bitwise_equal(coeffs.jump(t, s, x, xi), old_jump(t, s, x, xi))
+    assert bitwise_equal(coeffs.jump(t, s[:, None], x[:, None], xi), old_jump(t, s[:, None], x[:, None], xi))
+
+
+def test_a_kernel_without_terms_is_zero_of_the_broadcast_shape():
+    zero = SeparableKernel(())
+    assert bitwise_equal(zero(np.ones(3), 0.1, np.ones((2, 1))), np.zeros((2, 3)))
+    assert bitwise_equal(SeparableKernel((), marks=True)(0.2, 0.1, np.ones(4), np.ones((5, 1))), np.zeros((5, 4)))
+    assert bitwise_equal(zero(0.2, 0.1, 3.0), 0.0)
+
+
+STATE = lambda x: x
+MARKED_STATE = lambda x, xi: x * xi
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SeparableKernel(((2.0, None, STATE),), name="k"), "k: term 0 time must be a function of t or None"),
+        (lambda: SeparableKernel(((None, "s", STATE),), name="k"), "k: term 0 lag must be a function of s or None"),
+        (lambda: SeparableKernel(((None, None, None),), name="k"), "k: term 0 state must be a function of x"),
+        (lambda: SeparableKernel(((np.exp, None, STATE), (None, None)), name="k"), "k: term 1 must be a (time"),
+        (
+            lambda: SeparableKernel(((None, None, STATE),), marks=True, name="k"),
+            "k: term 0 state must be a function of (x, xi)",
+        ),
+        (lambda: SeparableKernel(((None, None, MARKED_STATE),), name="k"), "k: term 0 state must be a function of x"),
+        (lambda: SeparableKernel(((lambda t, u: t, None, STATE),), name="k"), "k: term 0 time must be a function of t"),
+    ],
+)
+def test_malformed_separable_terms_name_the_kernel(build, message):
+    with pytest.raises(ConfigurationError) as info:
+        build()
+    assert str(info.value).startswith(message)
+
+
+def test_a_separable_kernel_needs_marks_exactly_in_the_jump_slot():
+    base = example_coefficients(0.1)
+    with pytest.raises(ConfigurationError, match="^h: a separable jump kernel needs marks=True"):
+        dataclasses.replace(base, jump=SeparableKernel(((None, None, STATE),), name="h"))
+    with pytest.raises(ConfigurationError, match="^f: a separable drift kernel needs marks=False"):
+        dataclasses.replace(base, drift=SeparableKernel(((None, None, MARKED_STATE),), marks=True, name="f"))
 
 
 # --- moduli -----------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from svie.coefficients import (
     CoefficientSet,
+    SeparableKernel,
     deterministic_ode_coefficients,
     example_coefficients,
     linear_test_coefficients,
@@ -213,9 +214,43 @@ def time_dependent_coefficients(c=0.1, rate=20.0):
     )
 
 
+def separable_time_dependent_coefficients(c=0.1, rate=20.0):
+    """``time_dependent_coefficients`` with separable kernels.
+
+    f = (1 + t) x / 4 + (-s) x / 4 has two terms; h = e^{-t} e^{s} c xi x and
+    its compensator carry the factor e^{-t} e^{s}.
+    """
+    as_float = lambda u: np.asarray(u, dtype=np.float64)
+    quarter_x = lambda x: 0.25 * as_float(x)
+    decay, growth = (lambda t: np.exp(-as_float(t))), (lambda s: np.exp(as_float(s)))
+    return CoefficientSet(
+        drift=SeparableKernel(
+            ((lambda t: 1.0 + as_float(t), None, quarter_x), (None, lambda s: -as_float(s), quarter_x))
+        ),
+        diffusion=SeparableKernel(((None, None, lambda x: 0.5 * as_float(x)),)),
+        initial=lambda t: np.ones_like(as_float(t)),
+        measure=LevyMeasure.lognormal(rate),
+        jump=SeparableKernel(((decay, growth, lambda x, xi: c * as_float(xi) * x),), marks=True),
+        compensator=SeparableKernel(((decay, growth, lambda x: c * rate * math.exp(0.5) * as_float(x)),)),
+        name="separable-time-dependent",
+    )
+
+
+def plain_twin(coeffs):
+    """The same model with every kernel behind a plain lambda, which sends the sweep to the column push."""
+    wrap = lambda kernel: None if kernel is None else (lambda *args: kernel(*args))
+    kernels = ("drift", "diffusion", "jump", "compensator")
+    return dataclasses.replace(coeffs, **{name: wrap(getattr(coeffs, name)) for name in kernels})
+
+
 @pytest.mark.parametrize(
     "coeffs",
-    [example_coefficients(0.02, rate=40.0), linear_test_coefficients(0.2, rate=5.0), time_dependent_coefficients()],
+    [
+        example_coefficients(0.02, rate=40.0),
+        linear_test_coefficients(0.2, rate=5.0),
+        time_dependent_coefficients(),
+        separable_time_dependent_coefficients(),
+    ],
 )
 def test_direct_recursion_matches_a_plain_loop(coeffs):
     # summation order differs from the loop, so agreement is to rounding only
@@ -542,3 +577,111 @@ def test_ensemble_mixes_exploded_and_surviving_paths():
             else:
                 assert ens.explosion_index[idx] == -1
                 assert bitwise_equal(ens.values[idx], direct_recursion(coeffs, noise).values)
+
+
+# --- the factored push for separable kernels ------------------------------------
+
+SEPARABLE_MODELS = {
+    "example": example_coefficients(0.02, rate=40.0),
+    "linear_test": linear_test_coefficients(0.05, rate=40.0),
+    "time_dependent": separable_time_dependent_coefficients(rate=40.0),
+}
+
+
+@pytest.mark.parametrize("name", SEPARABLE_MODELS)
+def test_separable_ensemble_rows_do_not_depend_on_the_batch(name):
+    coeffs = SEPARABLE_MODELS[name]
+    grid = build_grid(0.5, 64)
+    runs = {size: ensemble_simulate(coeffs, grid, size, master_seed=37) for size in (1, 7, 200)}
+    noises = [sample_noise_path(grid, coeffs.measure, (37, idx)) for idx in range(7)]
+    # two jumps of one path in one cell: np.add.at must add them in time order
+    assert max(most_jumps_in_one_cell(noise) for noise in noises) >= 2
+    assert not runs[200].exploded.any()
+    assert bitwise_equal(runs[1].values[0], runs[7].values[0])
+    assert bitwise_equal(runs[7].values, runs[200].values[:7])
+    for idx, noise in enumerate(noises):
+        assert bitwise_equal(runs[7].values[idx], direct_recursion(coeffs, noise).values)
+
+
+@pytest.mark.parametrize("name", SEPARABLE_MODELS)
+def test_separable_picard_iterates_do_not_depend_on_the_batch_and_end_at_the_direct_solve(name):
+    coeffs = SEPARABLE_MODELS[name]
+    grid = build_grid(0.5, 32)
+    last = grid.steps + 1
+    noises = [sample_noise_path(grid, coeffs.measure, (43, idx)) for idx in range(200)]
+    assert max(most_jumps_in_one_cell(noise) for noise in noises[:7]) >= 2
+    keep = (1, 2, last)
+    # the stream picard_gap reads its iterates from
+    runs = {size: batch_iterates(coeffs, noises[:size], keep) for size in (7, 200)}
+    for k in keep:
+        assert bitwise_equal(runs[7][k], runs[200][k][:7])
+    for idx, noise in enumerate(noises[:7]):
+        alone = batch_iterates(coeffs, [noise], keep)
+        for k in keep:
+            assert bitwise_equal(alone[k][0], runs[7][k][idx])
+        direct = direct_recursion(coeffs, noise).values
+        assert bitwise_equal(runs[200][last][idx], direct)
+        assert bitwise_equal(picard_solve(coeffs, noise, tolerance=0.0).final.values, direct)
+
+
+@pytest.mark.parametrize("name", SEPARABLE_MODELS)
+def test_separable_models_agree_with_their_column_push_twins(name):
+    coeffs = SEPARABLE_MODELS[name]
+    grid = build_grid(0.5, 64)
+    factored = ensemble_simulate(coeffs, grid, 50, master_seed=47)
+    column = ensemble_simulate(plain_twin(coeffs), grid, 50, master_seed=47)
+    assert not column.exploded.any()
+    scale = np.max(np.abs(column.values))
+    assert np.max(np.abs(factored.values - column.values)) <= 1e-12 * scale
+    # the two pushes sum in different orders
+    assert not bitwise_equal(factored.values, column.values)
+
+
+def test_separable_states_see_one_value_per_path():
+    # the factored push calls a state part with the column's 1-D states (and
+    # the column's jump marks), a time or lag factor once per sweep
+    seen = []
+
+    def recorded(kind, fn):
+        return lambda *args: seen.append((kind, tuple(np.shape(a) for a in args))) or fn(*args)
+
+    base = linear_test_coefficients(0.05, rate=40.0)
+    grid = build_grid(0.5, 16)
+    x_state = lambda x: 0.25 * np.asarray(x, dtype=np.float64)
+    coeffs = dataclasses.replace(
+        base,
+        drift=SeparableKernel(((recorded("time", np.cos), recorded("lag", np.sin), recorded("state", x_state)),)),
+    )
+    ensemble_simulate(coeffs, grid, 5, master_seed=3)
+    assert seen == [("time", ((grid.steps + 1,),)), ("lag", ((grid.steps + 1,),))] + [("state", ((5,),))] * grid.steps
+
+
+def test_a_model_without_a_closed_form_compensator_runs_the_column_push(monkeypatch):
+    coeffs = dataclasses.replace(example_coefficients(0.1, 2.0), compensator=None)
+    grid = build_grid(0.5, 8)
+    shapes = []
+
+    def recorded(*args):
+        shapes.append(np.shape(result := compensator_integral(*args)))
+        return result
+
+    monkeypatch.setattr("svie.solver.compensator_integral", recorded)
+    ens = ensemble_simulate(coeffs, grid, 3, master_seed=53)
+    assert shapes == [(3, grid.steps - j) for j in range(grid.steps)]
+    assert not ens.exploded.any()
+    assert bitwise_equal(ens.values, ensemble_simulate(plain_twin(coeffs), grid, 3, master_seed=53).values)
+
+
+def test_a_separable_drift_with_a_plain_diffusion_runs_the_column_push():
+    base = example_coefficients(0.1, 2.0)
+    grid = build_grid(0.5, 16)
+    seen = []
+
+    def diffusion(t, s, x):
+        seen.append((np.shape(t), np.shape(s), np.shape(x)))
+        return base.diffusion(t, s, x)
+
+    coeffs = dataclasses.replace(base, diffusion=diffusion)
+    ens = ensemble_simulate(coeffs, grid, 4, master_seed=59)
+    assert seen == [((grid.steps - j,), (), (4, 1)) for j in range(grid.steps)]
+    assert bitwise_equal(ens.values, ensemble_simulate(plain_twin(base), grid, 4, master_seed=59).values)
