@@ -93,7 +93,8 @@ class SeparableKernel:
     (``marks=True``).  The kernel is its factor sum: calling it adds the
     terms in order, skipping None factors, and broadcasts like any kernel,
     so a term with both factors None is exactly its ``state``.  A kernel
-    with no terms is zero.  The solver's factored push reads the factors.
+    with no terms is zero.  The solver reads the factors and folds each
+    term, whatever kind the model's other kernels are.
     """
 
     terms: tuple
@@ -101,7 +102,11 @@ class SeparableKernel:
     name: str = "separable kernel"
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
+        try:
+            object.__setattr__(self, "terms", tuple(self.terms))
+        except TypeError:
+            message = f"{self.name}: terms must be a tuple of (time, lag, state) terms, got {self.terms!r}"
+            raise ConfigurationError(message) from None
         state = ("state", 1 + self.marks, "a function of (x, xi)" if self.marks else "a function of x")
         rules = (("time", 1, "a function of t or None"), ("lag", 1, "a function of s or None"), state)
         for k, term in enumerate(self.terms):
@@ -135,15 +140,16 @@ class CoefficientSet:
     vector quadrature per path and column, a few hundred times slower than
     a closed form.
     ``growth_constant`` is the analytic C of the linear-growth condition
-    when one is known.  Kernels broadcast like numpy ufuncs: the column push
-    calls them with the later grid times t_{j+1..n} as a 1-D ``t``, the
-    scalar t_j as ``s`` (``jump`` gets columns of jump times and marks) and
-    a (paths, 1) column of states as ``x``.  Mark-space quadrature calls
-    ``jump`` with a 1-D array of marks and the states on a trailing axis of
-    length one.  When every kernel the solver calls is a ``SeparableKernel``
-    (a closed-form ``compensator`` included), it runs the factored push
-    instead: ``state`` parts get 1-D arrays of states (and marks), ``time``
-    and ``lag`` factors the grid points (and jump times) once per sweep.
+    when one is known, finite and non-negative.  Kernels broadcast like
+    numpy ufuncs: the solver calls a plain kernel with the later grid times
+    t_{j+1..n} as a 1-D ``t``, the scalar t_j as ``s`` (``jump`` gets
+    columns of jump times and marks) and a (paths, 1) column of states as
+    ``x``.  Mark-space quadrature calls ``jump`` with a 1-D array of marks
+    and the states on a trailing axis of length one.  The solver never calls
+    a ``SeparableKernel`` whole; it folds each one, in any slot and beside
+    plain kernels: ``state`` parts get 1-D arrays of states (and marks),
+    ``time`` and ``lag`` factors the grid points (and jump times) once per
+    sweep.  A malformed slot raises ``ConfigurationError`` naming it.
     """
 
     drift: Callable
@@ -156,6 +162,14 @@ class CoefficientSet:
     name: str = "custom"
 
     def __post_init__(self):
+        if not isinstance(self.measure, LevyMeasure):
+            raise ConfigurationError(f"measure must be a LevyMeasure, got {self.measure!r}")
+        for slot in ("drift", "diffusion", "initial", "jump", "compensator"):
+            kernel, optional = getattr(self, slot), slot in ("jump", "compensator")
+            if not (callable(kernel) or optional and kernel is None):
+                raise ConfigurationError(f"{slot} must be callable{' or None' if optional else ''}, got {kernel!r}")
+        if self.growth_constant is not None:
+            object.__setattr__(self, "growth_constant", _check_real("growth_constant", self.growth_constant, 0.0))
         if self.measure.total_mass == 0.0:
             object.__setattr__(self, "jump", None)
             object.__setattr__(self, "compensator", None)

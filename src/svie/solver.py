@@ -16,15 +16,15 @@ lower triangular, which is why successive approximation started from
 x^0 = phi reproduces the direct recursion exactly after at most n
 iterations and the (n+1)-th sweep changes nothing.
 
-Every solver runs one sweep over a (paths, n + 1) block, with two push
-steps.  Each row starts at phi; once column j is final, the column push
-makes one call per kernel on the later grid times t_{j+1..n} to push it
-into every later row of all paths, and the jumps with floor(tau) = j
-follow.  When every kernel is a ``SeparableKernel``, a sum of
-time(t) lag(s) state(x) terms, the factored push instead folds column j
-into one running sum per term and path and writes row j + 1 from those.
-Either way each path sums in the same order, j = 0, 1, ..., its own jumps
-in time order, so no value depends on the other paths of the batch.
+Every solver runs one sweep over a (paths, n + 1) block, with one push
+step that treats each kernel by its kind.  Each row starts at phi; once
+column j is final, a plain kernel is called once on the later grid times
+t_{j+1..n} to push the column into every later row of all paths, and the
+jumps with floor(tau) = j follow.  A ``SeparableKernel``, a sum of
+time(t) lag(s) state(x) terms, instead folds column j into one running sum
+per term and path, and row j + 1 adds those sums.  Each path sums in the
+same order, j = 0, 1, ..., its own jumps in time order, so no value
+depends on the other paths of the batch.
 ``ensemble_simulate`` is one batch; ``direct_recursion`` is a batch of
 one, so each ensemble row is bitwise equal to the single-path solve of its
 lineage.  A Picard step is a sweep that pushes a previous iterate instead
@@ -35,9 +35,9 @@ Picard functions are batches of one, so each path's iterates do not depend
 on the batch either.  Each solve checks and lays out its noise once, in
 ``_noise_batch``.
 
-The column push evaluates O(n^2) kernel cells per path, but the (t, s)
-part of a kernel only once per cell for the whole batch; the factored push
-costs O(n r) per path for r terms.
+A plain kernel costs O(n^2) cells per path, but its (t, s) part is
+evaluated only once per cell for the whole batch; a separable kernel costs
+O(n r) per path for r terms.
 """
 
 from __future__ import annotations
@@ -130,76 +130,76 @@ def _noise_batch(noises: Sequence[NoisePath]) -> _NoiseBatch:
     return _NoiseBatch(grid, brownian, times, marks, paths, np.searchsorted(times, grid.points, side="right"))
 
 
-def _column_push(coeffs: CoefficientSet, batch: _NoiseBatch, source: np.ndarray, out: np.ndarray):
-    """Push column j of ``source`` into every later row: one call per kernel on t_{j+1..n}, O(n - j) cells."""
-    grid, dW, jtimes, jmarks, jpath, jcells = batch
-    pts, dt = grid.points, grid.dt
-    drift, diffusion, jump = coeffs.drift, coeffs.diffusion, coeffs.jump
-    comp = None
-    if jump is not None:
-        comp = coeffs.compensator or (lambda t, s, x: compensator_integral(coeffs, t, s, x))
+def _push(coeffs: CoefficientSet, batch: _NoiseBatch, source: np.ndarray, out: np.ndarray):
+    """Push column j of ``source`` into the later rows of ``out``, each kernel by its kind.
 
-    def push(j: int) -> None:
-        t, s, x = pts[j + 1 :], pts[j], source[:, j, None]
-        f = drift(t, s, x)
-        if comp is not None:
-            f = f - comp(t, s, x)
-        out[:, j + 1 :] += f * dt + diffusion(t, s, x) * dW[:, j, None]
-        lo, hi = jcells[j], jcells[j + 1]
-        if jump is not None and lo < hi:
-            # unbuffered and in list order: each path adds its own jumps
-            # left to right, whatever else is in the batch
-            paths = jpath[lo:hi]
-            np.add.at(out[:, j + 1 :], paths, jump(t, jtimes[lo:hi, None], source[paths, j, None], jmarks[lo:hi, None]))
-
-    return push
-
-
-def _factored_push(coeffs: CoefficientSet, batch: _NoiseBatch, source: np.ndarray, out: np.ndarray):
-    """Fold column j of ``source`` into one running sum A per separable term and path, then write row j + 1.
-
-    A term adds lag(t_j) state(x_j) times its increment to its A (dt for the
-    drift, dW_j for the diffusion, -dt for the compensator); a jump of the
-    column adds lag(tau) state(x_j, xi), unbuffered in list order.  Row j + 1
-    is phi + sum time(t_{j+1}) A in term order.  Every step is elementwise
-    per path, with no BLAS call whose blocking could see the batch.
+    A plain kernel is called once on t_{j+1..n}, the scalar t_j and the
+    (paths, 1) column of states, and its cells go into every later row: O(n
+    - j) cells.  A ``SeparableKernel`` folds the column into one running sum
+    A per term and path instead: lag(t_j) state(x_j) times its increment (dt
+    for the drift, dW_j for the diffusion, -dt for the compensator), and a
+    jump of the column adds lag(tau) state(x_j, xi).  Row j + 1 then adds
+    sum time(t_{j+1}) A in term order.  Jumps go in unbuffered and in list
+    order, and every other step is elementwise per path, with no BLAS call
+    whose blocking could see the batch.
     """
     grid, dW, jtimes, jmarks, jpath, jcells = batch
     pts, dt = grid.points, grid.dt
+    comp = None
+    if coeffs.jump is not None:
+        comp = coeffs.compensator or (lambda t, s, x: compensator_integral(coeffs, t, s, x))
+    kernels = (coeffs.drift, coeffs.diffusion, comp, coeffs.jump)
+    # the plain kernels; a separable or missing one is None and adds no cells
+    drift, diffusion, comp, jump = (None if isinstance(k, SeparableKernel) else k for k in kernels)
+
+    def cells(kernel, t, s, x):
+        return 0.0 if kernel is None else kernel(t, s, x)
 
     def factor(fn, at):
         return None if fn is None else np.broadcast_to(np.asarray(fn(at), dtype=np.float64), at.shape)
 
     def running(kernel, lag_at):
+        if not isinstance(kernel, SeparableKernel):
+            return []
         return [(factor(time, pts), factor(lag, lag_at), state, np.zeros(len(dW))) for time, lag, state in kernel.terms]
 
     # increments in the order dt, dW_j, -dt
-    columns = [running(coeffs.drift, pts), running(coeffs.diffusion, pts)]
-    jumps = []
-    if coeffs.jump is not None:
-        columns.append(running(coeffs.compensator, pts))
-        jumps = running(coeffs.jump, jtimes)
-    sums = [(time, acc) for terms in columns + [jumps] for time, _, _, acc in terms]
+    folds = [running(kernel, pts) for kernel in kernels[:3]]
+    jumps = running(coeffs.jump, jtimes)
+    sums = [(time, acc) for terms in folds + [jumps] for time, _, _, acc in terms]
+    plain = any(kernel is not None for kernel in (drift, diffusion, comp))
+    folding = any(folds)
 
     def push(j: int) -> None:
-        # columns of the row-major blocks are strided; contiguous copies
-        # halve the sweep at 10 000 paths and change no value
-        x = source[:, j].copy()
-        for terms, increment in zip(columns, (dt, dW[:, j].copy(), -dt)):
-            for _, lag, state, acc in terms:
-                cell = state(x) * increment
-                acc += cell if lag is None else lag[j] * cell
+        t, s = pts[j + 1 :], pts[j]
+        if plain:
+            x = source[:, j, None]
+            f = cells(drift, t, s, x) - cells(comp, t, s, x)
+            out[:, j + 1 :] += f * dt + cells(diffusion, t, s, x) * dW[:, j, None]
+        if folding:
+            # columns of the row-major blocks are strided; contiguous copies
+            # halve the sweep at 10 000 paths and change no value
+            x = source[:, j].copy()
+            for terms, increment in zip(folds, (dt, dW[:, j].copy(), -dt)):
+                for _, lag, state, acc in terms:
+                    cell = state(x) * increment
+                    acc += cell if lag is None else lag[j] * cell
         lo, hi = jcells[j], jcells[j + 1]
-        if jumps and lo < hi:
+        if coeffs.jump is not None and lo < hi:
+            # unbuffered and in list order: each path adds its own jumps
+            # left to right, whatever else is in the batch
             paths = jpath[lo:hi]
             x, marks = source[paths, j], jmarks[lo:hi]
+            if jump is not None:
+                np.add.at(out[:, j + 1 :], paths, jump(t, jtimes[lo:hi, None], x[:, None], marks[:, None]))
             for _, lag, state, acc in jumps:
                 cell = state(x, marks)
                 np.add.at(acc, paths, cell if lag is None else lag[lo:hi] * cell)
-        row = out[:, j + 1].copy()
-        for time, acc in sums:
-            row += acc if time is None else time[j + 1] * acc
-        out[:, j + 1] = row
+        if sums:
+            row = out[:, j + 1].copy()
+            for time, acc in sums:
+                row += acc if time is None else time[j + 1] * acc
+            out[:, j + 1] = row
 
     return push
 
@@ -209,8 +209,8 @@ def _sweep(coeffs: CoefficientSet, batch: _NoiseBatch, source: np.ndarray, out: 
     """Fill the (paths, n + 1) block ``out`` column by column from ``source``.
 
     Rows start at phi; once column j of ``out`` is final, column j of
-    ``source`` is pushed into the later rows, by the factored push when every
-    kernel the sweep calls is separable and by the column push otherwise.
+    ``source`` is pushed into the later rows by ``_push``, which folds each
+    separable kernel and pushes the cells of each plain one.
     When ``source`` is ``out`` this is the direct recursion; when it is a
     previous iterate, one Picard step.  Returns each path's first grid index
     with a non-finite state, -1 where there is none.  That state is parked at
@@ -219,9 +219,7 @@ def _sweep(coeffs: CoefficientSet, batch: _NoiseBatch, source: np.ndarray, out: 
     did not reach at 0 too.  ``batch`` is checked and laid out once per
     solve, by ``_noise_batch``.
     """
-    kernels = (coeffs.drift, coeffs.diffusion) + (() if coeffs.jump is None else (coeffs.jump, coeffs.compensator))
-    separable = all(isinstance(kernel, SeparableKernel) for kernel in kernels)
-    push = (_factored_push if separable else _column_push)(coeffs, batch, source, out)
+    push = _push(coeffs, batch, source, out)
     explosion = np.full(len(batch.brownian), -1, dtype=np.int64)
     out[:] = _initial_curve(coeffs, batch.grid)
     for j in range(out.shape[1]):

@@ -5,6 +5,7 @@ arguments take finite numbers within their bound.  Non-integral floats,
 nan, inf, None and strings are rejected where they enter.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -130,3 +131,17 @@ def test_real_arguments_accept_numpy_floats(case):
     call(valid)
     call(np.float64(valid))
 
+
+
+# growth_constant follows the real-argument rule, except that None means "no analytic constant"
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, "x"], ids=["nan", "inf", "negative", "string"])
+def test_growth_constant_rejects_a_bad_value_naming_it(value):
+    with pytest.raises(ConfigurationError) as info:
+        dataclasses.replace(ODE, growth_constant=value)
+    assert str(info.value).startswith("growth_constant must be finite and non-negative, got ")
+
+
+@pytest.mark.parametrize("value", [None, 0.25, np.float64(0.25), 1])
+def test_growth_constant_accepts_none_and_stores_a_float(value):
+    stored = dataclasses.replace(ODE, growth_constant=value).growth_constant
+    assert stored is None if value is None else (type(stored) is float and stored == value)

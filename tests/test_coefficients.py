@@ -217,6 +217,8 @@ MARKED_STATE = lambda x, xi: x * xi
         ),
         (lambda: SeparableKernel(((None, None, MARKED_STATE),), name="k"), "k: term 0 state must be a function of x"),
         (lambda: SeparableKernel(((lambda t, u: t, None, STATE),), name="k"), "k: term 0 time must be a function of t"),
+        (lambda: SeparableKernel(None, name="k"), "k: terms must be a tuple of (time, lag, state) terms, got None"),
+        (lambda: SeparableKernel(3, name="k"), "k: terms must be a tuple of (time, lag, state) terms, got 3"),
     ],
 )
 def test_malformed_separable_terms_name_the_kernel(build, message):
@@ -231,6 +233,23 @@ def test_a_separable_kernel_needs_marks_exactly_in_the_jump_slot():
         dataclasses.replace(base, jump=SeparableKernel(((None, None, STATE),), name="h"))
     with pytest.raises(ConfigurationError, match="^f: a separable drift kernel needs marks=False"):
         dataclasses.replace(base, drift=SeparableKernel(((None, None, MARKED_STATE),), marks=True, name="f"))
+
+
+@pytest.mark.parametrize(
+    "slot, value, message",
+    [
+        ("drift", 2.0, "drift must be callable, got 2.0"),
+        ("diffusion", None, "diffusion must be callable, got None"),
+        ("initial", "x", "initial must be callable, got 'x'"),
+        ("jump", 1.0, "jump must be callable or None, got 1.0"),
+        ("compensator", 3, "compensator must be callable or None, got 3"),
+        ("measure", None, "measure must be a LevyMeasure, got None"),
+    ],
+)
+def test_a_malformed_model_slot_is_rejected_naming_the_slot(slot, value, message):
+    with pytest.raises(ConfigurationError) as info:
+        dataclasses.replace(example_coefficients(0.1), **{slot: value})
+    assert str(info.value) == message
 
 
 # --- moduli -----------------------------------------------------------------

@@ -36,8 +36,15 @@ def tiny_quad(tmp_path):
 
 @pytest.mark.parametrize(
     "mode,workload",
-    [("spans", tiny_verify), ("spans", tiny_simulate), ("spans", tiny_quad), ("kernels", tiny_verify)],
-    ids=["spans-verify", "spans-simulate", "spans-quad", "kernels-verify"],
+    [
+        ("spans", tiny_verify),
+        ("spans", tiny_simulate),
+        ("spans", tiny_quad),
+        ("kernels", tiny_verify),
+        ("kernels", tiny_simulate),
+        ("kernels", tiny_quad),
+    ],
+    ids=["spans-verify", "spans-simulate", "spans-quad", "kernels-verify", "kernels-simulate", "kernels-quad"],
 )
 def test_tracer_runs_a_tiny_workload(mode, workload, tmp_path, child_env):
     trace = tmp_path / "trace.json"

@@ -16,7 +16,14 @@ from svie.coefficients import (
     zero_coefficients,
 )
 from svie.errors import ConfigurationError, ExplosionError
-from svie.grid_noise import LevyMeasure, NoisePath, build_grid, compensator_integral, sample_noise_path
+from svie.grid_noise import (
+    LevyMeasure,
+    NoisePath,
+    build_grid,
+    compensator_integral,
+    sample_noise_ensemble,
+    sample_noise_path,
+)
 from svie.solver import (
     DiscretePath,
     _iterates,
@@ -236,11 +243,15 @@ def separable_time_dependent_coefficients(c=0.1, rate=20.0):
     )
 
 
+def plain(kernel):
+    """``kernel`` behind a plain lambda, so the sweep pushes its cells; None stays None."""
+    return None if kernel is None else (lambda *args: kernel(*args))
+
+
 def plain_twin(coeffs):
-    """The same model with every kernel behind a plain lambda, which sends the sweep to the column push."""
-    wrap = lambda kernel: None if kernel is None else (lambda *args: kernel(*args))
+    """The same model with every kernel behind a plain lambda, so the sweep pushes the cells of every kernel."""
     kernels = ("drift", "diffusion", "jump", "compensator")
-    return dataclasses.replace(coeffs, **{name: wrap(getattr(coeffs, name)) for name in kernels})
+    return dataclasses.replace(coeffs, **{name: plain(getattr(coeffs, name)) for name in kernels})
 
 
 @pytest.mark.parametrize(
@@ -579,7 +590,7 @@ def test_ensemble_mixes_exploded_and_surviving_paths():
                 assert bitwise_equal(ens.values[idx], direct_recursion(coeffs, noise).values)
 
 
-# --- the factored push for separable kernels ------------------------------------
+# --- the fold for separable kernels -----------------------------------------------
 
 SEPARABLE_MODELS = {
     "example": example_coefficients(0.02, rate=40.0),
@@ -588,9 +599,21 @@ SEPARABLE_MODELS = {
 }
 
 
-@pytest.mark.parametrize("name", SEPARABLE_MODELS)
+# one plain kernel beside separable ones: the sweep folds the separable kernels and pushes the plain one's cells
+MIXED_MODELS = {
+    name: dataclasses.replace(SEPARABLE_MODELS[base], **{slot: plain(getattr(SEPARABLE_MODELS[base], slot))})
+    for name, base, slot in (
+        ("example_plain_diffusion", "example", "diffusion"),
+        ("time_dependent_plain_drift", "time_dependent", "drift"),
+        ("linear_test_plain_jump", "linear_test", "jump"),
+    )
+}
+FOLDING_MODELS = {**SEPARABLE_MODELS, **MIXED_MODELS}
+
+
+@pytest.mark.parametrize("name", FOLDING_MODELS)
 def test_separable_ensemble_rows_do_not_depend_on_the_batch(name):
-    coeffs = SEPARABLE_MODELS[name]
+    coeffs = FOLDING_MODELS[name]
     grid = build_grid(0.5, 64)
     runs = {size: ensemble_simulate(coeffs, grid, size, master_seed=37) for size in (1, 7, 200)}
     noises = [sample_noise_path(grid, coeffs.measure, (37, idx)) for idx in range(7)]
@@ -603,9 +626,9 @@ def test_separable_ensemble_rows_do_not_depend_on_the_batch(name):
         assert bitwise_equal(runs[7].values[idx], direct_recursion(coeffs, noise).values)
 
 
-@pytest.mark.parametrize("name", SEPARABLE_MODELS)
+@pytest.mark.parametrize("name", FOLDING_MODELS)
 def test_separable_picard_iterates_do_not_depend_on_the_batch_and_end_at_the_direct_solve(name):
-    coeffs = SEPARABLE_MODELS[name]
+    coeffs = FOLDING_MODELS[name]
     grid = build_grid(0.5, 32)
     last = grid.steps + 1
     noises = [sample_noise_path(grid, coeffs.measure, (43, idx)) for idx in range(200)]
@@ -624,9 +647,9 @@ def test_separable_picard_iterates_do_not_depend_on_the_batch_and_end_at_the_dir
         assert bitwise_equal(picard_solve(coeffs, noise, tolerance=0.0).final.values, direct)
 
 
-@pytest.mark.parametrize("name", SEPARABLE_MODELS)
+@pytest.mark.parametrize("name", FOLDING_MODELS)
 def test_separable_models_agree_with_their_column_push_twins(name):
-    coeffs = SEPARABLE_MODELS[name]
+    coeffs = FOLDING_MODELS[name]
     grid = build_grid(0.5, 64)
     factored = ensemble_simulate(coeffs, grid, 50, master_seed=47)
     column = ensemble_simulate(plain_twin(coeffs), grid, 50, master_seed=47)
@@ -656,7 +679,7 @@ def test_separable_states_see_one_value_per_path():
     assert seen == [("time", ((grid.steps + 1,),)), ("lag", ((grid.steps + 1,),))] + [("state", ((5,),))] * grid.steps
 
 
-def test_a_model_without_a_closed_form_compensator_runs_the_column_push(monkeypatch):
+def test_a_model_without_a_closed_form_compensator_folds_its_separable_kernels(monkeypatch):
     coeffs = dataclasses.replace(example_coefficients(0.1, 2.0), compensator=None)
     grid = build_grid(0.5, 8)
     shapes = []
@@ -669,10 +692,12 @@ def test_a_model_without_a_closed_form_compensator_runs_the_column_push(monkeypa
     ens = ensemble_simulate(coeffs, grid, 3, master_seed=53)
     assert shapes == [(3, grid.steps - j) for j in range(grid.steps)]
     assert not ens.exploded.any()
-    assert bitwise_equal(ens.values, ensemble_simulate(plain_twin(coeffs), grid, 3, master_seed=53).values)
+    column = ensemble_simulate(plain_twin(coeffs), grid, 3, master_seed=53).values
+    assert np.max(np.abs(ens.values - column)) <= 1e-12 * np.max(np.abs(column))
+    assert not bitwise_equal(ens.values, column)
 
 
-def test_a_separable_drift_with_a_plain_diffusion_runs_the_column_push():
+def test_a_separable_drift_with_a_plain_diffusion_folds_its_separable_kernels():
     base = example_coefficients(0.1, 2.0)
     grid = build_grid(0.5, 16)
     seen = []
@@ -684,4 +709,37 @@ def test_a_separable_drift_with_a_plain_diffusion_runs_the_column_push():
     coeffs = dataclasses.replace(base, diffusion=diffusion)
     ens = ensemble_simulate(coeffs, grid, 4, master_seed=59)
     assert seen == [((grid.steps - j,), (), (4, 1)) for j in range(grid.steps)]
-    assert bitwise_equal(ens.values, ensemble_simulate(plain_twin(base), grid, 4, master_seed=59).values)
+    column = ensemble_simulate(plain_twin(base), grid, 4, master_seed=59).values
+    assert np.max(np.abs(ens.values - column)) <= 1e-12 * np.max(np.abs(column))
+    assert not bitwise_equal(ens.values, column)
+
+
+@pytest.mark.parametrize("name", MIXED_MODELS)
+def test_a_mixed_model_never_calls_a_separable_kernel_whole(name):
+    whole, seen = [], []
+
+    class Counting(SeparableKernel):
+        def __call__(self, *args):
+            whole.append(self.name)
+            return super().__call__(*args)
+
+    def recorded(kernel):
+        return lambda *args: seen.append(tuple(np.shape(a) for a in args)) or kernel(*args)
+
+    coeffs = MIXED_MODELS[name]
+    kernels = {k: getattr(coeffs, k) for k in ("drift", "diffusion", "jump", "compensator")}
+    counted = {
+        k: Counting(v.terms, v.marks, k) if isinstance(v, SeparableKernel) else recorded(v) for k, v in kernels.items()
+    }
+    grid, paths = build_grid(0.5, 16), 5
+    ensemble_simulate(dataclasses.replace(coeffs, **counted), grid, paths, master_seed=73)
+    assert whole == []
+    if isinstance(coeffs.jump, SeparableKernel):
+        # the plain drift or diffusion: once per column
+        expected = [((grid.steps - j,), (), (paths, 1)) for j in range(grid.steps)]
+    else:
+        # the plain jump: once per column with jumps, with a column per jump
+        per_column = np.diff(_noise_batch(sample_noise_ensemble(grid, coeffs.measure, paths, 73)).jump_cells)
+        expected = [((grid.steps - j,), (m, 1), (m, 1), (m, 1)) for j, m in enumerate(per_column) if m]
+        assert len(expected) > 1
+    assert seen == expected
