@@ -192,16 +192,21 @@ class MomentReport:
         return bool(np.all(self.passes))
 
 
+def _growth_constant(coeffs: CoefficientSet, growth_c: float | None) -> float:
+    """``growth_c`` if given, else the model's analytic constant; ConfigurationError when neither is known."""
+    growth_c = coeffs.growth_constant if growth_c is None else growth_c
+    if growth_c is None:
+        raise ConfigurationError("no growth constant available; supply growth_c or audit the coefficients")
+    return float(growth_c)
+
+
 def moment_check(ensemble: Ensemble, coeffs: CoefficientSet, growth_c: float | None = None) -> MomentReport:
     """Estimate E|x(t_i)|^2 per grid time and test it against the envelope.
 
     A time passes when estimate - 4 stderr <= bound; the envelope is
     one-sided, so only excesses beyond statistical noise count against it.
     """
-    if growth_c is None:
-        growth_c = coeffs.growth_constant
-    if growth_c is None:
-        raise ConfigurationError("no growth constant available; supply growth_c or audit the coefficients")
+    growth_c = _growth_constant(coeffs, growth_c)
     surv = ensemble.survivors
     m = surv.shape[0]
     if m == 0:
@@ -209,7 +214,7 @@ def moment_check(ensemble: Ensemble, coeffs: CoefficientSet, growth_c: float | N
     estimates, stderrs = mean_stderr(surv * surv)
     horizon = ensemble.grid.horizon
     phi_terminal = float(np.asarray(coeffs.initial(horizon), dtype=np.float64))
-    bound = uniform_moment_bound(float(growth_c), horizon, phi_terminal * phi_terminal)
+    bound = uniform_moment_bound(growth_c, horizon, phi_terminal * phi_terminal)
     passes = estimates - 4.0 * stderrs <= bound
     return MomentReport(
         times=ensemble.grid.points,
@@ -274,11 +279,8 @@ def picard_gap(
     # checked and laid out once, before the m = 0 shortcut, for all k + m sweeps
     batch = _noise_batch(noises)
     grid = batch.grid
-    if growth_c is None:
-        growth_c = coeffs.growth_constant
-    if growth_c is None:
-        raise ConfigurationError("no growth constant available; supply growth_c or audit the coefficients")
-    c3 = gap_envelope_slope(coeffs, modulus, grid.horizon, float(growth_c))
+    growth_c = _growth_constant(coeffs, growth_c)
+    c3 = gap_envelope_slope(coeffs, modulus, grid.horizon, growth_c)
     n_paths = len(noises)
     if m == 0:
         zero = np.zeros(grid.steps + 1)

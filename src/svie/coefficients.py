@@ -89,16 +89,16 @@ class SeparableKernel:
 
     ``terms`` is an ordered tuple of ``(time, lag, state)``.  ``time`` and
     ``lag`` are elementwise functions of one time, or None for the constant
-    1; ``state(x)`` is the state part, ``state(x, xi)`` for a jump kernel
-    (``marks=True``).  The kernel is its factor sum: calling it adds the
-    terms in order, skipping None factors, and broadcasts like any kernel,
-    so a term with both factors None is exactly its ``state``.  A kernel
-    with no terms is zero.  The solver reads the factors and folds each
-    term, whatever kind the model's other kernels are.
+    1; ``state`` is ``state(x)``, or ``state(x, xi)`` in the jump slot, as
+    ``CoefficientSet`` checks.  The kernel is its factor sum: calling it
+    adds the terms in order, skipping None factors, and broadcasts like any
+    kernel, so a term with both factors None is exactly its ``state``.  A
+    kernel with no terms is zero.  The solver folds each term, whatever the
+    model's other kernels are: ``state`` gets 1-D arrays of states (and
+    marks), ``time`` and ``lag`` the grid points (and jump times) per sweep.
     """
 
     terms: tuple
-    marks: bool = False
     name: str = "separable kernel"
 
     def __post_init__(self):
@@ -107,13 +107,12 @@ class SeparableKernel:
         except TypeError:
             message = f"{self.name}: terms must be a tuple of (time, lag, state) terms, got {self.terms!r}"
             raise ConfigurationError(message) from None
-        state = ("state", 1 + self.marks, "a function of (x, xi)" if self.marks else "a function of x")
-        rules = (("time", 1, "a function of t or None"), ("lag", 1, "a function of s or None"), state)
+        rules = {"time": "a function of t or None", "lag": "a function of s or None", "state": "a function of x[, xi]"}
         for k, term in enumerate(self.terms):
             if not (isinstance(term, tuple) and len(term) == 3):
                 raise ConfigurationError(f"{self.name}: term {k} must be a (time, lag, state) tuple, got {term!r}")
-            for (part, count, rule), fn in zip(rules, term):
-                if not (fn is None and part != "state" or _takes(fn, count)):
+            for (part, rule), fn in zip(rules.items(), term):
+                if not (callable(fn) if part == "state" else fn is None or _takes(fn, 1)):
                     raise ConfigurationError(f"{self.name}: term {k} {part} must be {rule}, got {fn!r}")
 
     def __call__(self, t, s, *state):
@@ -128,28 +127,34 @@ class SeparableKernel:
         return total
 
 
+_SLOTS = {"drift": "t s x", "diffusion": "t s x", "initial": "t", "jump": "t s x xi", "compensator": "t s x"}
+
+
+def _function_of(arguments: list) -> str:
+    return "a function of " + (arguments[0] if len(arguments) == 1 else f"({', '.join(arguments)})")
+
+
 @dataclass(frozen=True)
 class CoefficientSet:
     """Kernels of one jump-diffusion Volterra model.
 
-    ``jump=None`` switches the jump term off entirely.  A measure with no
-    mass switches it off too: ``jump`` and ``compensator`` are then set to
-    None, so ``jump is None`` is the one test for "no jumps".
-    ``compensator`` is an optional closed form for int h(t, s, x, xi)
-    nu(dxi); when absent the solver integrates h against ``measure`` by one
-    vector quadrature per path and column, a few hundred times slower than
-    a closed form.
-    ``growth_constant`` is the analytic C of the linear-growth condition
-    when one is known, finite and non-negative.  Kernels broadcast like
-    numpy ufuncs: the solver calls a plain kernel with the later grid times
-    t_{j+1..n} as a 1-D ``t``, the scalar t_j as ``s`` (``jump`` gets
-    columns of jump times and marks) and a (paths, 1) column of states as
-    ``x``.  Mark-space quadrature calls ``jump`` with a 1-D array of marks
-    and the states on a trailing axis of length one.  The solver never calls
-    a ``SeparableKernel`` whole; it folds each one, in any slot and beside
-    plain kernels: ``state`` parts get 1-D arrays of states (and marks),
-    ``time`` and ``lag`` factors the grid points (and jump times) once per
-    sweep.  A malformed slot raises ``ConfigurationError`` naming it.
+    Each slot takes its own arguments (``_SLOTS``): ``drift``, ``diffusion``
+    and ``compensator`` take (t, s, x), ``jump`` (t, s, x, xi), ``initial``
+    t, and a ``SeparableKernel``'s ``state`` parts those after t and s.  A
+    slot that is malformed or cannot take them raises ``ConfigurationError``
+    naming it.  ``jump=None``, or a measure with no mass, switches jumps
+    off: ``jump`` and ``compensator`` are then None, so ``jump is None`` is
+    the one test for "no jumps".  ``compensator`` is an optional closed form
+    for int h(t, s, x, xi) nu(dxi); without it the solver integrates h
+    against ``measure`` by one vector quadrature per path and column, a few
+    hundred times slower.  ``growth_constant`` is the analytic C of the
+    linear-growth condition when one is known, finite and non-negative.
+    Kernels broadcast like numpy ufuncs: the solver calls a plain kernel
+    with the later grid times t_{j+1..n} as a 1-D ``t``, the scalar t_j as
+    ``s`` (``jump`` gets columns of jump times and marks) and a (paths, 1)
+    column of states as ``x``; mark-space quadrature calls ``jump`` with a
+    1-D array of marks and the states on a trailing axis of length one.
+    The solver folds each ``SeparableKernel`` and never calls it whole.
     """
 
     drift: Callable
@@ -164,10 +169,16 @@ class CoefficientSet:
     def __post_init__(self):
         if not isinstance(self.measure, LevyMeasure):
             raise ConfigurationError(f"measure must be a LevyMeasure, got {self.measure!r}")
-        for slot in ("drift", "diffusion", "initial", "jump", "compensator"):
-            kernel, optional = getattr(self, slot), slot in ("jump", "compensator")
+        for slot, names in _SLOTS.items():
+            kernel, arguments, optional = getattr(self, slot), names.split(), slot in ("jump", "compensator")
             if not (callable(kernel) or optional and kernel is None):
                 raise ConfigurationError(f"{slot} must be callable{' or None' if optional else ''}, got {kernel!r}")
+            if kernel is not None and not _takes(kernel, len(arguments)):
+                raise ConfigurationError(f"{slot} must be {_function_of(arguments)}, got {kernel!r}")
+            for k, (_, _, state) in enumerate(kernel.terms if isinstance(kernel, SeparableKernel) else ()):
+                if not _takes(state, len(arguments) - 2):
+                    rule = _function_of(arguments[2:])
+                    raise ConfigurationError(f"{kernel.name}: term {k} state must be {rule}, got {state!r}")
         if self.growth_constant is not None:
             object.__setattr__(self, "growth_constant", _check_real("growth_constant", self.growth_constant, 0.0))
         if self.measure.total_mass == 0.0:
@@ -175,10 +186,6 @@ class CoefficientSet:
             object.__setattr__(self, "compensator", None)
         if self.jump is not None and self.measure.mark_sampler is None:
             raise ConfigurationError("a jump kernel with positive mass needs a measure that can sample marks")
-        for slot in ("drift", "diffusion", "jump", "compensator"):
-            kernel = getattr(self, slot)
-            if isinstance(kernel, SeparableKernel) and kernel.marks != (slot == "jump"):
-                raise ConfigurationError(f"{kernel.name}: a separable {slot} kernel needs marks={slot == 'jump'}")
 
 
 @dataclass(frozen=True)
@@ -293,7 +300,7 @@ def example_coefficients(c: float, rate: float = 2.0) -> CoefficientSet:
             ((None, None, two_x), (cos2, cos2, two_x), (sin2, sin2, two_x)), name="example diffusion"
         ),
         jump=SeparableKernel(
-            ((None, None, lambda x, xi: c * np.asarray(xi, dtype=np.float64) ** 2 * x),), True, "example jump"
+            ((None, None, lambda x, xi: c * np.asarray(xi, dtype=np.float64) ** 2 * x),), name="example jump"
         ),
         initial=_ones_like,
         measure=measure,
@@ -324,7 +331,7 @@ def linear_test_coefficients(c: float = 0.1, rate: float = 2.0) -> CoefficientSe
         drift=_linear(0.25, "linear_test drift"),
         diffusion=_linear(0.5, "linear_test diffusion"),
         jump=SeparableKernel(
-            ((None, None, lambda x, xi: c * np.asarray(xi, dtype=np.float64) * x),), True, "linear_test jump"
+            ((None, None, lambda x, xi: c * np.asarray(xi, dtype=np.float64) * x),), name="linear_test jump"
         ),
         initial=_ones_like,
         measure=measure,
@@ -578,15 +585,8 @@ def audit_modulus(coeffs: CoefficientSet, modulus: Modulus, sampler: Callable, s
     zero_ok, positive_ok, monotone_ok, concave_ok = _kappa_self_checks(modulus, d)
     probe = osgood_ladder(modulus)
     inequality_ok = not bad and bool(np.all(slack[finite] <= AUDIT_SLACK))
-    passed = (
-        inequality_ok
-        and zero_ok
-        and positive_ok
-        and monotone_ok
-        and concave_ok
-        and modulus.osgood_divergent
-        and probe.divergent
-    )
+    checks = (inequality_ok, zero_ok, positive_ok, monotone_ok, concave_ok, modulus.osgood_divergent, probe.divergent)
+    passed = all(checks)
     return ModulusAudit(
         worst_slack=float(slack[worst]),
         worst_point=(float(t[worst]), float(s[worst]), float(x[worst]), float(y[worst])),

@@ -162,7 +162,7 @@ def test_moment_check_constant_paths_sit_under_the_envelope():
     assert report.survivors == 16 and report.exploded == 0
 
 
-def test_moment_check_requires_a_growth_constant():
+def test_moment_check_and_picard_gap_require_a_growth_constant():
     grid = build_grid(0.5, 4)
     coeffs = zero_coefficients()
     stripped = type(coeffs)(
@@ -176,6 +176,10 @@ def test_moment_check_requires_a_growth_constant():
     with pytest.raises(ConfigurationError):
         moment_check(ens, stripped)
     assert moment_check(ens, stripped, growth_c=0.0).all_pass
+    noises = sample_noise_ensemble(grid, stripped.measure, 4, 3)
+    with pytest.raises(ConfigurationError, match="^no growth constant available; supply growth_c"):
+        picard_gap(stripped, noises, 1, 1, linear_modulus(0.25))
+    assert picard_gap(stripped, noises, 1, 1, linear_modulus(0.25), growth_c=0.0).all_pass
 
 
 # --- gap between successive approximations ------------------------------------

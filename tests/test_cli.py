@@ -102,6 +102,7 @@ def test_parse_accepts_comments_blanks_and_spacing():
         ("schema = svie-run/1\nmodulus = cubic\n", "modulus"),
         ("schema = svie-run/1\npicard_k_max = 2.5\n", "picard_k_max"),
         ("schema = svie-run/1\nsteps = 1e3\n", "steps"),
+        ("schema = svie-run/1\nout_dir =\n", "out_dir must be a non-empty path"),
     ],
 )
 def test_parse_errors_name_the_problem(text, fragment):
@@ -355,6 +356,25 @@ def test_verify_on_an_overflowing_picard_gap_raises_no_warning(tmp_path):
         verify_checks(strict, config, 2)
     report = "verify/verification.json"
     assert (strict / report).read_bytes() == (tmp_path / report).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"coefficient_set": "zero"}, {"coefficient_set": "deterministic_ode"}, {"jump_rate": 0.0}],
+    ids=["zero", "deterministic_ode", "example-without-jumps"],
+)
+def test_verify_passes_on_a_model_without_jumps(tmp_path, overrides):
+    config = simulate_config(steps=16, paths=20, **overrides)
+    by_name = verify_checks(tmp_path, config, 0)
+    assert list(by_name) == CHECK_NAMES
+    assert all(check["pass"] is True for check in by_name.values())
+    # no jump kernel: the compensated jump martingale is zero, and so is its bound
+    assert (by_name["doob_jump"]["value"], by_name["doob_jump"]["bound"]) == (0.0, 0.0)
+    again = tmp_path / "again"
+    again.mkdir()
+    verify_checks(again, config, 0)
+    report = "verify/verification.json"
+    assert (again / report).read_bytes() == (tmp_path / report).read_bytes()
 
 
 def test_verify_fails_on_convex_modulus(tmp_path, capsys):

@@ -157,7 +157,7 @@ def bitwise_equal(a, b):
 
 def test_separable_kernels_broadcast_in_every_call_shape():
     rng = np.random.default_rng(8)
-    separable = SeparableKernel(((np.exp, np.cos, lambda x, xi: x * xi), (None, None, lambda x, xi: xi)), marks=True)
+    separable = SeparableKernel(((np.exp, np.cos, lambda x, xi: x * xi), (None, None, lambda x, xi: xi)))
     plain = lambda t, s, x, xi: np.exp(t) * np.cos(s) * x * xi + xi
     diffusion = example_coefficients(0.1).diffusion
     old_diffusion = lambda t, s, x: 4.0 * np.cos(np.asarray(t, dtype=np.float64) - s) ** 2 * x
@@ -196,7 +196,7 @@ def test_a_term_without_time_or_lag_factors_is_the_old_kernel_bitwise():
 def test_a_kernel_without_terms_is_zero_of_the_broadcast_shape():
     zero = SeparableKernel(())
     assert bitwise_equal(zero(np.ones(3), 0.1, np.ones((2, 1))), np.zeros((2, 3)))
-    assert bitwise_equal(SeparableKernel((), marks=True)(0.2, 0.1, np.ones(4), np.ones((5, 1))), np.zeros((5, 4)))
+    assert bitwise_equal(SeparableKernel(())(0.2, 0.1, np.ones(4), np.ones((5, 1))), np.zeros((5, 4)))
     assert bitwise_equal(zero(0.2, 0.1, 3.0), 0.0)
 
 
@@ -211,11 +211,6 @@ MARKED_STATE = lambda x, xi: x * xi
         (lambda: SeparableKernel(((None, "s", STATE),), name="k"), "k: term 0 lag must be a function of s or None"),
         (lambda: SeparableKernel(((None, None, None),), name="k"), "k: term 0 state must be a function of x"),
         (lambda: SeparableKernel(((np.exp, None, STATE), (None, None)), name="k"), "k: term 1 must be a (time"),
-        (
-            lambda: SeparableKernel(((None, None, STATE),), marks=True, name="k"),
-            "k: term 0 state must be a function of (x, xi)",
-        ),
-        (lambda: SeparableKernel(((None, None, MARKED_STATE),), name="k"), "k: term 0 state must be a function of x"),
         (lambda: SeparableKernel(((lambda t, u: t, None, STATE),), name="k"), "k: term 0 time must be a function of t"),
         (lambda: SeparableKernel(None, name="k"), "k: terms must be a tuple of (time, lag, state) terms, got None"),
         (lambda: SeparableKernel(3, name="k"), "k: terms must be a tuple of (time, lag, state) terms, got 3"),
@@ -227,12 +222,53 @@ def test_malformed_separable_terms_name_the_kernel(build, message):
     assert str(info.value).startswith(message)
 
 
-def test_a_separable_kernel_needs_marks_exactly_in_the_jump_slot():
-    base = example_coefficients(0.1)
-    with pytest.raises(ConfigurationError, match="^h: a separable jump kernel needs marks=True"):
-        dataclasses.replace(base, jump=SeparableKernel(((None, None, STATE),), name="h"))
-    with pytest.raises(ConfigurationError, match="^f: a separable drift kernel needs marks=False"):
-        dataclasses.replace(base, drift=SeparableKernel(((None, None, MARKED_STATE),), marks=True, name="f"))
+@pytest.mark.parametrize(
+    "slot, kernel, message",
+    [
+        ("jump", SeparableKernel(((None, None, STATE),), name="h"), "h: term 0 state must be a function of (x, xi)"),
+        ("drift", SeparableKernel(((None, None, MARKED_STATE),), name="f"), "f: term 0 state must be a function of x"),
+        (
+            "compensator",
+            SeparableKernel(((None, None, STATE), (np.exp, None, MARKED_STATE)), name="c"),
+            "c: term 1 state must be a function of x",
+        ),
+        ("drift", lambda t, s: t, "drift must be a function of (t, s, x), got <function"),
+        ("diffusion", lambda t, s, x, xi: x, "diffusion must be a function of (t, s, x), got <function"),
+        ("jump", lambda t, s, x: x, "jump must be a function of (t, s, x, xi), got <function"),
+        ("compensator", lambda x: x, "compensator must be a function of (t, s, x), got <function"),
+        ("initial", lambda: 1.0, "initial must be a function of t, got <function"),
+        (
+            "initial",
+            SeparableKernel(((None, None, STATE),), name="phi"),
+            "initial must be a function of t, got SeparableKernel(",
+        ),
+    ],
+)
+def test_a_kernel_is_checked_against_the_arguments_of_its_slot(slot, kernel, message):
+    with pytest.raises(ConfigurationError) as info:
+        dataclasses.replace(example_coefficients(0.1), **{slot: kernel})
+    assert str(info.value).startswith(message)
+
+
+def test_a_malformed_jump_is_reported_even_on_an_empty_measure():
+    with pytest.raises(ConfigurationError, match=r"^jump must be a function of \(t, s, x, xi\)"):
+        dataclasses.replace(zero_coefficients(), jump=lambda t, s, x: x)
+    with pytest.raises(ConfigurationError, match=r"^h: term 0 state must be a function of \(x, xi\)"):
+        dataclasses.replace(zero_coefficients(), jump=SeparableKernel(((None, None, STATE),), name="h"))
+
+
+@pytest.mark.parametrize(
+    "slot, kernel",
+    [
+        ("drift", lambda *args: 0.0),
+        ("jump", lambda t, s, x, xi=None: x),
+        ("jump", SeparableKernel(((None, np.exp, lambda *state: state[0]),))),
+        ("initial", np.ones_like),
+        ("compensator", SeparableKernel(())),
+    ],
+)
+def test_a_kernel_that_takes_its_slots_arguments_is_accepted(slot, kernel):
+    assert getattr(dataclasses.replace(example_coefficients(0.1), **{slot: kernel}), slot) is kernel
 
 
 @pytest.mark.parametrize(

@@ -75,6 +75,8 @@ def test_lineage_bounds_are_enforced():
     for lineage in ((math.nan, 0), (math.inf, 0), (0, math.nan)):
         with pytest.raises(ConfigurationError):
             sample_brownian(grid, lineage)
+    with pytest.raises(ConfigurationError, match=r"^seed lineage must be a \(master_seed, path_index\) pair, got 5$"):
+        sample_brownian(grid, 5)
 
 
 def test_master_seeds_above_2_63_do_not_collide():
@@ -206,6 +208,33 @@ def test_measure_rejects_a_density_off_the_array_contract(density):
         LevyMeasure(total_mass=1.0, mark_density=density)
 
 
+EXPONENTIAL = lambda xi: np.exp(-np.asarray(xi))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: LevyMeasure(0.0, support=(1.0, 1.0)), "support must be an interval (lo, hi) with lo < hi"),
+        (lambda: LevyMeasure(1.0), "a positive-mass measure needs a mark_density"),
+        (
+            lambda: LevyMeasure(1.0, EXPONENTIAL).sample_marks(np.random.default_rng(0), 3),
+            "this measure has no mark_sampler",
+        ),
+        (
+            lambda: LevyMeasure(1.0, EXPONENTIAL, lambda rng, size: rng.exponential(size=size + 1)).sample_marks(
+                np.random.default_rng(0), 3
+            ),
+            "mark_sampler returned shape (4,), expected (3,)",
+        ),
+    ],
+    ids=["empty-support", "no-density", "no-sampler", "sampler-shape"],
+)
+def test_a_malformed_measure_or_mark_sampler_is_rejected_naming_the_problem(build, message):
+    with pytest.raises(ConfigurationError) as info:
+        build()
+    assert str(info.value).startswith(message)
+
+
 def test_measure_rejects_negative_mass():
     with pytest.raises(ConfigurationError):
         LevyMeasure.lognormal(-1.0)
@@ -285,6 +314,8 @@ def test_noise_path_accepts_a_well_formed_hand_built_path():
         (np.zeros(4), np.array([0.5]), np.array([math.nan])),  # a NaN mark
         (np.zeros((4, 1)), np.empty(0), np.empty(0)),  # 2-D increments
         (np.zeros(4), np.array([[0.5]]), np.array([[1.0]])),  # 2-D jump arrays
+        (np.zeros(3), np.empty(0), np.empty(0)),  # 3 increments on a 4-step grid
+        (np.zeros(4), np.array([0.2, 0.5]), np.ones(1)),  # 2 times, 1 mark
     ],
 )
 def test_noise_path_rejects_malformed_inputs(brownian, times, marks):

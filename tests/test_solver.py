@@ -237,7 +237,7 @@ def separable_time_dependent_coefficients(c=0.1, rate=20.0):
         diffusion=SeparableKernel(((None, None, lambda x: 0.5 * as_float(x)),)),
         initial=lambda t: np.ones_like(as_float(t)),
         measure=LevyMeasure.lognormal(rate),
-        jump=SeparableKernel(((decay, growth, lambda x, xi: c * as_float(xi) * x),), marks=True),
+        jump=SeparableKernel(((decay, growth, lambda x, xi: c * as_float(xi) * x),)),
         compensator=SeparableKernel(((decay, growth, lambda x: c * rate * math.exp(0.5) * as_float(x)),)),
         name="separable-time-dependent",
     )
@@ -361,6 +361,7 @@ def test_picard_iterates_sweep_no_further_than_the_last_wanted_k():
     base = deterministic_ode_coefficients()
     coeffs = dataclasses.replace(base, drift=lambda t, s, x: calls.append(t) or base.drift(t, s, x))
     noise = quiet_path(grid)
+    assert picard_iterates(coeffs, noise, ()) == {}
     assert list(picard_iterates(coeffs, noise, (0,))) == [0]
     assert calls == []
     assert list(picard_iterates(coeffs, noise, (2, 0))) == [0, 2]
@@ -729,7 +730,7 @@ def test_a_mixed_model_never_calls_a_separable_kernel_whole(name):
     coeffs = MIXED_MODELS[name]
     kernels = {k: getattr(coeffs, k) for k in ("drift", "diffusion", "jump", "compensator")}
     counted = {
-        k: Counting(v.terms, v.marks, k) if isinstance(v, SeparableKernel) else recorded(v) for k, v in kernels.items()
+        k: Counting(v.terms, k) if isinstance(v, SeparableKernel) else recorded(v) for k, v in kernels.items()
     }
     grid, paths = build_grid(0.5, 16), 5
     ensemble_simulate(dataclasses.replace(coeffs, **counted), grid, paths, master_seed=73)
