@@ -36,7 +36,7 @@ from .coefficients import (
     scale_for_log_modulus,
 )
 from .errors import ConfigParseError, ConfigurationError, SvieError, _check_int, _check_real
-from .grid_noise import _check_lineage, build_grid, sample_noise_ensemble, sample_noise_path
+from .grid_noise import _check_lineage, build_grid, compensator_integral, sample_noise_ensemble, sample_noise_path
 from .solver import ensemble_simulate, picard_solve
 
 __all__ = ["RunConfig", "parse_config", "emit_config", "load_config", "main"]
@@ -90,8 +90,13 @@ class RunConfig:
             checked["picard_k_max"] = _check_int("picard_k_max", self.picard_k_max, 1)
         for name, value in checked.items():
             object.__setattr__(self, name, value)
-        if not self.out_dir:
-            raise ConfigurationError("out_dir must be a non-empty path")
+        if not isinstance(self.out_dir, str) or not self.out_dir:
+            raise ConfigurationError(f"out_dir must be a non-empty path string, got {self.out_dir!r}")
+        # emit_config writes it on one line, which parse_config cuts at '#' and strips
+        if "#" in self.out_dir or self.out_dir.strip() != self.out_dir or self.out_dir.splitlines() != [self.out_dir]:
+            raise ConfigurationError(
+                f"out_dir must hold no '#', line break or leading or trailing whitespace, got {self.out_dir!r}"
+            )
 
 
 # field -> the type its text is parsed with, from RunConfig's annotations;
@@ -292,12 +297,9 @@ def cmd_verify(config: RunConfig, out_dir: Path) -> int:
         return doob(analysis.brownian_martingale_ensemble(grid, sigma, _DOOB_PATHS, seed + 2))
 
     def check_doob_jump():
-        if coeffs.jump is None:
-            integrand = lambda s, xi: np.zeros_like(np.asarray(s, dtype=np.float64))
-            rate = None
-        else:
-            integrand = lambda s, xi: coeffs.jump(horizon, s, 1.0, xi)
-            rate = (lambda s: coeffs.compensator(horizon, s, 1.0)) if coeffs.compensator else None
+        # a catalogue model without jumps has an empty measure, so the integrand is never called
+        integrand = lambda s, xi: coeffs.jump(horizon, s, 1.0, xi)
+        rate = lambda s: compensator_integral(coeffs, horizon, s, 1.0)
         ens = analysis.compensated_jump_ensemble(
             grid, coeffs.measure, integrand, _DOOB_PATHS, seed + 3, compensator_rate=rate
         )

@@ -74,6 +74,8 @@ def _takes(fn, count: int) -> bool:
     """Whether ``fn`` can be called with ``count`` positional arguments, as far as its signature tells."""
     if not callable(fn):
         return False
+    if isinstance(fn, np.ufunc):  # its signature lists ``out`` as a positional parameter
+        return fn.nin == count
     try:
         inspect.signature(fn).bind(*range(count))
     except ValueError:  # no signature to read
@@ -528,7 +530,8 @@ class ModulusAudit:
 
     ``worst_slack`` is the largest excess of a squared kernel difference over
     scale * kappa(|x - y|^2) after subtracting the certified quadrature error
-    of the jump term; the audit passes when it stays within AUDIT_SLACK.
+    of the jump term; the audit passes when it stays within AUDIT_SLACK.  It
+    is nan when no sample gave finite values.
     """
 
     worst_slack: float
@@ -588,7 +591,7 @@ def audit_modulus(coeffs: CoefficientSet, modulus: Modulus, sampler: Callable, s
     checks = (inequality_ok, zero_ok, positive_ok, monotone_ok, concave_ok, modulus.osgood_divergent, probe.divergent)
     passed = all(checks)
     return ModulusAudit(
-        worst_slack=float(slack[worst]),
+        worst_slack=float(slack[worst]) if finite.any() else math.nan,
         worst_point=(float(t[worst]), float(s[worst]), float(x[worst]), float(y[worst])),
         kappa_zero_ok=zero_ok,
         positive_ok=positive_ok,

@@ -16,14 +16,16 @@ lower triangular, which is why successive approximation started from
 x^0 = phi reproduces the direct recursion exactly after at most n
 iterations and the (n+1)-th sweep changes nothing.
 
-Every solver runs one sweep over a (paths, n + 1) block, with one push
-step that treats each kernel by its kind.  Each row starts at phi; once
-column j is final, a plain kernel is called once on the later grid times
-t_{j+1..n} to push the column into every later row of all paths, and the
-jumps with floor(tau) = j follow.  A ``SeparableKernel``, a sum of
-time(t) lag(s) state(x) terms, instead folds column j into one running sum
-per term and path, and row j + 1 adds those sums.  Each path sums in the
-same order, j = 0, 1, ..., its own jumps in time order, so no value
+Every solver runs one sweep, ``_sweep``, over a (paths, n + 1) block: one
+loop over the columns, which treats each kernel by its kind.  Each row
+starts at phi; once column j is final, a plain kernel is called once on the
+later grid times t_{j+1..n} to push the column into every later row of all
+paths, and the jumps with floor(tau) = j follow.  A ``SeparableKernel``, a
+sum of time(t) lag(s) state(x) terms, instead folds column j into one
+running sum per term and path, and row j + 1 adds those sums.  The drift,
+diffusion and compensator share one table of kernels and their increments
+(dt, dW_j and -dt); the jump kernel has its own scatter.  Each path sums in
+the same order, j = 0, 1, ..., its own jumps in time order, so no value
 depends on the other paths of the batch.
 ``ensemble_simulate`` is one batch; ``direct_recursion`` is a batch of
 one, so each ensemble row is bitwise equal to the single-path solve of its
@@ -96,7 +98,13 @@ class PicardRun:
 
 def _initial_curve(coeffs: CoefficientSet, grid: TimeGrid) -> np.ndarray:
     """phi on the grid points, which is also the Picard start x^0."""
-    return np.array(np.broadcast_to(np.asarray(coeffs.initial(grid.points), dtype=np.float64), grid.points.shape))
+    phi = np.asarray(coeffs.initial(grid.points), dtype=np.float64)
+    try:
+        return np.array(np.broadcast_to(phi, grid.points.shape))
+    except ValueError:
+        raise ConfigurationError(
+            f"initial gave shape {phi.shape} on the grid's points, which does not broadcast to {grid.points.shape}"
+        ) from None
 
 
 class _NoiseBatch(NamedTuple):
@@ -130,30 +138,37 @@ def _noise_batch(noises: Sequence[NoisePath]) -> _NoiseBatch:
     return _NoiseBatch(grid, brownian, times, marks, paths, np.searchsorted(times, grid.points, side="right"))
 
 
-def _push(coeffs: CoefficientSet, batch: _NoiseBatch, source: np.ndarray, out: np.ndarray):
-    """Push column j of ``source`` into the later rows of ``out``, each kernel by its kind.
+@np.errstate(over="ignore", invalid="ignore")  # the finiteness check reports an overflow, not numpy
+def _sweep(coeffs: CoefficientSet, batch: _NoiseBatch, source: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill the (paths, n + 1) block ``out`` column by column from ``source``.
 
-    A plain kernel is called once on t_{j+1..n}, the scalar t_j and the
-    (paths, 1) column of states, and its cells go into every later row: O(n
-    - j) cells.  A ``SeparableKernel`` folds the column into one running sum
-    A per term and path instead: lag(t_j) state(x_j) times its increment (dt
-    for the drift, dW_j for the diffusion, -dt for the compensator), and a
-    jump of the column adds lag(tau) state(x_j, xi).  Row j + 1 then adds
-    sum time(t_{j+1}) A in term order.  Jumps go in unbuffered and in list
-    order, and every other step is elementwise per path, with no BLAS call
-    whose blocking could see the batch.
+    Rows start at phi; once column j of ``out`` is final, column j of
+    ``source`` is pushed into the later rows, each kernel by its kind.  The
+    drift, diffusion and compensator form one table of (kernel, increment)
+    entries, with increments dt, dW_j and -dt.  A plain kernel is called once
+    on t_{j+1..n}, the scalar t_j and the (paths, 1) column of states, and
+    its cells times the increment go into every later row: O(n - j) cells.
+    A ``SeparableKernel`` instead folds the column into one running sum A per
+    term and path, lag(t_j) state(x_j) times the increment.  The column's
+    jumps follow: a plain jump kernel scatters its cells into the later rows,
+    a separable one adds lag(tau) state(x_j, xi) to its sums.  Row j + 1 then
+    adds sum time(t_{j+1}) A in term order.  Jumps go in unbuffered and in
+    list order, and every other step is elementwise per path, with no BLAS
+    call whose blocking could see the batch.
+
+    When ``source`` is ``out`` this is the direct recursion; when it is a
+    previous iterate, one Picard step.  Returns each path's first grid index
+    with a non-finite state, -1 where there is none.  That state is parked at
+    0, so kernels only ever see finite states, and the caller discards the
+    row.  The sweep stops once every path has exploded, and parks the rows it
+    did not reach at 0 too.  ``batch`` is checked and laid out once per
+    solve, by ``_noise_batch``.
     """
     grid, dW, jtimes, jmarks, jpath, jcells = batch
-    pts, dt = grid.points, grid.dt
+    pts = grid.points
     comp = None
     if coeffs.jump is not None:
         comp = coeffs.compensator or (lambda t, s, x: compensator_integral(coeffs, t, s, x))
-    kernels = (coeffs.drift, coeffs.diffusion, comp, coeffs.jump)
-    # the plain kernels; a separable or missing one is None and adds no cells
-    drift, diffusion, comp, jump = (None if isinstance(k, SeparableKernel) else k for k in kernels)
-
-    def cells(kernel, t, s, x):
-        return 0.0 if kernel is None else kernel(t, s, x)
 
     def factor(fn, at):
         return None if fn is None else np.broadcast_to(np.asarray(fn(at), dtype=np.float64), at.shape)
@@ -163,65 +178,18 @@ def _push(coeffs: CoefficientSet, batch: _NoiseBatch, source: np.ndarray, out: n
             return []
         return [(factor(time, pts), factor(lag, lag_at), state, np.zeros(len(dW))) for time, lag, state in kernel.terms]
 
-    # increments in the order dt, dW_j, -dt
-    folds = [running(kernel, pts) for kernel in kernels[:3]]
+    # each slot's increments as a (paths, n) block; dt and -dt are views of one scalar, not copies
+    dt, minus_dt = (np.broadcast_to(step, dW.shape) for step in (grid.dt, -grid.dt))
+    table = [
+        (kernel, increments, running(kernel, pts))
+        for kernel, increments in ((coeffs.drift, dt), (coeffs.diffusion, dW), (comp, minus_dt))
+        if kernel is not None
+    ]
     jumps = running(coeffs.jump, jtimes)
-    sums = [(time, acc) for terms in folds + [jumps] for time, _, _, acc in terms]
-    plain = any(kernel is not None for kernel in (drift, diffusion, comp))
-    folding = any(folds)
-
-    def push(j: int) -> None:
-        t, s = pts[j + 1 :], pts[j]
-        if plain:
-            x = source[:, j, None]
-            f = cells(drift, t, s, x) - cells(comp, t, s, x)
-            out[:, j + 1 :] += f * dt + cells(diffusion, t, s, x) * dW[:, j, None]
-        if folding:
-            # columns of the row-major blocks are strided; contiguous copies
-            # halve the sweep at 10 000 paths and change no value
-            x = source[:, j].copy()
-            for terms, increment in zip(folds, (dt, dW[:, j].copy(), -dt)):
-                for _, lag, state, acc in terms:
-                    cell = state(x) * increment
-                    acc += cell if lag is None else lag[j] * cell
-        lo, hi = jcells[j], jcells[j + 1]
-        if coeffs.jump is not None and lo < hi:
-            # unbuffered and in list order: each path adds its own jumps
-            # left to right, whatever else is in the batch
-            paths = jpath[lo:hi]
-            x, marks = source[paths, j], jmarks[lo:hi]
-            if jump is not None:
-                np.add.at(out[:, j + 1 :], paths, jump(t, jtimes[lo:hi, None], x[:, None], marks[:, None]))
-            for _, lag, state, acc in jumps:
-                cell = state(x, marks)
-                np.add.at(acc, paths, cell if lag is None else lag[lo:hi] * cell)
-        if sums:
-            row = out[:, j + 1].copy()
-            for time, acc in sums:
-                row += acc if time is None else time[j + 1] * acc
-            out[:, j + 1] = row
-
-    return push
-
-
-@np.errstate(over="ignore", invalid="ignore")  # the finiteness check reports an overflow, not numpy
-def _sweep(coeffs: CoefficientSet, batch: _NoiseBatch, source: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill the (paths, n + 1) block ``out`` column by column from ``source``.
-
-    Rows start at phi; once column j of ``out`` is final, column j of
-    ``source`` is pushed into the later rows by ``_push``, which folds each
-    separable kernel and pushes the cells of each plain one.
-    When ``source`` is ``out`` this is the direct recursion; when it is a
-    previous iterate, one Picard step.  Returns each path's first grid index
-    with a non-finite state, -1 where there is none.  That state is parked at
-    0, so kernels only ever see finite states, and the caller discards the
-    row.  The sweep stops once every path has exploded, and parks the rows it
-    did not reach at 0 too.  ``batch`` is checked and laid out once per
-    solve, by ``_noise_batch``.
-    """
-    push = _push(coeffs, batch, source, out)
-    explosion = np.full(len(batch.brownian), -1, dtype=np.int64)
-    out[:] = _initial_curve(coeffs, batch.grid)
+    folds = [terms for _, _, terms in table] + [jumps]
+    sums = [(time, acc) for terms in folds for time, _, _, acc in terms]
+    explosion = np.full(len(dW), -1, dtype=np.int64)
+    out[:] = _initial_curve(coeffs, grid)
     for j in range(out.shape[1]):
         col = out[:, j]
         # the sum is finite unless some state is not (or the sum overflows,
@@ -233,9 +201,37 @@ def _sweep(coeffs: CoefficientSet, batch: _NoiseBatch, source: np.ndarray, out: 
                 out[:, j:] = 0.0
                 break
             col[bad] = 0.0
-        if j == batch.grid.steps:
+        if j == grid.steps:
             break
-        push(j)
+        t, s = pts[j + 1 :], pts[j]
+        # columns of the row-major blocks are strided; contiguous copies
+        # halve the sweep at 10 000 paths and change no value
+        x = source[:, j].copy()
+        for kernel, increments, terms in table:
+            if isinstance(kernel, SeparableKernel):
+                increment = increments[:, j].copy()
+                for _, lag, state, acc in terms:
+                    cell = state(x) * increment
+                    acc += cell if lag is None else lag[j] * cell
+            else:
+                out[:, j + 1 :] += kernel(t, s, x[:, None]) * increments[:, j, None]
+        lo, hi = jcells[j], jcells[j + 1]
+        if coeffs.jump is not None and lo < hi:
+            # unbuffered and in list order: each path adds its own jumps
+            # left to right, whatever else is in the batch
+            paths, marks = jpath[lo:hi], jmarks[lo:hi]
+            if isinstance(coeffs.jump, SeparableKernel):
+                for _, lag, state, acc in jumps:
+                    cell = state(x[paths], marks)
+                    np.add.at(acc, paths, cell if lag is None else lag[lo:hi] * cell)
+            else:
+                cells = coeffs.jump(t, jtimes[lo:hi, None], x[paths, None], marks[:, None])
+                np.add.at(out[:, j + 1 :], paths, cells)
+        if sums:
+            row = out[:, j + 1].copy()
+            for time, acc in sums:
+                row += acc if time is None else time[j + 1] * acc
+            out[:, j + 1] = row
     return explosion
 
 

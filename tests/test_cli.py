@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import PurePosixPath
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from svie import cli
 from svie.analysis import uniform_moment_bound
 from svie.cli import RunConfig, _build_model, emit_config, load_config, main, parse_config
 from svie.coefficients import COEFFICIENT_SETS, MODULI
-from svie.errors import ConfigParseError, NumericalError
+from svie.errors import ConfigParseError, ConfigurationError, NumericalError
 from svie.grid_noise import build_grid
 
 CUSTOM = RunConfig(
@@ -44,6 +45,23 @@ def test_config_round_trips_through_text():
     # integral floats are stored as ints, so their text parses back
     for config in (RunConfig(), CUSTOM, RunConfig(steps=8.0), RunConfig(master_seed=3.0)):
         assert parse_config(emit_config(config)) == config
+
+
+@pytest.mark.parametrize(
+    "out_dir, message",
+    [(bad, "out_dir must hold no '#'") for bad in ("out#1", "a\nb", "a\rb", "a\u2028b", " out", "out\t", "out\n")]
+    + [(PurePosixPath("out"), "out_dir must be a non-empty path string, got PurePosixPath('out')")],
+)
+def test_an_out_dir_the_config_text_cannot_hold_is_rejected(out_dir, message):
+    with pytest.raises(ConfigurationError) as info:
+        RunConfig(out_dir=out_dir)
+    assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("out_dir", ["out", "runs/a b", "./x=1", "C:\\runs", "ünïcode"])
+def test_an_out_dir_round_trips_through_text(out_dir):
+    config = RunConfig(out_dir=out_dir)
+    assert parse_config(emit_config(config)) == config
 
 
 def test_emitted_text_is_canonical():

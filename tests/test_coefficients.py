@@ -232,7 +232,9 @@ def test_malformed_separable_terms_name_the_kernel(build, message):
             SeparableKernel(((None, None, STATE), (np.exp, None, MARKED_STATE)), name="c"),
             "c: term 1 state must be a function of x",
         ),
+        ("jump", SeparableKernel(((None, None, np.exp),), name="h"), "h: term 0 state must be a function of (x, xi)"),
         ("drift", lambda t, s: t, "drift must be a function of (t, s, x), got <function"),
+        ("drift", np.add, "drift must be a function of (t, s, x), got <ufunc 'add'>"),
         ("diffusion", lambda t, s, x, xi: x, "diffusion must be a function of (t, s, x), got <function"),
         ("jump", lambda t, s, x: x, "jump must be a function of (t, s, x, xi), got <function"),
         ("compensator", lambda x: x, "compensator must be a function of (t, s, x), got <function"),
@@ -265,6 +267,8 @@ def test_a_malformed_jump_is_reported_even_on_an_empty_measure():
         ("jump", SeparableKernel(((None, np.exp, lambda *state: state[0]),))),
         ("initial", np.ones_like),
         ("compensator", SeparableKernel(())),
+        ("jump", SeparableKernel(((None, None, np.multiply),))),
+        ("drift", SeparableKernel(((np.exp, np.exp, STATE),))),
     ],
 )
 def test_a_kernel_that_takes_its_slots_arguments_is_accepted(slot, kernel):
@@ -448,6 +452,15 @@ def test_growth_audit_names_a_nan_sample():
     assert audit.bad_points
     t, s, x = audit.bad_points[0]
     assert x > 5.0
+
+
+def test_both_audits_report_nan_when_no_sample_is_finite():
+    broken = dataclasses.replace(zero_coefficients(), drift=lambda t, s, x: np.full(np.shape(x), np.nan))
+    growth = audit_linear_growth(broken, domain_sampler(1.0, 10.0, seed=8), 50)
+    modulus = audit_modulus(broken, linear_modulus(1.0), pair_sampler(1.0, 10.0, seed=8), 50)
+    assert math.isnan(growth.estimated_constant) and not growth.passed
+    assert math.isnan(modulus.worst_slack) and not modulus.passed
+    assert len(modulus.bad_points) == 50
 
 
 # --- modulus audit ----------------------------------------------------------

@@ -298,6 +298,14 @@ def test_time_dependent_kernels_do_not_depend_on_the_batch():
 # --- successive approximation -------------------------------------------------
 
 
+@pytest.mark.parametrize("solve", [direct_recursion, lambda coeffs, noise: picard_iterates(coeffs, noise, (0,))])
+def test_an_initial_curve_that_does_not_fit_the_grid_is_rejected(solve):
+    coeffs = dataclasses.replace(deterministic_ode_coefficients(), initial=lambda t: np.ones(3))
+    message = r"^initial gave shape \(3,\) on the grid's points, which does not broadcast to \(9,\)$"
+    with pytest.raises(ConfigurationError, match=message):
+        solve(coeffs, quiet_path(build_grid(1.0, 8)))
+
+
 def test_first_iterate_uses_initial_curve_everywhere():
     grid = build_grid(1.0, 2)
     coeffs = deterministic_ode_coefficients()
