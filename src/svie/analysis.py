@@ -36,7 +36,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet, Modulus, bihari_integral
 from .errors import AnalysisError, ConfigurationError, DomainError, ExplosionError, NumericalError
-from .errors import _check_int, _check_real
+from .errors import _check_int, _check_real, _check_shape
 from .grid_noise import LevyMeasure, NoisePath, TimeGrid
 from .solver import Ensemble, _iterates, _noise_batch
 from .solver import picard_iterates  # noqa: F401 -- perfbench/tracer.py wraps analysis.picard_iterates by name
@@ -58,8 +58,7 @@ __all__ = [
     "compensated_jump_ensemble",
 ]
 
-_BATCH = 16384  # paths per random draw of the Doob builders; fixes the jump builder's draw order
-_BLOCK = 1024  # paths per in-place reduction in one reused ~1 MB buffer; divides _BATCH, changes no output
+_BLOCK = 1024  # paths the Doob builders draw and reduce at a time, in one reused ~1 MB buffer
 
 
 # --- inverse of the comparison function ------------------------------------
@@ -120,8 +119,13 @@ class DoobReport:
     passed: bool
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def mean_stderr(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean along axis 0 (over paths) and its standard error, 0 for one path."""
+    """Mean along axis 0 (over paths) and its standard error, 0 for one path.
+
+    Values too large to sum or square give an inf or nan result, without a
+    numpy warning.
+    """
     n = values.shape[0]
     mean = np.mean(values, axis=0)
     se = np.std(values, axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
@@ -379,19 +383,17 @@ class MartingaleEnsemble:
     terminal: np.ndarray
 
 
-def _martingale_ensemble(n_paths: int, seed: int, width: int, draw: Callable) -> MartingaleEnsemble:
-    """Reduce paths of ``width`` times block by block: ``draw(rng, b)`` draws a batch
-    of b paths and returns ``fill(x, r)``, which writes its paths r, r+1, ... into x."""
+def _martingale_ensemble(n_paths: int, seed: int, width: int, fill: Callable) -> MartingaleEnsemble:
+    """Reduce paths of ``width`` times block by block: ``fill(rng, x)`` draws the
+    next len(x) paths from ``rng`` into the reused block ``x``."""
     n_paths = _check_int("n_paths", n_paths, 1)
     rng = np.random.default_rng(_check_int("seed", seed, 0))
     sup_abs = np.empty(n_paths)
     terminal = np.empty(n_paths)
     block = np.empty((min(_BLOCK, n_paths), width))
     for lo in range(0, n_paths, _BLOCK):
-        if lo % _BATCH == 0:
-            fill = draw(rng, min(_BATCH, n_paths - lo))
         x = block[: min(_BLOCK, n_paths - lo)]
-        fill(x, lo % _BATCH)
+        fill(rng, x)
         terminal[lo : lo + len(x)] = x[:, -1]
         np.max(np.abs(x, out=x), axis=1, out=sup_abs[lo : lo + len(x)])
     # squares of exploding paths overflow to inf, which doob_check rejects
@@ -407,14 +409,14 @@ def brownian_martingale_ensemble(
 ) -> MartingaleEnsemble:
     """X(t_i) = sum_{j<i} sigma(t_j) dW_j for a deterministic sigma; normals are drawn per block."""
     n = grid.steps
-    sigma = np.broadcast_to(np.asarray(integrand(grid.points[:-1]), dtype=np.float64), (n,))
+    sigma = _check_shape("integrand", integrand(grid.points[:-1]), (n,))
     scale = math.sqrt(grid.dt)
 
     def fill(rng: np.random.Generator, x: np.ndarray) -> None:
         np.multiply(rng.standard_normal(out=x), scale, out=x)  # not z * (scale * sigma), which rounds differently
         np.cumsum(np.multiply(x, sigma, out=x), axis=1, out=x)
 
-    return _martingale_ensemble(n_paths, seed, n, lambda rng, b: lambda x, r: fill(rng, x))
+    return _martingale_ensemble(n_paths, seed, n, fill)
 
 
 def compensated_jump_ensemble(
@@ -432,36 +434,30 @@ def compensated_jump_ensemble(
     else computed by one vector quadrature of u against the mark density
     over all grid times, which it passes on a leading axis and the marks
     on a trailing one.  The running max is evaluated at grid times.
-    Counts, times and marks are drawn per batch, then summed onto the grid
-    per block in draw order, so the blocks change no output.
+    Counts, times and marks are drawn per block and summed onto the grid
+    in draw order.
     """
     pts = grid.points
     n = grid.steps
     if measure.total_mass == 0.0:
-        return _martingale_ensemble(n_paths, seed, n + 1, lambda rng, b: lambda x, r: x.fill(0.0))
+        return _martingale_ensemble(n_paths, seed, n + 1, lambda rng, x: x.fill(0.0))
     if compensator_rate is not None:
-        rate = np.broadcast_to(np.asarray(compensator_rate(pts), dtype=np.float64), (n + 1,))
+        rate = _check_shape("compensator_rate", compensator_rate(pts), (n + 1,))
     else:
-        rate = np.broadcast_to(measure.integrate(lambda xi: integrand(pts[:, np.newaxis], xi)), (n + 1,))
+        rate = _check_shape("integrand", measure.integrate(lambda xi: integrand(pts[:, np.newaxis], xi)), (n + 1,))
     comp = _cumulative_trapezoid(rate, pts)
     mean_count = measure.total_mass * grid.horizon
 
-    def draw(rng: np.random.Generator, b: int) -> Callable:
-        counts = rng.poisson(mean_count, b)
+    def fill(rng: np.random.Generator, x: np.ndarray) -> None:
+        counts = rng.poisson(mean_count, len(x))
         total = int(counts.sum())
         times = grid.horizon * (1.0 - rng.random(total))
         marks = measure.sample_marks(rng, total)
-        jumps = np.broadcast_to(np.asarray(integrand(times, marks), dtype=np.float64), times.shape)
+        jumps = _check_shape("integrand", integrand(times, marks), times.shape)
         # flat (path, first grid time >= tau) cell of each jump, path by path
-        cells = np.repeat(np.arange(b) * (n + 1), counts) + np.searchsorted(pts, times, side="left")
-        starts = np.concatenate(([0], np.cumsum(counts)))
+        cells = np.repeat(np.arange(len(x)) * (n + 1), counts) + np.searchsorted(pts, times, side="left")
+        flat = np.bincount(cells, weights=jumps, minlength=x.size)
+        np.cumsum(flat.reshape(x.shape), axis=1, out=x)
+        np.subtract(x, comp, out=x)
 
-        def fill(x: np.ndarray, r: int) -> None:
-            lo, hi = starts[r], starts[r + len(x)]
-            flat = np.bincount(cells[lo:hi] - r * (n + 1), weights=jumps[lo:hi], minlength=x.size)
-            np.cumsum(flat.reshape(x.shape), axis=1, out=x)
-            np.subtract(x, comp, out=x)
-
-        return fill
-
-    return _martingale_ensemble(n_paths, seed, n + 1, draw)
+    return _martingale_ensemble(n_paths, seed, n + 1, fill)

@@ -216,8 +216,10 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
     (out_dir / "paths.csv").write_text(_paths_csv(grid.points, ensemble.values), encoding="utf-8")
     surv = ensemble.survivors
     if surv.shape[0] > 0:
-        second, second_se = analysis.mean_stderr(surv * surv)
-        mean, second, second_se = (a.tolist() for a in (np.mean(surv, axis=0), second, second_se))
+        with np.errstate(over="ignore"):  # a moment past the largest double is written as null
+            second, second_se = analysis.mean_stderr(surv * surv)
+            mean = np.mean(surv, axis=0)
+        mean, second, second_se = ([_json_num(v) for v in a] for a in (mean, second, second_se))
     else:
         mean = second = second_se = None
     summary = {

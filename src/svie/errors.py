@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 __all__ = [
     "SvieError",
     "ConfigurationError",
@@ -84,3 +86,16 @@ def _check_real(name: str, value, low: float | None = None, strict: bool = False
     else:
         rule = f"finite and {'greater than' if strict else 'at least'} {low:g}"
     raise ConfigurationError(f"{name} must be {rule}, got {value!r}")
+
+
+def _check_shape(name: str, values, shape: tuple) -> np.ndarray:
+    """``values`` as float64 broadcast to ``shape`` (a read-only view).
+
+    An array that does not broadcast raises ConfigurationError naming the
+    argument and both shapes, not numpy's ValueError.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    try:
+        return np.broadcast_to(values, shape)
+    except ValueError:
+        raise ConfigurationError(f"{name} gave shape {values.shape}, which does not broadcast to {shape}") from None

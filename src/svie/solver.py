@@ -52,7 +52,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .coefficients import CoefficientSet, SeparableKernel
-from .errors import ConfigurationError, ExplosionError, _check_int, _check_real
+from .errors import ConfigurationError, ExplosionError, _check_int, _check_real, _check_shape
 from .grid_noise import NoisePath, TimeGrid, compensator_integral, sample_noise_ensemble
 from .grid_noise import sample_noise_path  # noqa: F401 -- perfbench/tracer.py wraps solver.sample_noise_path by name
 
@@ -98,13 +98,7 @@ class PicardRun:
 
 def _initial_curve(coeffs: CoefficientSet, grid: TimeGrid) -> np.ndarray:
     """phi on the grid points, which is also the Picard start x^0."""
-    phi = np.asarray(coeffs.initial(grid.points), dtype=np.float64)
-    try:
-        return np.array(np.broadcast_to(phi, grid.points.shape))
-    except ValueError:
-        raise ConfigurationError(
-            f"initial gave shape {phi.shape} on the grid's points, which does not broadcast to {grid.points.shape}"
-        ) from None
+    return np.array(_check_shape("initial", coeffs.initial(grid.points), grid.points.shape))
 
 
 class _NoiseBatch(NamedTuple):
@@ -170,13 +164,16 @@ def _sweep(coeffs: CoefficientSet, batch: _NoiseBatch, source: np.ndarray, out: 
     if coeffs.jump is not None:
         comp = coeffs.compensator or (lambda t, s, x: compensator_integral(coeffs, t, s, x))
 
-    def factor(fn, at):
-        return None if fn is None else np.broadcast_to(np.asarray(fn(at), dtype=np.float64), at.shape)
+    def factor(kernel, k, part, fn, at):
+        return None if fn is None else _check_shape(f"{kernel.name}: term {k} {part}", fn(at), at.shape)
 
     def running(kernel, lag_at):
         if not isinstance(kernel, SeparableKernel):
             return []
-        return [(factor(time, pts), factor(lag, lag_at), state, np.zeros(len(dW))) for time, lag, state in kernel.terms]
+        return [
+            (factor(kernel, k, "time", time, pts), factor(kernel, k, "lag", lag, lag_at), state, np.zeros(len(dW)))
+            for k, (time, lag, state) in enumerate(kernel.terms)
+        ]
 
     # each slot's increments as a (paths, n) block; dt and -dt are views of one scalar, not copies
     dt, minus_dt = (np.broadcast_to(step, dW.shape) for step in (grid.dt, -grid.dt))

@@ -380,6 +380,14 @@ def test_majorant_rejects_bad_arguments():
         majorant_recursion(1.0, linear_modulus(1.0), window=0.0)
 
 
+def test_majorant_names_the_iteration_where_a_decreasing_kappa_breaks_the_chain():
+    # kappa(c3 t) = exp(-t) <= c3 holds, but psi_3 = int exp(-(1 - e^-s)) ds
+    # exceeds psi_2 = 1 - e^-t, since a decreasing kappa is not concave
+    decreasing = Modulus(kappa=lambda u: np.exp(-np.asarray(u)), scale=1.0, osgood_divergent=False)
+    with pytest.raises(AnalysisError, match="^majorant chain broke at iteration 3: psi_3 > psi_2 somewhere$"):
+        majorant_recursion(1.0, decreasing, window=0.5, steps=64, iterations=5)
+
+
 # --- martingale ensemble builders ----------------------------------------------
 
 
@@ -398,6 +406,34 @@ def test_brownian_builder_matches_left_endpoint_variance():
     ens = brownian_martingale_ensemble(grid, lambda s: s, 20000, seed=9)
     expected = float(np.sum(grid.points[:-1] ** 2) * grid.dt)
     assert ens.terminal_sq.mean() == pytest.approx(expected, rel=0.05)
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (
+            lambda grid: brownian_martingale_ensemble(grid, lambda s: np.ones(3), 10, seed=1),
+            r"^integrand gave shape \(3,\), which does not broadcast to \(8,\)$",
+        ),
+        (
+            lambda grid: compensated_jump_ensemble(
+                grid, LevyMeasure.lognormal(1.0), lambda s, xi: xi, 10, seed=1, compensator_rate=lambda s: np.ones(3)
+            ),
+            r"^compensator_rate gave shape \(3,\), which does not broadcast to \(9,\)$",
+        ),
+        (
+            # enough paths that a block holds more than two jumps
+            lambda grid: compensated_jump_ensemble(
+                grid, LevyMeasure.lognormal(5.0), lambda s, xi: np.ones(2), 100, seed=1, compensator_rate=lambda s: s
+            ),
+            r"^integrand gave shape \(2,\), which does not broadcast to \(\d+,\)$",
+        ),
+    ],
+    ids=["brownian-integrand", "compensator-rate", "jump-integrand"],
+)
+def test_builders_name_an_argument_of_the_wrong_shape(build, message):
+    with pytest.raises(ConfigurationError, match=message):
+        build(build_grid(1.0, 8))
 
 
 def test_jump_builder_zero_mass_gives_zero_paths():
@@ -452,11 +488,11 @@ def test_jump_builder_quadrature_route_reads_each_grid_time():
 
 
 def _one_shot_ensemble(n_paths, draw):
-    # reference: each batch of _BATCH paths drawn as one dense (paths, times)
-    # array and reduced out of place, with no blocks
+    # reference: each block of _BLOCK paths drawn as one fresh dense
+    # (paths, times) array and reduced out of place, with no reused buffer
     sup_abs, terminal = np.empty(n_paths), np.empty(n_paths)
-    for done in range(0, n_paths, analysis._BATCH):
-        x = draw(min(analysis._BATCH, n_paths - done))
+    for done in range(0, n_paths, analysis._BLOCK):
+        x = draw(min(analysis._BLOCK, n_paths - done))
         sup_abs[done : done + len(x)] = np.max(np.abs(x), axis=1)
         terminal[done : done + len(x)] = x[:, -1]
     return sup_abs * sup_abs, terminal * terminal, terminal
@@ -522,7 +558,9 @@ _BUILDER_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_BUILDER_CASES))
 @pytest.mark.parametrize(
-    "n_paths", [1, analysis._BLOCK - 1, analysis._BLOCK + 1, analysis._BATCH + 3], ids=["1", "block-1", "block+1", "batch+3"]
+    "n_paths",
+    [1, analysis._BLOCK - 1, analysis._BLOCK + 1, 3 * analysis._BLOCK + 3],
+    ids=["1", "block-1", "block+1", "3blocks+3"],
 )
 def test_block_streamed_builders_equal_the_one_shot_builders_bitwise(case, n_paths):
     streamed, one_shot = _BUILDER_CASES[case]
@@ -534,7 +572,7 @@ def test_block_streamed_builders_equal_the_one_shot_builders_bitwise(case, n_pat
 
 
 @pytest.mark.parametrize("case", ["brownian", "jump-closed-form"])
-def test_builder_memory_is_bounded_by_a_block_and_a_batch(case):
+def test_builder_memory_is_bounded_by_a_block(case):
     # the returned arrays and the two per-path reductions take 32 bytes a
     # path; everything else the builder holds must not grow with n_paths
     streamed = _BUILDER_CASES[case][0]

@@ -13,9 +13,9 @@ import pytest
 from svie import cli
 from svie.analysis import uniform_moment_bound
 from svie.cli import RunConfig, _build_model, emit_config, load_config, main, parse_config
-from svie.coefficients import COEFFICIENT_SETS, MODULI
+from svie.coefficients import COEFFICIENT_SETS, MODULI, CoefficientSet
 from svie.errors import ConfigParseError, ConfigurationError, NumericalError
-from svie.grid_noise import build_grid
+from svie.grid_noise import LevyMeasure, build_grid
 
 CUSTOM = RunConfig(
     coefficient_set="linear_test",
@@ -231,6 +231,44 @@ def test_paths_csv_formats_every_number_as_the_per_value_formatter_does():
     text = cli._paths_csv(times, values)
     assert text == "\n".join(lines) + "\n"
     assert "\n1,0.5,nan\n" in text and "\n2,0.125,-0\n" in text
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("jump_coefficient", [1000.0, 1e10], ids=["spread-overflows", "square-overflows"])
+def test_simulate_writes_non_finite_moments_as_null(tmp_path, jump_coefficient):
+    # paths stay finite but the spread of their squares, or the squares
+    # themselves, overflow double precision
+    cfg_path = write_config(tmp_path, RunConfig(jump_coefficient=jump_coefficient, paths=200, steps=32))
+    out = tmp_path / "runout"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
+    assert summary["exploded_paths"] == 0
+    assert None in summary["second_moment_stderr"]
+
+
+def test_simulate_writes_null_moments_when_every_path_explodes(tmp_path, monkeypatch):
+    # phi(0) + f dt = 1.7e308 + 0.25e308 is past the largest double
+    exploding = CoefficientSet(
+        drift=lambda t, s, x: 1e308 + 0.0 * (t + x),
+        diffusion=lambda t, s, x: 0.0 * (t + x),
+        jump=None,
+        initial=lambda t: np.full(np.shape(t), 1.7e308),
+        measure=LevyMeasure.empty(),
+        growth_constant=0.0,
+        name="exploding",
+    )
+    monkeypatch.setattr(cli, "coefficient_catalogue", lambda *args: exploding)
+    cfg_path = write_config(tmp_path, simulate_config(horizon=1.0, steps=4, paths=3))
+    out = tmp_path / "runout"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
+    assert summary["n_paths"] == summary["exploded_paths"] == 3
+    assert summary["mean"] is summary["second_moment"] is summary["second_moment_stderr"] is None
 
 
 def test_simulate_seed_override_changes_paths(tmp_path):

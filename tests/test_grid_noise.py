@@ -271,6 +271,12 @@ def test_compensator_integral_broadcasts_and_checks_ordering():
         compensator_integral(coeffs, 0.1, np.array([0.2]), np.array([1.0]))
 
 
+def test_compensator_integral_without_jumps_is_zero_of_the_broadcast_shape():
+    coeffs = dataclasses.replace(linear_test_coefficients(), jump=None, compensator=None)
+    out = compensator_integral(coeffs, np.array([0.3, 0.4]), 0.1, np.array([[1.0], [2.0], [3.0]]))
+    assert out.shape == (3, 2) and np.all(out == 0.0)
+
+
 def test_integrate_survives_integrands_that_overflow_in_the_tail():
     measure = LevyMeasure.lognormal(1.0)
     value = measure.integrate(lambda xi: xi**4 * np.exp(np.minimum(xi, 0.0)))

@@ -301,9 +301,21 @@ def test_time_dependent_kernels_do_not_depend_on_the_batch():
 @pytest.mark.parametrize("solve", [direct_recursion, lambda coeffs, noise: picard_iterates(coeffs, noise, (0,))])
 def test_an_initial_curve_that_does_not_fit_the_grid_is_rejected(solve):
     coeffs = dataclasses.replace(deterministic_ode_coefficients(), initial=lambda t: np.ones(3))
-    message = r"^initial gave shape \(3,\) on the grid's points, which does not broadcast to \(9,\)$"
+    message = r"^initial gave shape \(3,\), which does not broadcast to \(9,\)$"
     with pytest.raises(ConfigurationError, match=message):
         solve(coeffs, quiet_path(build_grid(1.0, 8)))
+
+
+@pytest.mark.parametrize(
+    "term,part",
+    [((lambda t: np.ones(3), None, lambda x: x), "time"), ((None, lambda s: np.ones(3), lambda x: x), "lag")],
+    ids=["time", "lag"],
+)
+def test_a_separable_factor_that_does_not_fit_the_grid_is_named(term, part):
+    coeffs = dataclasses.replace(linear_test_coefficients(), drift=SeparableKernel((term,), name="f"))
+    message = rf"^f: term 0 {part} gave shape \(3,\), which does not broadcast to \(9,\)$"
+    with pytest.raises(ConfigurationError, match=message):
+        direct_recursion(coeffs, quiet_path(build_grid(1.0, 8)))
 
 
 def test_first_iterate_uses_initial_curve_everywhere():
