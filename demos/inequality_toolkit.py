@@ -42,14 +42,7 @@ rep = doob_check(brown.sup_sq, brown.terminal_sq)
 print(f"  brownian integral: E sup |X|^2 = {rep.lhs:.4f} <= 4 E|X(T)|^2 = {4 * rep.rhs:.4f}  pass {rep.passed}")
 
 measure = LevyMeasure.lognormal(2.0)
-jump = compensated_jump_ensemble(
-    grid,
-    measure,
-    lambda s, xi: 0.1 * xi,
-    50_000,
-    seed=8,
-    compensator_rate=lambda s: 0.1 * 2.0 * math.exp(0.5) * np.ones_like(s),
-)
+jump = compensated_jump_ensemble(grid, measure, lambda s, xi: 0.1 * xi, 50_000, seed=8)
 rep = doob_check(jump.sup_sq, jump.terminal_sq)
 print(f"  compensated jumps: E sup |X|^2 = {rep.lhs:.4f} <= 4 E|X(T)|^2 = {4 * rep.rhs:.4f}  pass {rep.passed}")
 mean = jump.terminal.mean()

@@ -215,7 +215,8 @@ def moment_check(ensemble: Ensemble, coeffs: CoefficientSet, growth_c: float | N
     m = surv.shape[0]
     if m == 0:
         raise AnalysisError("every path exploded; no surviving paths to estimate moments")
-    estimates, stderrs = mean_stderr(surv * surv)
+    with np.errstate(over="ignore"):  # a square past the largest double is an inf estimate, which fails
+        estimates, stderrs = mean_stderr(surv * surv)
     horizon = ensemble.grid.horizon
     phi_terminal = float(np.asarray(coeffs.initial(horizon), dtype=np.float64))
     bound = uniform_moment_bound(growth_c, horizon, phi_terminal * phi_terminal)
@@ -250,8 +251,9 @@ class GapReport:
         return bool(np.all(self.passes))
 
 
-def gap_envelope_slope(coeffs: CoefficientSet, modulus: Modulus, horizon: float, growth_c: float) -> float:
-    """c3 = 12 max(T,1) * scale * kappa(4 C1) with C1 the moment envelope."""
+def gap_envelope_slope(coeffs: CoefficientSet, modulus: Modulus, horizon: float, growth_c: float | None = None) -> float:
+    """c3 = 12 max(T,1) * scale * kappa(4 C1), C1 the moment envelope of growth_c (by default the analytic C)."""
+    growth_c = _growth_constant(coeffs, growth_c)
     t_tilde = max(horizon, 1.0)
     phi_terminal = float(np.asarray(coeffs.initial(horizon), dtype=np.float64))
     with warnings.catch_warnings(), np.errstate(over="ignore"):
@@ -283,7 +285,6 @@ def picard_gap(
     # checked and laid out once, before the m = 0 shortcut, for all k + m sweeps
     batch = _noise_batch(noises)
     grid = batch.grid
-    growth_c = _growth_constant(coeffs, growth_c)
     c3 = gap_envelope_slope(coeffs, modulus, grid.horizon, growth_c)
     n_paths = len(noises)
     if m == 0:
@@ -425,26 +426,22 @@ def compensated_jump_ensemble(
     integrand: Callable,
     n_paths: int,
     seed: int,
-    compensator_rate: Callable | None = None,
 ) -> MartingaleEnsemble:
     """X(t_i) = sum_{tau<=t_i} u(tau, xi) - int_0^{t_i} (int u(s, .) dnu) ds.
 
     ``integrand`` u(s, xi) must be deterministic and broadcast over arrays.
-    The compensator is integrated from ``compensator_rate`` when given,
-    else computed by one vector quadrature of u against the mark density
-    over all grid times, which it passes on a leading axis and the marks
-    on a trailing one.  The running max is evaluated at grid times.
-    Counts, times and marks are drawn per block and summed onto the grid
-    in draw order.
+    The compensator rate int u(s, .) dnu comes from one ``measure.integrate``
+    call over all grid times, which get a leading axis and the marks a
+    trailing one; an integrand whose last axis does not run over the marks
+    raises ConfigurationError there.  The running max is evaluated at grid
+    times.  Counts, times and marks are drawn per block and summed onto
+    the grid in draw order.
     """
     pts = grid.points
     n = grid.steps
     if measure.total_mass == 0.0:
         return _martingale_ensemble(n_paths, seed, n + 1, lambda rng, x: x.fill(0.0))
-    if compensator_rate is not None:
-        rate = _check_shape("compensator_rate", compensator_rate(pts), (n + 1,))
-    else:
-        rate = _check_shape("integrand", measure.integrate(lambda xi: integrand(pts[:, np.newaxis], xi)), (n + 1,))
+    rate = _check_shape("integrand", measure.integrate(lambda xi: integrand(pts[:, np.newaxis], xi)), (n + 1,))
     comp = _cumulative_trapezoid(rate, pts)
     mean_count = measure.total_mass * grid.horizon
 

@@ -36,7 +36,7 @@ from .coefficients import (
     scale_for_log_modulus,
 )
 from .errors import ConfigParseError, ConfigurationError, SvieError, _check_int, _check_real
-from .grid_noise import _check_lineage, build_grid, compensator_integral, sample_noise_ensemble, sample_noise_path
+from .grid_noise import _check_lineage, build_grid, sample_noise_ensemble, sample_noise_path
 from .solver import ensemble_simulate, picard_solve
 
 __all__ = ["RunConfig", "parse_config", "emit_config", "load_config", "main"]
@@ -263,9 +263,9 @@ def cmd_verify(config: RunConfig, out_dir: Path) -> int:
     turns that into its ``{name, value, bound, stderr, pass}`` record, with
     non-finite numbers written as null.  A check that raises ``SvieError``
     is recorded with null numbers, ``pass: false`` and the message under
-    ``error``.  The moment and gap checks use the audited growth constant,
-    or the analytic one when the audit gave none; ``majorant_chain`` derives
-    its slope c3 from that constant as ``picard_gap`` does.
+    ``error``.  The moment, gap and majorant checks get the audited growth
+    constant, or None, for which ``analysis`` takes the analytic one, and
+    ``doob_jump``'s builder integrates its own compensator.
     """
     grid = build_grid(config.horizon, config.steps)
     coeffs, modulus = _build_model(config)
@@ -301,11 +301,7 @@ def cmd_verify(config: RunConfig, out_dir: Path) -> int:
     def check_doob_jump():
         # a catalogue model without jumps has an empty measure, so the integrand is never called
         integrand = lambda s, xi: coeffs.jump(horizon, s, 1.0, xi)
-        rate = lambda s: compensator_integral(coeffs, horizon, s, 1.0)
-        ens = analysis.compensated_jump_ensemble(
-            grid, coeffs.measure, integrand, _DOOB_PATHS, seed + 3, compensator_rate=rate
-        )
-        return doob(ens)
+        return doob(analysis.compensated_jump_ensemble(grid, coeffs.measure, integrand, _DOOB_PATHS, seed + 3))
 
     def check_moment_envelope():
         ens = ensemble_simulate(coeffs, grid, config.paths, seed)
@@ -326,8 +322,6 @@ def cmd_verify(config: RunConfig, out_dir: Path) -> int:
         return seq.final_value, seq.curves[0, -1], None, True
 
     growth_c = run_check("linear_growth", check_linear_growth)["value"]
-    if growth_c is None:
-        growth_c = coeffs.growth_constant
     run_check("modulus", check_modulus)
     run_check("doob_brownian", check_doob_brownian)
     run_check("doob_jump", check_doob_jump)

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AnalysisError, ConfigurationError, DomainError, _check_int, _check_real
+from .errors import AnalysisError, ConfigurationError, DomainError, _check_int, _check_real, _check_shape
 from .grid_noise import MARK_INTEGRAL_REL_TOL, LevyMeasure, _gauss_kronrod
 
 __all__ = [
@@ -397,10 +397,6 @@ def pair_sampler(horizon: float, x_bound: float = 10.0, seed: int = 0) -> Callab
     return _state_sampler(horizon, x_bound, seed, 2)
 
 
-def _sampled(values, n: int) -> np.ndarray:
-    return np.broadcast_to(np.asarray(values, dtype=np.float64), (n,))
-
-
 def _jump_square_integral(coeffs: CoefficientSet, t, s, x, y=None) -> np.ndarray:
     """int |h(t,s,x,xi) - h(t,s,y,xi)|^2 nu(dxi) per sample (y=None: plain |h|^2).
 
@@ -444,8 +440,8 @@ def audit_linear_growth(coeffs: CoefficientSet, sampler: Callable, samples: int 
     samples = _check_int("samples", samples, 1)
     t, s, x = sampler(samples)
     t, s, x = (np.asarray(a, dtype=np.float64) for a in (t, s, x))
-    fsq = _sampled(coeffs.drift(t, s, x), samples) ** 2
-    gsq = _sampled(coeffs.diffusion(t, s, x), samples) ** 2
+    fsq = _check_shape("drift", coeffs.drift(t, s, x), (samples,)) ** 2
+    gsq = _check_shape("diffusion", coeffs.diffusion(t, s, x), (samples,)) ** 2
     hsq = _jump_square_integral(coeffs, t, s, x)
     numer = np.maximum(np.maximum(fsq, gsq), hsq)
     ratios = numer / (1.0 + x * x)
@@ -571,8 +567,10 @@ def audit_modulus(coeffs: CoefficientSet, modulus: Modulus, sampler: Callable, s
     samples = _check_int("samples", samples, 1)
     t, s, x, y = sampler(samples)
     t, s, x, y = (np.asarray(a, dtype=np.float64) for a in (t, s, x, y))
-    fdiff = (_sampled(coeffs.drift(t, s, x), samples) - _sampled(coeffs.drift(t, s, y), samples)) ** 2
-    gdiff = (_sampled(coeffs.diffusion(t, s, x), samples) - _sampled(coeffs.diffusion(t, s, y), samples)) ** 2
+    fdiff, gdiff = (
+        (_check_shape(slot, kernel(t, s, x), (samples,)) - _check_shape(slot, kernel(t, s, y), (samples,))) ** 2
+        for slot, kernel in (("drift", coeffs.drift), ("diffusion", coeffs.diffusion))
+    )
     hdiff = _jump_square_integral(coeffs, t, s, x, y)
     lhs = np.maximum(np.maximum(fdiff, gdiff), hdiff)
     d = (x - y) ** 2

@@ -221,9 +221,11 @@ class LevyMeasure:
         """Integrate ``fn`` against the measure: total_mass * int fn * density.
 
         ``fn(xi)`` takes a 1-D array of marks and returns values whose last
-        axis runs over them (a scalar broadcasts); the result has the shape
-        of the other axes, each element integrated with its own certified
-        relative error MARK_INTEGRAL_REL_TOL in one adaptive pass.  One
+        axis runs over them (a scalar or a last axis of length one
+        broadcasts); values of any other shape raise ConfigurationError
+        naming it.  The result has the shape of the other axes, each
+        element integrated with its own certified relative error
+        MARK_INTEGRAL_REL_TOL in one adaptive pass.  One
         call of fn probes a log-spaced grid; adaptive quadrature, one call
         per Gauss-Kronrod panel, then runs on the bracket carrying mass,
         with the residual tails added separately.  Probing guards against
@@ -242,9 +244,14 @@ class LevyMeasure:
 
         def weighted(xi: np.ndarray) -> np.ndarray:
             density = np.broadcast_to(self.mark_density(xi), xi.shape)
+            values = fn(xi)
+            if np.shape(values)[-1:] not in ((), (1,), xi.shape):
+                raise ConfigurationError(
+                    f"integrand gave shape {np.shape(values)}, whose last axis does not run over the {xi.size} marks"
+                )
             # where the density is 0 the product is 0 even if fn alone
             # overflows (large mark powers at huge xi)
-            return np.where(density == 0.0, 0.0, fn(xi) * density)
+            return np.where(density == 0.0, 0.0, values * density)
 
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if lo >= 0.0:
@@ -358,18 +365,16 @@ def _gauss_kronrod(
     stops when the error is below max(epsabs, epsrel * |value|) / 8 or not
     above the round-off floor summed over every panel evaluated; it also
     stops when either is not finite, and at ``limit`` panels.  An infinite
-    end maps to t in (0, 1] by x = start + (1 - t) / t (or start - (1 - t)
-    / t).  Returns the value and the error estimate plus the round-off
-    floor.
+    end can only be the lower one, a = -inf, without interior points; it
+    maps to t in (0, 1] by x = b - (1 - t) / t.  Returns the value and the
+    error estimate plus the round-off floor.
     """
-    if math.isinf(a) or math.isinf(b):
-        start, sign = (a, 1.0) if math.isinf(b) else (b, -1.0)
-        finite_f = f
+    if math.isinf(a):
+        end, finite_f = b, f
 
         def f(t: np.ndarray):
-            return finite_f(start + sign * (1.0 - t) / t) / (t * t)
+            return finite_f(end - (1.0 - t) / t) / (t * t)
 
-        points = sorted(1.0 / (1.0 + sign * (p - start)) for p in points or ())
         a, b = 0.0, 1.0
     edges = [a, *(points or ()), b]
     heap = []

@@ -134,12 +134,7 @@ def test_criterion_04_doob_maximal_inequality():
     brown_rep = doob_check(brown.sup_sq, brown.terminal_sq)
 
     jump = compensated_jump_ensemble(
-        grid,
-        coeffs.measure,
-        lambda s, xi: coeffs.jump(horizon, s, 1.0, xi),
-        100_000,
-        seed=42,
-        compensator_rate=lambda s: coeffs.compensator(horizon, s, 1.0) * np.ones_like(s),
+        grid, coeffs.measure, lambda s, xi: coeffs.jump(horizon, s, 1.0, xi), 100_000, seed=42
     )
     jump_rep = doob_check(jump.sup_sq, jump.terminal_sq)
     elapsed = time.perf_counter() - started
@@ -194,14 +189,7 @@ def test_criterion_07_compensation_zero_mean():
     started = time.perf_counter()
     measure = LevyMeasure.lognormal(2.0)
     grid = build_grid(1.0, 64)
-    ens = compensated_jump_ensemble(
-        grid,
-        measure,
-        lambda s, xi: 0.1 * xi * xi,
-        100_000,
-        seed=77,
-        compensator_rate=lambda s: 0.1 * 2.0 * E_XI_SQ * np.ones_like(s),
-    )
+    ens = compensated_jump_ensemble(grid, measure, lambda s, xi: 0.1 * xi * xi, 100_000, seed=77)
     mean = float(ens.terminal.mean())
     se = float(ens.terminal.std(ddof=1) / math.sqrt(ens.terminal.size))
     elapsed = time.perf_counter() - started

@@ -463,6 +463,20 @@ def test_both_audits_report_nan_when_no_sample_is_finite():
     assert len(modulus.bad_points) == 50
 
 
+def _audit(name, coeffs):
+    if name == "growth":
+        return audit_linear_growth(coeffs, domain_sampler(0.5, 10.0, seed=1), 50)
+    return audit_modulus(coeffs, linear_modulus(1.0), pair_sampler(0.5, 10.0, seed=1), 50)
+
+
+@pytest.mark.parametrize("slot", ["drift", "diffusion"])
+@pytest.mark.parametrize("audit", ["growth", "modulus"])
+def test_both_audits_name_a_slot_of_the_wrong_shape(audit, slot):
+    broken = dataclasses.replace(linear_test_coefficients(), **{slot: lambda t, s, x: np.ones(3)})
+    with pytest.raises(ConfigurationError, match=rf"^{slot} gave shape \(3,\), which does not broadcast to \(50,\)$"):
+        _audit(audit, broken)
+
+
 # --- modulus audit ----------------------------------------------------------
 
 
@@ -577,6 +591,14 @@ def test_audit_jump_terms_are_accurate_per_sample():
     assert plain[0] == 0.0 and diff[0] == 0.0
     np.testing.assert_allclose(plain[1:], slope * x[1:] ** 2, rtol=MARK_INTEGRAL_REL_TOL, atol=0.0)
     np.testing.assert_allclose(diff[1:], slope * (x[1:] - y[1:]) ** 2, rtol=MARK_INTEGRAL_REL_TOL, atol=0.0)
+
+
+@pytest.mark.parametrize("audit", ["growth", "modulus"])
+def test_both_audits_name_a_jump_kernel_that_does_not_run_over_the_marks(audit):
+    broken = dataclasses.replace(linear_test_coefficients(), jump=lambda t, s, x, xi: np.ones(2))
+    message = r"^integrand gave shape \(2,\), whose last axis does not run over the 161 marks$"
+    with pytest.raises(ConfigurationError, match=message):
+        _audit(audit, broken)
 
 
 def test_growth_audit_keeps_a_nan_jump_kernel_local():
