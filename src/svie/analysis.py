@@ -15,26 +15,30 @@ Contents
 * ``doob_check``: L^p maximal inequality
   E sup |X|^p <= (p/(p-1))^p E |X(T)|^p for ensembles of martingales.
 * ``uniform_moment_bound`` / ``moment_check``: the a priori envelope
-  4 (1 + E|phi(T)|^2) exp(4 C max(T,1)^2) on second moments of iterates.
+  C1 = 4 (1 + E|phi(T)|^2) exp(4 C max(T,1)^2) on second moments of
+  iterates, inf past exp's range.
 * ``picard_gap``: E sup_{s<=t} |x^{k+m} - x^k|^2 against its linear-in-t
   envelope c3 * t with c3 = 12 max(T,1) * scale * kappa(4 C1).
 * ``majorant_recursion``: the deterministic sequence psi_1 = c3 t,
   psi_{j+1} = int_0^t kappa(psi_j), which must decrease monotonically on a
   window where kappa(c3 t) <= c3.
 * Martingale ensemble builders for the Doob and compensation checks.
+
+Both envelopes take C from ``CoefficientSet.growth_constant`` and raise
+ConfigurationError naming the set when it is None; another constant goes
+in through ``dataclasses.replace(coeffs, growth_constant=c)``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .coefficients import CoefficientSet, Modulus, bihari_integral
+from .coefficients import CoefficientSet, Modulus, _kappa, bihari_integral
 from .errors import AnalysisError, ConfigurationError, DomainError, ExplosionError, NumericalError
 from .errors import _check_int, _check_real, _check_shape
 from .grid_noise import LevyMeasure, NoisePath, TimeGrid
@@ -149,8 +153,9 @@ def doob_check(sup_sq: np.ndarray, terminal_sq: np.ndarray, p: float = 2.0, slac
         raise AnalysisError("ensemble contains non-finite values")
     if np.any(sup_sq + 1e-12 < terminal_sq):
         raise AnalysisError("running maxima fall below terminal values; ensemble is inconsistent")
-    lhs, se_lhs = map(float, mean_stderr(np.power(sup_sq, 0.5 * p)))
-    rhs, se_rhs = map(float, mean_stderr(np.power(terminal_sq, 0.5 * p)))
+    with np.errstate(over="ignore"):  # a power past the largest double is an inf mean, which fails
+        lhs, se_lhs = map(float, mean_stderr(np.power(sup_sq, 0.5 * p)))
+        rhs, se_rhs = map(float, mean_stderr(np.power(terminal_sq, 0.5 * p)))
     constant = (p / (p - 1.0)) ** p
     bound = constant * rhs * (1.0 + slack) + 4.0 * math.hypot(se_lhs, constant * se_rhs)
     return DoobReport(
@@ -169,16 +174,26 @@ def doob_check(sup_sq: np.ndarray, terminal_sq: np.ndarray, p: float = 2.0, slac
 
 
 def uniform_moment_bound(growth_c: float, horizon: float, initial_sq_mean: float) -> float:
-    """Envelope 4 (1 + E|phi(T)|^2) exp(4 C max(T, 1)^2), inf on overflow."""
+    """Envelope 4 (1 + E|phi(T)|^2) exp(4 C max(T, 1)^2); inf past exp's range, without a warning."""
     growth_c = _check_real("growth constant", growth_c, 0.0)
     horizon = _check_real("horizon", horizon, 0.0, strict=True)
     initial_sq_mean = _check_real("initial_sq_mean", initial_sq_mean, 0.0)
     t_tilde = max(horizon, 1.0)
     exponent = 4.0 * growth_c * t_tilde * t_tilde
     if exponent > 709.0:
-        warnings.warn("second-moment envelope overflows double precision; returning inf", RuntimeWarning)
         return math.inf
     return 4.0 * (1.0 + initial_sq_mean) * math.exp(exponent)
+
+
+def _moment_envelope(coeffs: CoefficientSet, horizon: float) -> float:
+    """C1 = uniform_moment_bound(C, T, phi(T)^2) with C the set's ``growth_constant``."""
+    if coeffs.growth_constant is None:
+        raise ConfigurationError(
+            f"coefficient set {coeffs.name!r} has no growth_constant; "
+            "give it one with dataclasses.replace(coeffs, growth_constant=C)"
+        )
+    phi_terminal = float(_check_shape("initial", coeffs.initial(horizon), ()))
+    return uniform_moment_bound(coeffs.growth_constant, horizon, phi_terminal * phi_terminal)
 
 
 @dataclass(frozen=True)
@@ -196,30 +211,20 @@ class MomentReport:
         return bool(np.all(self.passes))
 
 
-def _growth_constant(coeffs: CoefficientSet, growth_c: float | None) -> float:
-    """``growth_c`` if given, else the model's analytic constant; ConfigurationError when neither is known."""
-    growth_c = coeffs.growth_constant if growth_c is None else growth_c
-    if growth_c is None:
-        raise ConfigurationError("no growth constant available; supply growth_c or audit the coefficients")
-    return float(growth_c)
-
-
-def moment_check(ensemble: Ensemble, coeffs: CoefficientSet, growth_c: float | None = None) -> MomentReport:
+def moment_check(ensemble: Ensemble, coeffs: CoefficientSet) -> MomentReport:
     """Estimate E|x(t_i)|^2 per grid time and test it against the envelope.
 
-    A time passes when estimate - 4 stderr <= bound; the envelope is
-    one-sided, so only excesses beyond statistical noise count against it.
+    The bound is the envelope of ``coeffs.growth_constant``.  A time passes
+    when estimate - 4 stderr <= bound; the envelope is one-sided, so only
+    excesses beyond statistical noise count against it.
     """
-    growth_c = _growth_constant(coeffs, growth_c)
+    bound = _moment_envelope(coeffs, ensemble.grid.horizon)
     surv = ensemble.survivors
     m = surv.shape[0]
     if m == 0:
         raise AnalysisError("every path exploded; no surviving paths to estimate moments")
     with np.errstate(over="ignore"):  # a square past the largest double is an inf estimate, which fails
         estimates, stderrs = mean_stderr(surv * surv)
-    horizon = ensemble.grid.horizon
-    phi_terminal = float(np.asarray(coeffs.initial(horizon), dtype=np.float64))
-    bound = uniform_moment_bound(growth_c, horizon, phi_terminal * phi_terminal)
     passes = estimates - 4.0 * stderrs <= bound
     return MomentReport(
         times=ensemble.grid.points,
@@ -251,33 +256,23 @@ class GapReport:
         return bool(np.all(self.passes))
 
 
-def gap_envelope_slope(coeffs: CoefficientSet, modulus: Modulus, horizon: float, growth_c: float | None = None) -> float:
-    """c3 = 12 max(T,1) * scale * kappa(4 C1), C1 the moment envelope of growth_c (by default the analytic C)."""
-    growth_c = _growth_constant(coeffs, growth_c)
-    t_tilde = max(horizon, 1.0)
-    phi_terminal = float(np.asarray(coeffs.initial(horizon), dtype=np.float64))
-    with warnings.catch_warnings(), np.errstate(over="ignore"):
-        warnings.simplefilter("ignore", RuntimeWarning)
-        c1 = uniform_moment_bound(growth_c, horizon, phi_terminal * phi_terminal)
-        kap = float(modulus.kappa(4.0 * c1)) if math.isfinite(c1) else math.inf
-    return 12.0 * t_tilde * modulus.scale * kap
+def gap_envelope_slope(coeffs: CoefficientSet, modulus: Modulus, horizon: float) -> float:
+    """c3 = 12 max(T,1) * scale * kappa(4 C1), C1 the moment envelope of ``coeffs.growth_constant``."""
+    c1 = _moment_envelope(coeffs, horizon)
+    with np.errstate(over="ignore"):  # a kappa past the largest double is an inf slope
+        kap = float(_kappa(modulus, 4.0 * c1)) if math.isfinite(c1) else math.inf
+    return 12.0 * max(horizon, 1.0) * modulus.scale * kap
 
 
-def picard_gap(
-    coeffs: CoefficientSet,
-    noises: list[NoisePath],
-    k: int,
-    m: int,
-    modulus: Modulus,
-    growth_c: float | None = None,
-) -> GapReport:
+def picard_gap(coeffs: CoefficientSet, noises: list[NoisePath], k: int, m: int, modulus: Modulus) -> GapReport:
     """Monte Carlo curve t -> E sup_{s<=t} |x^{k+m}(s) - x^k(s)|^2.
 
     Each time passes when the estimate stays below c3 * t within four
-    standard errors.  m = 0 compares an iterate with itself and is zero.
-    All paths iterate together, one batched sweep per iterate.  The first
-    path in batch order that exploded in any of sweeps 1..k+m, or whose
-    squared gap is not finite, fails the curve: the first raises
+    standard errors, c3 = ``gap_envelope_slope(coeffs, modulus, T)``.
+    m = 0 compares an iterate with itself and is zero.  All paths iterate
+    together, one batched sweep per iterate.  The first path in batch
+    order that exploded in any of sweeps 1..k+m, or whose squared gap is
+    not finite, fails the curve: the first raises
     ExplosionError with the grid index of its earliest explosion, the
     second NumericalError naming the iterates and its first such grid time.
     """
@@ -285,7 +280,7 @@ def picard_gap(
     # checked and laid out once, before the m = 0 shortcut, for all k + m sweeps
     batch = _noise_batch(noises)
     grid = batch.grid
-    c3 = gap_envelope_slope(coeffs, modulus, grid.horizon, growth_c)
+    c3 = gap_envelope_slope(coeffs, modulus, grid.horizon)
     n_paths = len(noises)
     if m == 0:
         zero = np.zeros(grid.steps + 1)
@@ -353,7 +348,7 @@ def majorant_recursion(
     # chain checks below reject on their own terms
     with np.errstate(over="ignore"):
         first_curve = c3 * times
-        kap_first = np.asarray(modulus.kappa(first_curve), dtype=np.float64)
+        kap_first = _kappa(modulus, first_curve)
         tol = 1e-12 * max(c3, 1.0)
         bad = np.nonzero(kap_first > c3 + tol)[0]
         if bad.size:
@@ -364,7 +359,7 @@ def majorant_recursion(
         curves = np.empty((iterations, steps + 1), dtype=np.float64)
         curves[0] = first_curve
         for j in range(1, iterations):
-            kap = np.asarray(modulus.kappa(curves[j - 1]), dtype=np.float64)
+            kap = _kappa(modulus, curves[j - 1])
             curves[j] = _cumulative_trapezoid(kap, times)
             allow = 1e-12 + 1e-9 * np.abs(curves[j - 1])  # rounding room, scales with magnitude
             if np.any(curves[j] < -1e-12) or np.any(curves[j] > curves[j - 1] + allow):

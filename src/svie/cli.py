@@ -263,9 +263,10 @@ def cmd_verify(config: RunConfig, out_dir: Path) -> int:
     turns that into its ``{name, value, bound, stderr, pass}`` record, with
     non-finite numbers written as null.  A check that raises ``SvieError``
     is recorded with null numbers, ``pass: false`` and the message under
-    ``error``.  The moment, gap and majorant checks get the audited growth
-    constant, or None, for which ``analysis`` takes the analytic one, and
-    ``doob_jump``'s builder integrates its own compensator.
+    ``error``.  No record's value feeds another check: the moment, gap and
+    majorant envelopes read the model's analytic ``growth_constant``, the
+    constant ``linear_growth`` audits, and ``doob_jump``'s builder
+    integrates its own compensator.
     """
     grid = build_grid(config.horizon, config.steps)
     coeffs, modulus = _build_model(config)
@@ -273,14 +274,13 @@ def cmd_verify(config: RunConfig, out_dir: Path) -> int:
     seed = config.master_seed
     checks: list[dict] = []
 
-    def run_check(name, fn) -> dict:
+    def run_check(name, fn) -> None:
         try:
             value, bound, stderr, passed = fn()
             record = {"value": _json_num(value), "bound": _json_num(bound), "stderr": _json_num(stderr), "pass": passed}
         except SvieError as err:
             record = {"value": None, "bound": None, "stderr": None, "pass": False, "error": str(err)}
         checks.append({"name": name, **record})
-        return checks[-1]
 
     def check_linear_growth():
         audit = audit_linear_growth(coeffs, domain_sampler(horizon, _AUDIT_X_BOUND, seed), _AUDIT_SAMPLES)
@@ -305,23 +305,23 @@ def cmd_verify(config: RunConfig, out_dir: Path) -> int:
 
     def check_moment_envelope():
         ens = ensemble_simulate(coeffs, grid, config.paths, seed)
-        rep = analysis.moment_check(ens, coeffs, growth_c)
+        rep = analysis.moment_check(ens, coeffs)
         return np.max(rep.estimates - 4.0 * rep.stderrs), rep.bound, np.max(rep.stderrs), rep.all_pass
 
     def check_picard_gap():
         noises = sample_noise_ensemble(grid, coeffs.measure, config.paths, seed)
-        rep = analysis.picard_gap(coeffs, noises, 1, 1, modulus, growth_c)
+        rep = analysis.picard_gap(coeffs, noises, 1, 1, modulus)
         return np.max(rep.estimates), rep.envelope_slope * grid.horizon, np.max(rep.stderrs), rep.all_pass
 
     def check_majorant():
-        c3 = analysis.gap_envelope_slope(coeffs, modulus, horizon, growth_c)
+        c3 = analysis.gap_envelope_slope(coeffs, modulus, horizon)
         if not math.isfinite(c3):
             # envelope overflowed: the chain is trivially satisfied but not computable
             return None, None, None, True
         seq = analysis.majorant_recursion(c3, modulus, min(horizon, 1.0), config.steps, 30)
         return seq.final_value, seq.curves[0, -1], None, True
 
-    growth_c = run_check("linear_growth", check_linear_growth)["value"]
+    run_check("linear_growth", check_linear_growth)
     run_check("modulus", check_modulus)
     run_check("doob_brownian", check_doob_brownian)
     run_check("doob_jump", check_doob_jump)

@@ -207,6 +207,11 @@ class Modulus:
         object.__setattr__(self, "scale", _check_real("modulus scale", self.scale, 0.0))
 
 
+def _kappa(modulus: Modulus, u) -> np.ndarray:
+    """kappa(u) as float64 of u's shape; any other shape raises ConfigurationError naming kappa."""
+    return _check_shape("kappa", modulus.kappa(u), np.shape(u))
+
+
 # --- modulus catalogue -------------------------------------------------
 
 
@@ -412,7 +417,7 @@ def _jump_square_integral(coeffs: CoefficientSet, t, s, x, y=None) -> np.ndarray
         fn = lambda xi: np.square(jump(t, s, x, xi))
     else:
         fn = lambda xi: np.square(jump(t, s, x, xi) - jump(t, s, y[:, np.newaxis], xi))
-    return np.broadcast_to(coeffs.measure.integrate(fn), (n,))
+    return _check_shape("jump", coeffs.measure.integrate(fn), (n,))
 
 
 # --- linear-growth audit -------------------------------------------------
@@ -491,7 +496,7 @@ def bihari_integral(modulus: Modulus, v: float, v_ref: float) -> float:
 
     def integrand(w: np.ndarray) -> np.ndarray:
         u = np.exp(w)
-        k = np.broadcast_to(modulus.kappa(u), u.shape)
+        k = _kappa(modulus, u)
         if not np.all(k > 0.0):
             i = int(np.argmin(k > 0.0))
             raise DomainError(f"kappa({float(u[i])!r}) = {float(k[i])!r}; the comparison integral needs kappa > 0")
@@ -543,17 +548,17 @@ class ModulusAudit:
 
 
 def _kappa_self_checks(modulus: Modulus, u_values: np.ndarray) -> tuple[bool, bool, bool, bool]:
-    kappa = modulus.kappa
-    zero_ok = abs(float(kappa(0.0))) <= AUDIT_SLACK
-    grid = np.unique(np.concatenate([np.geomspace(1e-12, 1.0, 49), u_values[u_values > 0.0]]))
-    vals = np.asarray(kappa(grid), dtype=np.float64)
+    zero_ok = abs(float(_kappa(modulus, 0.0))) <= AUDIT_SLACK
+    # repeated points leave every verdict below unchanged, so a sort suffices
+    grid = np.sort(np.concatenate([np.geomspace(1e-12, 1.0, 49), u_values[u_values > 0.0]]))
+    vals = _kappa(modulus, grid)
     positive_ok = bool(np.all(vals > 0.0)) and bool(np.all(np.isfinite(vals)))
     monotone_ok = bool(np.all(np.diff(vals) >= -AUDIT_SLACK))
-    mids = np.asarray(kappa(0.5 * (grid[:-1] + grid[1:])), dtype=np.float64)
+    mids = _kappa(modulus, 0.5 * (grid[:-1] + grid[1:]))
     concave_ok = bool(np.all(mids + AUDIT_SLACK >= 0.5 * (vals[:-1] + vals[1:])))
     # concavity also across long ranges, not just neighbours
     lo, hi = grid[0], grid[-1]
-    k_lo, k_hi = float(kappa(lo)), float(kappa(hi))
+    k_lo, k_hi = float(_kappa(modulus, lo)), float(_kappa(modulus, hi))
     chords = k_lo + (grid - lo) * (k_hi - k_lo) / (hi - lo)
     concave_ok = concave_ok and bool(np.all(vals + AUDIT_SLACK >= chords))
     return zero_ok, positive_ok, monotone_ok, concave_ok
@@ -574,7 +579,7 @@ def audit_modulus(coeffs: CoefficientSet, modulus: Modulus, sampler: Callable, s
     hdiff = _jump_square_integral(coeffs, t, s, x, y)
     lhs = np.maximum(np.maximum(fdiff, gdiff), hdiff)
     d = (x - y) ** 2
-    rhs = modulus.scale * np.asarray(modulus.kappa(d), dtype=np.float64)
+    rhs = modulus.scale * _kappa(modulus, d)
     finite = np.isfinite(lhs) & np.isfinite(rhs)
     bad = tuple((float(t[k]), float(s[k]), float(x[k]), float(y[k])) for k in np.nonzero(~finite)[0])
     # the jump term is a quadrature estimate with certified relative error

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, _check_int, _check_real
+from .errors import ConfigurationError, NumericalError, _check_int, _check_real, _check_shape
 
 if TYPE_CHECKING:
     from .coefficients import CoefficientSet
@@ -495,14 +495,14 @@ def compensator_integral(coeffs: "CoefficientSet", t, s, x):
     if coeffs.jump is None:
         out = np.zeros(shape, dtype=np.float64)
     elif coeffs.compensator is not None:
-        out = np.broadcast_to(np.asarray(coeffs.compensator(t, s, x), dtype=np.float64), shape).copy()
+        out = _check_shape("compensator", coeffs.compensator(t, s, x), shape).copy()
     else:
         rows, width = math.prod(shape[:-1]), math.prod(shape[-1:])
         tb, sb, xb = (np.broadcast_to(a, shape).reshape(rows, width, 1) for a in (t_arr, s_arr, x_arr))
         jump, measure = coeffs.jump, coeffs.measure
         out = np.array(
             [
-                np.broadcast_to(measure.integrate(lambda xi, tk=tk, sk=sk, xk=xk: jump(tk, sk, xk, xi)), (width,))
+                _check_shape("jump", measure.integrate(lambda xi, tk=tk, sk=sk, xk=xk: jump(tk, sk, xk, xi)), (width,))
                 for tk, sk, xk in zip(tb, sb, xb)
             ]
         ).reshape(shape)

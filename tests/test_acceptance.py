@@ -7,6 +7,7 @@ then asserts, so the run log carries a one-line verdict per criterion.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -153,7 +154,7 @@ def test_criterion_05_uniform_moment_envelope():
     grid = build_grid(0.5, 256)
     audit = audit_linear_growth(coeffs, domain_sampler(0.5, 10.0, seed=5), 1000)
     ensemble = ensemble_simulate(coeffs, grid, 10_000, master_seed=55)
-    rep = moment_check(ensemble, coeffs, growth_c=audit.estimated_constant)
+    rep = moment_check(ensemble, replace(coeffs, growth_constant=audit.estimated_constant))
     elapsed = time.perf_counter() - started
     ok = audit.passed and rep.all_pass and ensemble.exploded.sum() == 0 and elapsed < 120.0
     report(

@@ -24,10 +24,15 @@ from svie.analysis import (
 from svie.coefficients import (
     CoefficientSet,
     Modulus,
+    _kappa_self_checks,
+    audit_modulus,
     deterministic_ode_coefficients,
     example_coefficients,
     linear_modulus,
+    linear_test_coefficients,
     log_modulus,
+    osgood_ladder,
+    pair_sampler,
     quadratic_modulus,
     zero_coefficients,
 )
@@ -127,6 +132,13 @@ def test_doob_check_validates_inputs():
         doob_check(0.5 * np.ones(5), np.ones(5))
 
 
+def test_doob_check_fails_a_power_past_the_largest_double_without_a_warning():
+    # pytest turns warnings into errors here, so numpy's overflow warning would raise
+    report = doob_check([1e10, 4e10], [1e10, 1e10], p=100)
+    assert report.lhs == math.inf and report.rhs == math.inf
+    assert not report.passed
+
+
 # --- second-moment envelope ---------------------------------------------------
 
 
@@ -138,8 +150,9 @@ def test_envelope_closed_forms():
     assert uniform_moment_bound(1.0, 0.5, 0.0) == uniform_moment_bound(1.0, 1.0, 0.0)
 
 
-def test_envelope_warns_and_returns_inf_on_overflow():
-    with pytest.warns(RuntimeWarning):
+def test_envelope_returns_inf_on_overflow_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert uniform_moment_bound(200.0, 1.0, 1.0) == math.inf
 
 
@@ -174,13 +187,15 @@ def test_moment_check_and_picard_gap_require_a_growth_constant():
         name="no-constant",
     )
     ens = ensemble_simulate(stripped, grid, 4, master_seed=3)
-    with pytest.raises(ConfigurationError):
+    message = "^coefficient set 'no-constant' has no growth_constant; give it one with dataclasses.replace"
+    with pytest.raises(ConfigurationError, match=message):
         moment_check(ens, stripped)
-    assert moment_check(ens, stripped, growth_c=0.0).all_pass
+    given = dataclasses.replace(stripped, growth_constant=0.0)
+    assert moment_check(ens, given).all_pass
     noises = sample_noise_ensemble(grid, stripped.measure, 4, 3)
-    with pytest.raises(ConfigurationError, match="^no growth constant available; supply growth_c"):
+    with pytest.raises(ConfigurationError, match=message):
         picard_gap(stripped, noises, 1, 1, linear_modulus(0.25))
-    assert picard_gap(stripped, noises, 1, 1, linear_modulus(0.25), growth_c=0.0).all_pass
+    assert picard_gap(given, noises, 1, 1, linear_modulus(0.25)).all_pass
 
 
 def test_moment_check_fails_a_square_past_the_largest_double_without_a_warning():
@@ -193,14 +208,16 @@ def test_moment_check_fails_a_square_past_the_largest_double_without_a_warning()
     assert not report.all_pass
 
 
-def test_gap_envelope_slope_falls_back_to_the_analytic_growth_constant():
+def test_gap_envelope_slope_reads_the_growth_constant_of_the_set():
     coeffs = deterministic_ode_coefficients()
     mod = linear_modulus(0.25)
-    assert analysis.gap_envelope_slope(coeffs, mod, 0.5) == analysis.gap_envelope_slope(coeffs, mod, 0.5, 0.25)
+    c1 = 8.0 * math.exp(4.0 * 0.25)  # growth constant 1/4, phi = 1
+    assert analysis.gap_envelope_slope(coeffs, mod, 0.5) == 12.0 * 0.25 * 4.0 * c1
     stripped = dataclasses.replace(coeffs, growth_constant=None)
-    with pytest.raises(ConfigurationError, match="^no growth constant available; supply growth_c"):
+    with pytest.raises(ConfigurationError, match="^coefficient set 'deterministic_ode' has no growth_constant"):
         analysis.gap_envelope_slope(stripped, mod, 0.5)
-    assert analysis.gap_envelope_slope(stripped, mod, 0.5, growth_c=0.0) == 12.0 * 0.25 * 4.0 * 8.0  # C1 = 8
+    zero = dataclasses.replace(coeffs, growth_constant=0.0)
+    assert analysis.gap_envelope_slope(zero, mod, 0.5) == 12.0 * 0.25 * 4.0 * 8.0  # C1 = 8
 
 
 # --- gap between successive approximations ------------------------------------
@@ -234,9 +251,10 @@ def test_gap_estimates_grow_monotonically_in_time():
 def test_gap_envelope_of_an_overflowing_slope_warns_nothing():
     coeffs = example_coefficients(0.1)
     noises = sample_noise_ensemble(build_grid(0.5, 8), coeffs.measure, 2, master_seed=8)
+    overflowing = dataclasses.replace(coeffs, growth_constant=1e6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = picard_gap(coeffs, noises, 1, 1, linear_modulus(coeffs.growth_constant), growth_c=1e6)
+        report = picard_gap(overflowing, noises, 1, 1, linear_modulus(coeffs.growth_constant))
     assert report.envelope_slope == math.inf
     assert report.all_pass
 
@@ -407,6 +425,27 @@ def test_majorant_names_the_iteration_where_a_decreasing_kappa_breaks_the_chain(
     decreasing = Modulus(kappa=lambda u: np.exp(-np.asarray(u)), scale=1.0, osgood_divergent=False)
     with pytest.raises(AnalysisError, match="^majorant chain broke at iteration 3: psi_3 > psi_2 somewhere$"):
         majorant_recursion(1.0, decreasing, window=0.5, steps=64, iterations=5)
+
+
+# --- one shape-checked call per reader of kappa ----------------------------------
+
+
+@pytest.mark.parametrize(
+    ("reader", "shape"),
+    [
+        (lambda mod: bihari_integral(mod, 1.0, 0.5), r"\(\d+,\)"),
+        (lambda mod: osgood_ladder(mod), r"\(\d+,\)"),
+        (lambda mod: _kappa_self_checks(mod, np.array([0.5])), r"\(\)"),
+        (lambda mod: audit_modulus(linear_test_coefficients(), mod, pair_sampler(0.5, 10.0, seed=1), 50), r"\(50,\)"),
+        (lambda mod: analysis.gap_envelope_slope(deterministic_ode_coefficients(), mod, 0.5), r"\(\)"),
+        (lambda mod: majorant_recursion(1.0, mod, window=0.5, steps=64), r"\(65,\)"),
+    ],
+    ids=["bihari_integral", "osgood_ladder", "kappa_self_checks", "audit_modulus", "gap_envelope_slope", "majorant"],
+)
+def test_every_reader_of_kappa_names_a_value_of_the_wrong_shape(reader, shape):
+    three = Modulus(kappa=lambda u: np.ones(3), scale=1.0, osgood_divergent=True)
+    with pytest.raises(ConfigurationError, match=rf"^kappa gave shape \(3,\), which does not broadcast to {shape}$"):
+        reader(three)
 
 
 # --- martingale ensemble builders ----------------------------------------------

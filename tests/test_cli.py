@@ -400,6 +400,16 @@ def test_verify_names_a_picard_gap_that_overflows(tmp_path):
     assert float(t_bad) in build_grid(config.horizon, config.steps).points
 
 
+def test_verify_writes_an_overflowing_moment_envelope_as_a_failure_without_a_warning(tmp_path):
+    # 4 C max(T,1)^2 is about 2e24, past exp's range: the bound is inf, the
+    # squared paths overflow too, and the record fails with null numbers
+    config = RunConfig(jump_coefficient=1e10, paths=50, steps=16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        moment = verify_checks(tmp_path, config, 2)["moment_envelope"]
+    assert moment == {"name": "moment_envelope", "value": None, "bound": None, "stderr": None, "pass": False}
+
+
 def test_verify_on_an_overflowing_picard_gap_raises_no_warning(tmp_path):
     # the same run as above, with every warning an error: nothing may warn,
     # and the records must be those of the unfiltered run

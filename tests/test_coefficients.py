@@ -601,6 +601,14 @@ def test_both_audits_name_a_jump_kernel_that_does_not_run_over_the_marks(audit):
         _audit(audit, broken)
 
 
+@pytest.mark.parametrize("audit", ["growth", "modulus"])
+def test_both_audits_name_a_jump_integral_of_the_wrong_shape(audit):
+    # the last axis runs over the marks, the other one has 3 entries, not one per sample
+    broken = dataclasses.replace(linear_test_coefficients(), jump=lambda t, s, x, xi: np.ones((3, np.size(xi))))
+    with pytest.raises(ConfigurationError, match=r"^jump gave shape \(3,\), which does not broadcast to \(50,\)$"):
+        _audit(audit, broken)
+
+
 def test_growth_audit_keeps_a_nan_jump_kernel_local():
     clean = example_coefficients(0.1, 2.0)
     broken = CoefficientSet(

@@ -283,6 +283,20 @@ def test_compensator_integral_quadrature_names_a_jump_kernel_that_does_not_run_o
         compensator_integral(coeffs, 0.5, np.array([0.1, 0.2, 0.3]), np.array([1.0, 2.0, 3.0]))
 
 
+@pytest.mark.parametrize(
+    ("slot", "replacement"),
+    [
+        ("jump", {"jump": lambda t, s, x, xi: np.ones((3, np.size(xi))), "compensator": None}),
+        ("compensator", {"compensator": lambda t, s, x: np.ones(3)}),
+    ],
+    ids=["jump", "compensator"],
+)
+def test_compensator_integral_names_a_slot_of_the_wrong_shape(slot, replacement):
+    coeffs = dataclasses.replace(linear_test_coefficients(), **replacement)
+    with pytest.raises(ConfigurationError, match=rf"^{slot} gave shape \(3,\), which does not broadcast to \(2,\)$"):
+        compensator_integral(coeffs, 0.5, np.array([0.1, 0.2]), np.array([1.0, 2.0]))
+
+
 def test_integrate_takes_a_last_axis_over_the_marks_or_of_length_one():
     measure = LevyMeasure.lognormal(2.0)
     np.testing.assert_allclose(measure.integrate(lambda xi: np.ones((3, 1))), [2.0, 2.0, 2.0], rtol=1e-8)
