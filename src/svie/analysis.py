@@ -18,7 +18,8 @@ Contents
   C1 = 4 (1 + E|phi(T)|^2) exp(4 C max(T,1)^2) on second moments of
   iterates, inf past exp's range.
 * ``picard_gap``: E sup_{s<=t} |x^{k+m} - x^k|^2 against its linear-in-t
-  envelope c3 * t with c3 = 12 max(T,1) * scale * kappa(4 C1).
+  envelope c3 * t with c3 = 12 max(T,1) * scale * kappa(4 C1), on a
+  ``grid_noise.NoiseBatch`` such as the one an ``Ensemble`` was solved on.
 * ``majorant_recursion``: the deterministic sequence psi_1 = c3 t,
   psi_{j+1} = int_0^t kappa(psi_j), which must decrease monotonically on a
   window where kappa(c3 t) <= c3.
@@ -41,8 +42,8 @@ import numpy as np
 from .coefficients import CoefficientSet, Modulus, _kappa, bihari_integral
 from .errors import AnalysisError, ConfigurationError, DomainError, ExplosionError, NumericalError
 from .errors import _check_int, _check_real, _check_shape
-from .grid_noise import LevyMeasure, NoisePath, TimeGrid
-from .solver import Ensemble, _iterates, _noise_batch
+from .grid_noise import LevyMeasure, NoiseBatch, TimeGrid
+from .solver import Ensemble, _iterates
 from .solver import picard_iterates  # noqa: F401 -- perfbench/tracer.py wraps analysis.picard_iterates by name
 
 __all__ = [
@@ -264,28 +265,30 @@ def gap_envelope_slope(coeffs: CoefficientSet, modulus: Modulus, horizon: float)
     return 12.0 * max(horizon, 1.0) * modulus.scale * kap
 
 
-def picard_gap(coeffs: CoefficientSet, noises: list[NoisePath], k: int, m: int, modulus: Modulus) -> GapReport:
-    """Monte Carlo curve t -> E sup_{s<=t} |x^{k+m}(s) - x^k(s)|^2.
+def picard_gap(coeffs: CoefficientSet, noise: NoiseBatch, k: int, m: int, modulus: Modulus) -> GapReport:
+    """Monte Carlo curve t -> E sup_{s<=t} |x^{k+m}(s) - x^k(s)|^2 on the paths of a ``NoiseBatch``.
 
-    Each time passes when the estimate stays below c3 * t within four
-    standard errors, c3 = ``gap_envelope_slope(coeffs, modulus, T)``.
-    m = 0 compares an iterate with itself and is zero.  All paths iterate
-    together, one batched sweep per iterate.  The first path in batch
-    order that exploded in any of sweeps 1..k+m, or whose squared gap is
-    not finite, fails the curve: the first raises
-    ExplosionError with the grid index of its earliest explosion, the
-    second NumericalError naming the iterates and its first such grid time.
+    ``noise`` may be ``Ensemble.noise``, so moments and gap read one draw;
+    ``NoiseBatch.of`` lays out ``NoisePath``s.  Each time passes when the
+    estimate stays below c3 * t within four standard errors,
+    c3 = ``gap_envelope_slope(coeffs, modulus, T)``.  m = 0 compares an
+    iterate with itself and is zero.  All paths iterate together, one
+    batched sweep per iterate.  The first path in batch order that exploded
+    in any of sweeps 1..k+m, or whose squared gap is not finite, fails the
+    curve: the first raises ExplosionError with the grid index of its
+    earliest explosion, the second NumericalError naming the iterates and
+    its first such grid time.
     """
     k, m = _check_int("k", k, 1), _check_int("m", m, 0)
-    # checked and laid out once, before the m = 0 shortcut, for all k + m sweeps
-    batch = _noise_batch(noises)
-    grid = batch.grid
+    if not isinstance(noise, NoiseBatch):
+        raise ConfigurationError(f"noise must be a NoiseBatch (see NoiseBatch.of), got {type(noise).__name__}")
+    grid = noise.grid
     c3 = gap_envelope_slope(coeffs, modulus, grid.horizon)
-    n_paths = len(noises)
+    n_paths = len(noise.brownian)
     if m == 0:
         zero = np.zeros(grid.steps + 1)
         return GapReport(grid.points, zero, zero.copy(), c3, np.ones(grid.steps + 1, dtype=bool), k, m, n_paths)
-    (lower, _), (upper, explosion) = itertools.islice(_iterates(coeffs, batch), k, k + m + 1, m)
+    (lower, _), (upper, explosion) = itertools.islice(_iterates(coeffs, noise), k, k + m + 1, m)
     # finite iterates can still be too far apart to square
     with np.errstate(over="ignore"):
         diff = upper - lower

@@ -13,6 +13,7 @@ through the solver's sweep.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -36,7 +37,8 @@ from .coefficients import (
     scale_for_log_modulus,
 )
 from .errors import ConfigParseError, ConfigurationError, SvieError, _check_int, _check_real
-from .grid_noise import _check_lineage, build_grid, sample_noise_ensemble, sample_noise_path
+from .grid_noise import _check_lineage, build_grid, sample_noise_path
+from .grid_noise import sample_noise_ensemble  # noqa: F401 -- perfbench/tracer.py wraps cli.sample_noise_ensemble by name
 from .solver import ensemble_simulate, picard_solve
 
 __all__ = ["RunConfig", "parse_config", "emit_config", "load_config", "main"]
@@ -266,7 +268,9 @@ def cmd_verify(config: RunConfig, out_dir: Path) -> int:
     ``error``.  No record's value feeds another check: the moment, gap and
     majorant envelopes read the model's analytic ``growth_constant``, the
     constant ``linear_growth`` audits, and ``doob_jump``'s builder
-    integrates its own compensator.
+    integrates its own compensator.  ``moment_envelope`` and ``picard_gap``
+    read one ensemble and its noise batch, so each lineage is drawn once.
+    An overflowing gap envelope bounds nothing: both of its records fail.
     """
     grid = build_grid(config.horizon, config.steps)
     coeffs, modulus = _build_model(config)
@@ -303,21 +307,23 @@ def cmd_verify(config: RunConfig, out_dir: Path) -> int:
         integrand = lambda s, xi: coeffs.jump(horizon, s, 1.0, xi)
         return doob(analysis.compensated_jump_ensemble(grid, coeffs.measure, integrand, _DOOB_PATHS, seed + 3))
 
+    # one solve for moment_envelope and picard_gap; a solve that raised is not cached and raises again
+    ensemble = functools.cache(lambda: ensemble_simulate(coeffs, grid, config.paths, seed))
+
     def check_moment_envelope():
-        ens = ensemble_simulate(coeffs, grid, config.paths, seed)
-        rep = analysis.moment_check(ens, coeffs)
+        rep = analysis.moment_check(ensemble(), coeffs)
         return np.max(rep.estimates - 4.0 * rep.stderrs), rep.bound, np.max(rep.stderrs), rep.all_pass
 
     def check_picard_gap():
-        noises = sample_noise_ensemble(grid, coeffs.measure, config.paths, seed)
-        rep = analysis.picard_gap(coeffs, noises, 1, 1, modulus)
-        return np.max(rep.estimates), rep.envelope_slope * grid.horizon, np.max(rep.stderrs), rep.all_pass
+        rep = analysis.picard_gap(coeffs, ensemble().noise, 1, 1, modulus)
+        passed = rep.all_pass and math.isfinite(rep.envelope_slope)
+        return np.max(rep.estimates), rep.envelope_slope * grid.horizon, np.max(rep.stderrs), passed
 
     def check_majorant():
         c3 = analysis.gap_envelope_slope(coeffs, modulus, horizon)
         if not math.isfinite(c3):
-            # envelope overflowed: the chain is trivially satisfied but not computable
-            return None, None, None, True
+            # envelope overflowed: the chain cannot be computed and bounds nothing
+            return None, None, None, False
         seq = analysis.majorant_recursion(c3, modulus, min(horizon, 1.0), config.steps, 30)
         return seq.final_value, seq.curves[0, -1], None, True
 

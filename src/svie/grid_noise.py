@@ -4,8 +4,8 @@ A simulation consumes three sources of randomness per path: Brownian
 increments on a uniform grid, a finite-activity jump train (Poisson count,
 uniform times, i.i.d. marks), and nothing else.  Every draw is derived from
 a ``(master_seed, path_index)`` lineage through a counter-based bit
-generator, so resampling any path in any order or batch reproduces
-identical arrays.
+generator, so any path drawn in any order or batch is identical; a batch
+is one ``NoiseBatch``, the one noise layout that every solver reads.
 
 Integrals against the mark density run on ``_gauss_kronrod``, a globally
 adaptive vector-valued 21-point Gauss-Kronrod rule of our own, so the
@@ -18,7 +18,7 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "TimeGrid",
     "LevyMeasure",
     "NoisePath",
+    "NoiseBatch",
     "build_grid",
     "sample_brownian",
     "sample_jumps",
@@ -431,6 +432,40 @@ class NoisePath:
             raise ConfigurationError(f"jump_times must be sorted inside (0, {self.grid.horizon!r}]")
 
 
+class NoiseBatch(NamedTuple):
+    """The noise of a batch of paths on one grid, in the one layout every batched solve reads.
+
+    ``brownian`` holds the (paths, n) increments, row p those of path p.  All
+    jumps are in one stable time-sorted list, each with its row in
+    ``jump_paths``, so a path meets its own in time order; column j holds
+    ``jump_cells[j]:jump_cells[j + 1]``.  ``NoiseBatch.of`` lays out a list of
+    ``NoisePath``s once; ``sample_noise_ensemble`` returns one.
+    """
+
+    grid: TimeGrid
+    brownian: np.ndarray
+    jump_times: np.ndarray
+    jump_marks: np.ndarray
+    jump_paths: np.ndarray
+    jump_cells: np.ndarray
+
+    @classmethod
+    def of(cls, noises: Sequence[NoisePath]) -> "NoiseBatch":
+        """Lay out non-empty ``noises`` on one grid, path p in row p."""
+        if not noises:
+            raise ConfigurationError("need at least one noise path")
+        grid = noises[0].grid
+        if any(noise.grid != grid for noise in noises):
+            raise ConfigurationError("all noise paths must share one grid")
+        times = np.concatenate([noise.jump_times for noise in noises])
+        order = np.argsort(times, kind="stable")
+        times = times[order]
+        marks = np.concatenate([noise.jump_marks for noise in noises])[order]
+        paths = np.repeat(np.arange(len(noises)), [noise.jump_times.size for noise in noises])[order]
+        cells = np.searchsorted(times, grid.points, side="right")
+        return cls(grid, np.stack([noise.brownian for noise in noises]), times, marks, paths, cells)
+
+
 def sample_brownian(grid: TimeGrid, lineage: tuple[int, int]) -> np.ndarray:
     """Draw the n Brownian increments, each N(0, dt), for one lineage."""
     rng = _generator(lineage, _ROLE_BROWNIAN)
@@ -458,21 +493,14 @@ def sample_jumps(grid: TimeGrid, measure: LevyMeasure, lineage: tuple[int, int])
 def sample_noise_path(grid: TimeGrid, measure: LevyMeasure, lineage: tuple[int, int]) -> NoisePath:
     """Assemble a full NoisePath; Brownian and jump draws use disjoint streams."""
     times, marks = sample_jumps(grid, measure, lineage)
-    return NoisePath(
-        grid=grid,
-        brownian=sample_brownian(grid, lineage),
-        jump_times=times,
-        jump_marks=marks,
-        lineage=_check_lineage(lineage),
-    )
+    return NoisePath(grid, sample_brownian(grid, lineage), times, marks, lineage=_check_lineage(lineage))
 
 
-def sample_noise_ensemble(
-    grid: TimeGrid, measure: LevyMeasure, n_paths: int, master_seed: int
-) -> list[NoisePath]:
-    """Paths with lineages (master_seed, 0..n_paths-1)."""
+def sample_noise_ensemble(grid: TimeGrid, measure: LevyMeasure, n_paths: int, master_seed: int) -> NoiseBatch:
+    """Lineages (master_seed, 0..n_paths-1), checked once, as one batch; row i is ``sample_noise_path``'s."""
     n_paths = _check_int("n_paths", n_paths, 1)
-    return [sample_noise_path(grid, measure, (master_seed, i)) for i in range(n_paths)]
+    master_seed, _ = _check_lineage((master_seed, n_paths - 1))
+    return NoiseBatch.of([sample_noise_path(grid, measure, (master_seed, i)) for i in range(n_paths)])
 
 
 def compensator_integral(coeffs: "CoefficientSet", t, s, x):

@@ -16,26 +16,18 @@ lower triangular, which is why successive approximation started from
 x^0 = phi reproduces the direct recursion exactly after at most n
 iterations and the (n+1)-th sweep changes nothing.
 
-Every solver runs one sweep, ``_sweep``, over a (paths, n + 1) block: one
-loop over the columns, which treats each kernel by its kind.  Each row
-starts at phi; once column j is final, a plain kernel is called once on the
-later grid times t_{j+1..n} to push the column into every later row of all
-paths, and the jumps with floor(tau) = j follow.  A ``SeparableKernel``, a
-sum of time(t) lag(s) state(x) terms, instead folds column j into one
-running sum per term and path, and row j + 1 adds those sums.  The drift,
-diffusion and compensator share one table of kernels and their increments
-(dt, dW_j and -dt); the jump kernel has its own scatter.  Each path sums in
-the same order, j = 0, 1, ..., its own jumps in time order, so no value
-depends on the other paths of the batch.
-``ensemble_simulate`` is one batch; ``direct_recursion`` is a batch of
+Every solver runs one sweep, ``_sweep``, over a (paths, n + 1) block and
+the paths' ``grid_noise.NoiseBatch``, the one noise layout.  Each path sums
+in the same order, j = 0, 1, ..., its own jumps in time order, so no value
+depends on the other paths of the batch.  ``ensemble_simulate`` is one
+batch, which its ``Ensemble`` keeps; ``direct_recursion`` is a batch of
 one, so each ensemble row is bitwise equal to the single-path solve of its
 lineage.  A Picard step is a sweep that pushes a previous iterate instead
 of the rows it writes, so a converged Picard iterate is bitwise identical
 to the direct solution.  Successive approximation also runs on a batch, one
 sweep per iterate for all paths (``analysis.picard_gap`` uses it), and the
 Picard functions are batches of one, so each path's iterates do not depend
-on the batch either.  Each solve checks and lays out its noise once, in
-``_noise_batch``.
+on the batch either.
 
 A plain kernel costs O(n^2) cells per path, but its (t, s) part is
 evaluated only once per cell for the whole batch; a separable kernel costs
@@ -47,13 +39,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .coefficients import CoefficientSet, SeparableKernel
 from .errors import ConfigurationError, ExplosionError, _check_int, _check_real, _check_shape
-from .grid_noise import NoisePath, TimeGrid, compensator_integral, sample_noise_ensemble
+from .grid_noise import NoiseBatch, NoisePath, TimeGrid, compensator_integral, sample_noise_ensemble
 from .grid_noise import sample_noise_path  # noqa: F401 -- perfbench/tracer.py wraps solver.sample_noise_path by name
 
 __all__ = [
@@ -78,9 +70,7 @@ class DiscretePath:
 
     def __post_init__(self):
         if self.values.shape != (self.grid.steps + 1,):
-            raise ConfigurationError(
-                f"path has shape {self.values.shape}, expected ({self.grid.steps + 1},)"
-            )
+            raise ConfigurationError(f"path has shape {self.values.shape}, expected ({self.grid.steps + 1},)")
 
 
 @dataclass(frozen=True)
@@ -101,39 +91,8 @@ def _initial_curve(coeffs: CoefficientSet, grid: TimeGrid) -> np.ndarray:
     return np.array(_check_shape("initial", coeffs.initial(grid.points), grid.points.shape))
 
 
-class _NoiseBatch(NamedTuple):
-    """A batch's noise on one grid, checked and laid out by ``_noise_batch`` once per solve.
-
-    ``brownian`` holds the (paths, n) increments.  All jumps are in one stable
-    time-sorted list, each with its row in ``jump_paths``, so a path meets its
-    own in time order; column j holds ``jump_cells[j]:jump_cells[j + 1]``.
-    """
-
-    grid: TimeGrid
-    brownian: np.ndarray
-    jump_times: np.ndarray
-    jump_marks: np.ndarray
-    jump_paths: np.ndarray
-    jump_cells: np.ndarray
-
-
-def _noise_batch(noises: Sequence[NoisePath]) -> _NoiseBatch:
-    if not noises:
-        raise ConfigurationError("need at least one noise path")
-    grid = noises[0].grid
-    if any(noise.grid != grid for noise in noises):
-        raise ConfigurationError("all noise paths must share one grid")
-    times = np.concatenate([noise.jump_times for noise in noises])
-    order = np.argsort(times, kind="stable")
-    times = times[order]
-    marks = np.concatenate([noise.jump_marks for noise in noises])[order]
-    paths = np.repeat(np.arange(len(noises)), [noise.jump_times.size for noise in noises])[order]
-    brownian = np.stack([noise.brownian for noise in noises])
-    return _NoiseBatch(grid, brownian, times, marks, paths, np.searchsorted(times, grid.points, side="right"))
-
-
 @np.errstate(over="ignore", invalid="ignore")  # the finiteness check reports an overflow, not numpy
-def _sweep(coeffs: CoefficientSet, batch: _NoiseBatch, source: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _sweep(coeffs: CoefficientSet, batch: NoiseBatch, source: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill the (paths, n + 1) block ``out`` column by column from ``source``.
 
     Rows start at phi; once column j of ``out`` is final, column j of
@@ -155,8 +114,7 @@ def _sweep(coeffs: CoefficientSet, batch: _NoiseBatch, source: np.ndarray, out: 
     with a non-finite state, -1 where there is none.  That state is parked at
     0, so kernels only ever see finite states, and the caller discards the
     row.  The sweep stops once every path has exploded, and parks the rows it
-    did not reach at 0 too.  ``batch`` is checked and laid out once per
-    solve, by ``_noise_batch``.
+    did not reach at 0 too.
     """
     grid, dW, jtimes, jmarks, jpath, jcells = batch
     pts = grid.points
@@ -239,13 +197,13 @@ def direct_recursion(coeffs: CoefficientSet, noise: NoisePath) -> DiscretePath:
     leaves the finite floats.
     """
     out = np.empty((1, noise.grid.steps + 1), dtype=np.float64)
-    explosion = _sweep(coeffs, _noise_batch([noise]), out, out)[0]
+    explosion = _sweep(coeffs, NoiseBatch.of([noise]), out, out)[0]
     if explosion >= 0:
         raise ExplosionError(explosion)
     return DiscretePath(grid=noise.grid, values=out[0])
 
 
-def _iterates(coeffs: CoefficientSet, batch: _NoiseBatch) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _iterates(coeffs: CoefficientSet, batch: NoiseBatch) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Successive approximations of a batch laid out once: x^0 = phi on every path, then one sweep per iterate.
 
     Yields ``(x^k, explosion)``: the (paths, n + 1) block of iterate k and,
@@ -263,7 +221,7 @@ def _iterates(coeffs: CoefficientSet, batch: _NoiseBatch) -> Iterator[tuple[np.n
 
 def _path_iterates(coeffs: CoefficientSet, noise: NoisePath) -> Iterator[np.ndarray]:
     """x^0, x^1, ... of one path: the batch of one, raising ExplosionError at the first exploding sweep."""
-    for state, explosion in _iterates(coeffs, _noise_batch([noise])):
+    for state, explosion in _iterates(coeffs, NoiseBatch.of([noise])):
         if explosion[0] >= 0:
             raise ExplosionError(explosion[0])
         yield state[0]
@@ -313,14 +271,19 @@ def picard_iterates(coeffs: CoefficientSet, noise: NoisePath, keep: Iterable[int
 class Ensemble:
     """Direct-recursion solutions over lineages (master_seed, 0..n_paths-1).
 
-    Exploded paths are flagged and their rows are NaN; statistics downstream
-    run on the survivors and report the loss.
+    ``noise`` is the batch they were solved on, which a later check on the
+    same lineages reads instead of drawing it again.  Exploded paths are
+    flagged and their rows are NaN; statistics run on the survivors.
     """
 
-    grid: TimeGrid
+    noise: NoiseBatch
     values: np.ndarray
     explosion_index: np.ndarray
     master_seed: int
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.noise.grid
 
     @property
     def n_paths(self) -> int:
@@ -343,8 +306,8 @@ def ensemble_simulate(coeffs: CoefficientSet, grid: TimeGrid, n_paths: int, mast
     bitwise equal to ``direct_recursion`` on that lineage: no value depends
     on the batch.
     """
-    batch = _noise_batch(sample_noise_ensemble(grid, coeffs.measure, n_paths, master_seed))
-    values = np.empty((n_paths, grid.steps + 1), dtype=np.float64)
-    explosion_index = _sweep(coeffs, batch, values, values)
+    noise = sample_noise_ensemble(grid, coeffs.measure, n_paths, master_seed)
+    values = np.empty((len(noise.brownian), grid.steps + 1), dtype=np.float64)
+    explosion_index = _sweep(coeffs, noise, values, values)
     values[explosion_index >= 0] = np.nan
-    return Ensemble(grid=grid, values=values, explosion_index=explosion_index, master_seed=int(master_seed))
+    return Ensemble(noise=noise, values=values, explosion_index=explosion_index, master_seed=int(master_seed))

@@ -37,7 +37,7 @@ from svie.coefficients import (
     zero_coefficients,
 )
 from svie.errors import AnalysisError, ConfigurationError, DomainError, ExplosionError, NumericalError
-from svie.grid_noise import LevyMeasure, NoisePath, build_grid, sample_noise_ensemble
+from svie.grid_noise import LevyMeasure, NoiseBatch, NoisePath, build_grid, sample_noise_ensemble, sample_noise_path
 from svie.solver import Ensemble, ensemble_simulate, picard_iterates
 
 E_XI = math.exp(0.5)
@@ -201,7 +201,7 @@ def test_moment_check_and_picard_gap_require_a_growth_constant():
 def test_moment_check_fails_a_square_past_the_largest_double_without_a_warning():
     # pytest turns warnings into errors here, so numpy's overflow warning would raise
     grid = build_grid(0.5, 8)
-    ens = Ensemble(grid, np.full((3, 9), 1e200), np.full(3, -1), master_seed=0)
+    ens = Ensemble(sample_noise_ensemble(grid, LevyMeasure.empty(), 3, 0), np.full((3, 9), 1e200), np.full(3, -1), 0)
     report = moment_check(ens, zero_coefficients())
     assert np.all(report.estimates == math.inf)
     assert report.bound == 8.0
@@ -259,6 +259,11 @@ def test_gap_envelope_of_an_overflowing_slope_warns_nothing():
     assert report.all_pass
 
 
+def lineage_paths(grid, measure, n_paths, master_seed):
+    """Lineages (master_seed, 0..n_paths-1) as separate noise paths, for the per-path references."""
+    return [sample_noise_path(grid, measure, (master_seed, idx)) for idx in range(n_paths)]
+
+
 def per_path_gap(coeffs, noises, k, m):
     """E sup |x^{k+m} - x^k|^2 and its stderr from one Picard solve per path, in batch order."""
     sups = []
@@ -282,8 +287,8 @@ def bitwise_equal(a, b):
 @pytest.mark.parametrize(("k", "m"), [(1, 1), (1, 2)])
 def test_gap_matches_a_per_path_reference_bitwise(k, m):
     coeffs = example_coefficients(0.1, rate=40.0)
-    noises = sample_noise_ensemble(build_grid(0.5, 32), coeffs.measure, 25, master_seed=12)
-    report = picard_gap(coeffs, noises, k, m, linear_modulus(coeffs.growth_constant))
+    noises = lineage_paths(build_grid(0.5, 32), coeffs.measure, 25, master_seed=12)
+    report = picard_gap(coeffs, NoiseBatch.of(noises), k, m, linear_modulus(coeffs.growth_constant))
     estimates, stderrs = per_path_gap(coeffs, noises, k, m)
     assert report.estimates.max() > 0.0
     assert bitwise_equal(report.estimates, estimates)
@@ -346,7 +351,7 @@ def test_gap_fails_on_the_first_failing_path_in_batch_order(kinds):
     with pytest.raises(NumericalError) as expected:
         per_path_gap(coeffs, noises, 1, 1)
     with pytest.raises(NumericalError) as raised:
-        picard_gap(coeffs, noises, 1, 1, linear_modulus(1.0))
+        picard_gap(coeffs, NoiseBatch.of(noises), 1, 1, linear_modulus(1.0))
     assert type(raised.value) is type(expected.value)
     assert str(raised.value) == str(expected.value)
     first = next(kind for kind in kinds if kind != "finite")
@@ -355,13 +360,13 @@ def test_gap_fails_on_the_first_failing_path_in_batch_order(kinds):
 
 def test_gap_of_an_overflowing_model_matches_the_reference_and_warns_nothing():
     coeffs = example_coefficients(1e150, rate=40.0)
-    noises = sample_noise_ensemble(build_grid(0.5, 16), coeffs.measure, 10, master_seed=1)
+    noises = lineage_paths(build_grid(0.5, 16), coeffs.measure, 10, master_seed=1)
     with pytest.raises(NumericalError) as expected:
         per_path_gap(coeffs, noises, 1, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError) as raised:
-            picard_gap(coeffs, noises, 1, 1, linear_modulus(coeffs.growth_constant))
+            picard_gap(coeffs, NoiseBatch.of(noises), 1, 1, linear_modulus(coeffs.growth_constant))
     assert type(raised.value) is type(expected.value)
     assert str(raised.value) == str(expected.value)
 
@@ -369,20 +374,24 @@ def test_gap_of_an_overflowing_model_matches_the_reference_and_warns_nothing():
 def test_gap_validates_arguments():
     coeffs = deterministic_ode_coefficients()
     grid = build_grid(0.5, 8)
-    noises = sample_noise_ensemble(grid, coeffs.measure, 2, master_seed=7)
+    noises = lineage_paths(grid, coeffs.measure, 2, master_seed=7)
     with pytest.raises(ConfigurationError):
-        picard_gap(coeffs, noises, 0, 1, linear_modulus(0.25))
+        picard_gap(coeffs, NoiseBatch.of(noises), 0, 1, linear_modulus(0.25))
     with pytest.raises(ConfigurationError):
-        picard_gap(coeffs, noises, 1, -1, linear_modulus(0.25))
+        picard_gap(coeffs, NoiseBatch.of(noises), 1, -1, linear_modulus(0.25))
+    # the gap reads a laid-out batch only; a list of paths is pointed to NoiseBatch.of
+    for unlaid in (noises, noises[0], []):
+        with pytest.raises(ConfigurationError, match=r"^noise must be a NoiseBatch \(see NoiseBatch.of\), got "):
+            picard_gap(coeffs, unlaid, 1, 1, linear_modulus(0.25))
+    with pytest.raises(ConfigurationError, match="^need at least one noise path$"):
+        NoiseBatch.of([])
+    mixed = noises + lineage_paths(build_grid(0.5, 16), coeffs.measure, 1, master_seed=7)
     with pytest.raises(ConfigurationError):
-        picard_gap(coeffs, [], 1, 1, linear_modulus(0.25))
-    mixed = noises + sample_noise_ensemble(build_grid(0.5, 16), coeffs.measure, 1, master_seed=7)
-    with pytest.raises(ConfigurationError):
-        picard_gap(coeffs, mixed, 1, 1, linear_modulus(0.25))
+        NoiseBatch.of(mixed)
     # same step count, other horizon: the increments stack, so only the grid check rejects them
-    stretched = noises + sample_noise_ensemble(build_grid(1.0, 8), coeffs.measure, 1, master_seed=7)
+    stretched = noises + lineage_paths(build_grid(1.0, 8), coeffs.measure, 1, master_seed=7)
     with pytest.raises(ConfigurationError, match="share one grid"):
-        picard_gap(coeffs, stretched, 1, 1, linear_modulus(0.25))
+        NoiseBatch.of(stretched)
 
 
 # --- majorant recursion ---------------------------------------------------------
@@ -661,7 +670,7 @@ def test_builders_accept_integral_floats_and_numpy_integers():
     for build in (
         lambda n, seed: brownian_martingale_ensemble(grid, lambda s: np.ones_like(s), n, seed).terminal,
         lambda n, seed: compensated_jump_ensemble(grid, measure, lambda s, xi: xi, n, seed).terminal,
-        lambda n, seed: np.array([p.brownian for p in sample_noise_ensemble(grid, measure, n, seed)]),
+        lambda n, seed: sample_noise_ensemble(grid, measure, n, seed).brownian,
     ):
         want = build(8, 3)
         np.testing.assert_array_equal(build(8.0, 3.0), want)

@@ -27,12 +27,13 @@ from svie.coefficients import (
     scale_for_log_modulus,
 )
 from svie.errors import ConfigurationError
-from svie.grid_noise import LevyMeasure, build_grid, sample_brownian, sample_noise_ensemble, sample_noise_path
+from svie.grid_noise import LevyMeasure, NoiseBatch, build_grid, sample_brownian, sample_noise_ensemble, sample_noise_path
 from svie.solver import picard_iterates, picard_solve
 
 GRID = build_grid(1.0, 4)
 ODE = deterministic_ode_coefficients()
 NOISE = sample_noise_path(GRID, ODE.measure, (1, 0))
+BATCH = NoiseBatch.of([NOISE])
 
 # case -> (call with the argument under test, the name its message starts with, a valid value)
 INTEGER_ARGUMENTS = {
@@ -51,8 +52,8 @@ INTEGER_ARGUMENTS = {
         "samples",
         4,
     ),
-    "picard_gap.k": (lambda v: picard_gap(ODE, [NOISE], v, 1, linear_modulus(0.25)), "k", 1),
-    "picard_gap.m": (lambda v: picard_gap(ODE, [NOISE], 1, v, linear_modulus(0.25)), "m", 1),
+    "picard_gap.k": (lambda v: picard_gap(ODE, BATCH, v, 1, linear_modulus(0.25)), "k", 1),
+    "picard_gap.m": (lambda v: picard_gap(ODE, BATCH, 1, v, linear_modulus(0.25)), "m", 1),
     "majorant_recursion.steps": (lambda v: majorant_recursion(1.0, linear_modulus(1.0), 0.5, steps=v), "steps", 16),
     "majorant_recursion.iterations": (
         lambda v: majorant_recursion(1.0, linear_modulus(1.0), 0.5, iterations=v),

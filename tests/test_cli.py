@@ -1,6 +1,7 @@
 """Config round-tripping, artifact layout, and exit codes of the CLI."""
 
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -10,7 +11,7 @@ from pathlib import PurePosixPath
 import numpy as np
 import pytest
 
-from svie import cli
+from svie import analysis, cli, grid_noise, solver
 from svie.analysis import uniform_moment_bound
 from svie.cli import RunConfig, _build_model, emit_config, load_config, main, parse_config
 from svie.coefficients import COEFFICIENT_SETS, MODULI, CoefficientSet
@@ -369,15 +370,48 @@ def test_verify_records_a_raising_check_and_falls_back_to_the_analytic_constant(
 
 
 def test_verify_majorant_runs_when_picard_gap_raises(tmp_path, monkeypatch):
-    # the chain computes its own slope, so a failed gap check does not leave it a silent pass
+    # the moment and gap checks share one solve, so its error is on both
+    # records; the chain computes its own slope, so it does not become a silent pass
     def broken_sampler(*args, **kwargs):
         raise NumericalError("sampler broke")
 
-    monkeypatch.setattr(cli, "sample_noise_ensemble", broken_sampler)
+    monkeypatch.setattr(solver, "sample_noise_ensemble", broken_sampler)
     by_name = verify_checks(tmp_path, simulate_config(paths=4), 2)
+    assert by_name["moment_envelope"]["error"] == "sampler broke"
     assert by_name["picard_gap"]["error"] == "sampler broke"
     assert isinstance(by_name["majorant_chain"]["value"], float)
     assert isinstance(by_name["majorant_chain"]["bound"], float)
+
+
+def test_verify_draws_each_lineage_once(tmp_path, monkeypatch):
+    # the moment ensemble and the Picard gap read one noise batch
+    drawn = []
+    draw = grid_noise.sample_noise_path
+
+    def counted(grid, measure, lineage):
+        drawn.append(lineage)
+        return draw(grid, measure, lineage)
+
+    monkeypatch.setattr(grid_noise, "sample_noise_path", counted)
+    config = simulate_config(paths=6)
+    verify_checks(tmp_path, config, 0)
+    assert drawn == [(config.master_seed, idx) for idx in range(config.paths)]
+
+
+def test_verify_fails_the_gap_and_the_chain_when_the_gap_envelope_overflows(tmp_path):
+    # the slope c3 is inf here, and an infinite envelope bounds nothing
+    config = RunConfig(jump_coefficient=1e10, paths=50, steps=16)
+    coeffs, modulus = _build_model(config)
+    assert analysis.gap_envelope_slope(coeffs, modulus, config.horizon) == math.inf
+    by_name = verify_checks(tmp_path, config, 2)
+    assert by_name["picard_gap"]["bound"] is None and by_name["picard_gap"]["pass"] is False
+    assert by_name["majorant_chain"] == {
+        "name": "majorant_chain",
+        "value": None,
+        "bound": None,
+        "stderr": None,
+        "pass": False,
+    }
 
 
 def test_verify_majorant_and_gap_bounds_share_one_slope(tmp_path):

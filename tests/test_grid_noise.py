@@ -320,15 +320,38 @@ def test_integrate_reports_nonconvergence():
         measure.integrate(lambda xi: np.sin(1e9 * xi))
 
 
-def test_noise_ensemble_uses_consecutive_lineages():
+@pytest.mark.parametrize("master_seed", [0, 77, 2**63 - 1, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("measure", [LevyMeasure.lognormal(8.0), LevyMeasure.empty()], ids=["jumps", "zero-mass"])
+def test_noise_ensemble_uses_consecutive_lineages(master_seed, measure):
+    # row i of the batch is lineage (master_seed, i) drawn alone, bit for bit:
+    # the guard against numpy changing the layout of its Philox state
     grid = build_grid(0.5, 8)
-    measure = LevyMeasure.lognormal(2.0)
-    paths = sample_noise_ensemble(grid, measure, 5, 77)
-    assert [p.lineage for p in paths] == [(77, i) for i in range(5)]
-    solo = sample_noise_path(grid, measure, (77, 3))
-    np.testing.assert_array_equal(paths[3].brownian, solo.brownian)
-    np.testing.assert_array_equal(paths[3].jump_times, solo.jump_times)
-    np.testing.assert_array_equal(paths[3].jump_marks, solo.jump_marks)
+    batch = sample_noise_ensemble(grid, measure, 5, master_seed)
+    assert batch.grid == grid and batch.brownian.shape == (5, grid.steps)
+    assert (batch.jump_times.size > 0) == (measure.total_mass > 0.0)
+    for idx in range(5):
+        solo = sample_noise_path(grid, measure, (master_seed, idx))
+        own = batch.jump_paths == idx
+        for row, alone in zip(
+            (batch.brownian[idx], batch.jump_times[own], batch.jump_marks[own]),
+            (solo.brownian, solo.jump_times, solo.jump_marks),
+        ):
+            assert row.dtype == alone.dtype == np.float64
+            assert np.array_equal(row.view(np.uint64), alone.view(np.uint64))
+    assert np.all(np.diff(batch.jump_times) >= 0.0)
+    np.testing.assert_array_equal(batch.jump_cells, np.searchsorted(batch.jump_times, grid.points, side="right"))
+
+
+def test_noise_ensemble_checks_its_lineage_range_before_the_first_draw(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a path was drawn before the lineage range was checked")
+
+    monkeypatch.setattr(grid_noise, "sample_noise_path", no_draw)
+    grid = build_grid(0.5, 4)
+    with pytest.raises(ConfigurationError, match=r"^path_index must lie in \[0, 2\^32\), got 4294967296$"):
+        sample_noise_ensemble(grid, LevyMeasure.empty(), 2**32 + 1, 0)
+    with pytest.raises(ConfigurationError, match=r"^master_seed must lie in \[0, 2\^64\), got 18446744073709551616$"):
+        sample_noise_ensemble(grid, LevyMeasure.empty(), 1, 2**64)
 
 
 def test_noise_path_accepts_a_well_formed_hand_built_path():

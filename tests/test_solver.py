@@ -18,6 +18,7 @@ from svie.coefficients import (
 from svie.errors import ConfigurationError, ExplosionError
 from svie.grid_noise import (
     LevyMeasure,
+    NoiseBatch,
     NoisePath,
     build_grid,
     compensator_integral,
@@ -27,7 +28,6 @@ from svie.grid_noise import (
 from svie.solver import (
     DiscretePath,
     _iterates,
-    _noise_batch,
     _sweep,
     direct_recursion,
     ensemble_simulate,
@@ -166,14 +166,14 @@ def test_overflow_in_a_later_row_is_reported_where_that_row_is_reached():
     assert info.value.grid_index == 3
     # the Picard sweep from phi meets the same nan; it parks the row it
     # stopped on and the row it never reached at 0
-    stream = _iterates(coeffs, _noise_batch([noise]))
+    stream = _iterates(coeffs, NoiseBatch.of([noise]))
     next(stream)
     state, explosion = next(stream)
     assert explosion.tolist() == [3]
     np.testing.assert_array_equal(state, [[1.0, 1.0, 1.0, 0.0, 0.0]])
     # a quiet path in the same batch keeps its own, finite solution
     out = np.empty((2, grid.steps + 1))
-    assert _sweep(coeffs, _noise_batch([noise, quiet_path(grid)]), out, out).tolist() == [3, -1]
+    assert _sweep(coeffs, NoiseBatch.of([noise, quiet_path(grid)]), out, out).tolist() == [3, -1]
     assert bitwise_equal(out[1], direct_recursion(coeffs, quiet_path(grid)).values)
 
 
@@ -187,7 +187,7 @@ def test_a_jump_free_model_ignores_the_jumps_of_its_noise():
     expected = direct_recursion(coeffs, plain).values
     assert bitwise_equal(direct_recursion(coeffs, jumpy).values, expected)
     out = np.empty((2, grid.steps + 1))
-    assert _sweep(coeffs, _noise_batch([quiet_path(grid, (0.2,), (5.0,)), jumpy]), out, out).tolist() == [-1, -1]
+    assert _sweep(coeffs, NoiseBatch.of([quiet_path(grid, (0.2,), (5.0,)), jumpy]), out, out).tolist() == [-1, -1]
     assert bitwise_equal(out[1], expected)
 
 
@@ -483,7 +483,7 @@ def test_quadrature_compensator_rows_do_not_depend_on_the_batch():
 
 def batch_iterates(coeffs, noises, keep):
     """Iterates {k: (paths, n + 1) block} of one batched Picard stream; no path may explode."""
-    stream = dict(zip(range(max(keep) + 1), _iterates(coeffs, _noise_batch(noises))))
+    stream = dict(zip(range(max(keep) + 1), _iterates(coeffs, NoiseBatch.of(noises))))
     assert (stream[max(keep)][1] < 0).all()
     return {k: stream[k][0] for k in keep}
 
@@ -760,7 +760,7 @@ def test_a_mixed_model_never_calls_a_separable_kernel_whole(name):
         expected = [((grid.steps - j,), (), (paths, 1)) for j in range(grid.steps)]
     else:
         # the plain jump: once per column with jumps, with a column per jump
-        per_column = np.diff(_noise_batch(sample_noise_ensemble(grid, coeffs.measure, paths, 73)).jump_cells)
+        per_column = np.diff(sample_noise_ensemble(grid, coeffs.measure, paths, 73).jump_cells)
         expected = [((grid.steps - j,), (m, 1), (m, 1), (m, 1)) for j, m in enumerate(per_column) if m]
         assert len(expected) > 1
     assert seen == expected
