@@ -503,7 +503,7 @@ def bihari_integral(modulus: Modulus, v: float, v_ref: float) -> float:
         return u / k
 
     lo, hi = sorted((math.log(v_ref), math.log(v)))
-    res, err = _gauss_kronrod(integrand, lo, hi, epsrel=1e-10, limit=400)
+    res, err, _ = _gauss_kronrod(integrand, lo, hi, epsrel=1e-10, limit=400)
     if not err <= 1e-6 * max(abs(res), 1e-300):  # a nan error fails too
         raise AnalysisError(f"comparison integral did not converge: estimate {res!r}, error {err!r}")
     return float(res) if v > v_ref else -float(res)

@@ -14,6 +14,7 @@ package needs numpy only.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import sys
@@ -32,6 +33,7 @@ __all__ = [
     "LevyMeasure",
     "NoisePath",
     "NoiseBatch",
+    "MarkRule",
     "build_grid",
     "sample_brownian",
     "sample_jumps",
@@ -241,28 +243,9 @@ class LevyMeasure:
         """
         if self.total_mass == 0.0:
             return 0.0
-        lo, hi = float(self.support[0]), float(self.support[1])
-
-        def weighted(xi: np.ndarray) -> np.ndarray:
-            density = np.broadcast_to(self.mark_density(xi), xi.shape)
-            values = fn(xi)
-            if np.shape(values)[-1:] not in ((), (1,), xi.shape):
-                raise ConfigurationError(
-                    f"integrand gave shape {np.shape(values)}, whose last axis does not run over the {xi.size} marks"
-                )
-            # where the density is 0 the product is 0 even if fn alone
-            # overflows (large mark powers at huge xi)
-            return np.where(density == 0.0, 0.0, values * density)
-
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if lo >= 0.0:
-                value, err = _integrate_half_line(weighted, lo, hi)
-            elif hi <= 0.0:
-                value, err = _integrate_half_line(lambda r: weighted(-r), -hi, -lo)
-            else:
-                vpos, epos = _integrate_half_line(weighted, 0.0, hi)
-                vneg, eneg = _integrate_half_line(lambda r: weighted(-r), 0.0, -lo)
-                value, err = vpos + vneg, epos + eneg
+            _, values, errs, _ = zip(*self._half_lines(fn))
+            value, err = sum(values[1:], values[0]), sum(errs[1:], errs[0])
             # non-finite elements carry no error; a nan error (the quadrature
             # met a non-finite value between probes) fails the check
             target = np.where(
@@ -276,16 +259,58 @@ class LevyMeasure:
         value = self.total_mass * value
         return float(value) if value.ndim == 0 else value
 
+    def _half_lines(self, fn: Callable) -> list:
+        """One ``_integrate_half_line`` pass of fn times the density per half-line of the support.
 
-def _integrate_half_line(w: Callable, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+        Returns ``(sign, value, err, leaves)`` per half-line, the marks
+        being sign * r for r >= 0, the positive half first, after
+        ``_integrate_half_line``.  Runs under the caller's ``np.errstate``.
+        """
+        lo, hi = float(self.support[0]), float(self.support[1])
+
+        def weighted(xi: np.ndarray) -> np.ndarray:
+            density = np.broadcast_to(self.mark_density(xi), xi.shape)
+            # where the density is 0 the product is 0 even if fn alone
+            # overflows (large mark powers at huge xi)
+            return np.where(density == 0.0, 0.0, _over_marks(fn, xi) * density)
+
+        if lo >= 0.0:
+            halves = ((1.0, lo, hi),)
+        elif hi <= 0.0:
+            halves = ((-1.0, -hi, -lo),)
+        else:
+            halves = ((1.0, 0.0, hi), (-1.0, 0.0, -lo))
+        return [
+            (sign, *_integrate_half_line(weighted if sign > 0.0 else lambda r: weighted(-r), a, b))
+            for sign, a, b in halves
+        ]
+
+
+def _over_marks(fn: Callable, xi: np.ndarray):
+    """fn(xi), whose last axis must run over the marks xi (or broadcast: a scalar or a last axis of one)."""
+    values = fn(xi)
+    if np.shape(values)[-1:] not in ((), (1,), xi.shape):
+        raise ConfigurationError(
+            f"integrand gave shape {np.shape(values)}, whose last axis does not run over the {xi.size} marks"
+        )
+    return values
+
+
+def _integrate_half_line(w: Callable, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, Callable[[], tuple]]:
     """Quadrature of w over [lo, hi] with 0 <= lo < hi (hi may be inf).
 
     Returns each element's value and certified error, shaped like w's
-    values without their last (point) axis.  The quadrature runs in
-    u = log(xi) on w(e^u) e^u, where a log-normal bump is a Gaussian that
-    few Gauss-Kronrod nodes resolve.  Every element is divided by its own
-    probe-grid estimate of its integral of |w|, so the max-norm tolerance
-    of one vector quadrature is a relative tolerance for each element.
+    values without their last (point) axis, and a function giving the
+    pass's leaves.  The quadrature runs in u = log(xi) on w(e^u) e^u, where
+    a log-normal bump is a Gaussian that few Gauss-Kronrod nodes resolve.
+    Every element is divided by its own probe-grid estimate of its
+    integral of |w|, so the max-norm tolerance of one vector quadrature is
+    a relative tolerance for each element.  The leaves ``(probes, core,
+    nodes, jacobians)`` are the 161 probes, the first and last probe index
+    of the core bracket ((161, -1) when no element carries mass), and the
+    final panels' (panels, 21) nodes xi with the factors that make sum
+    Kronrod weight x jacobian x w(node) each panel's estimate of the
+    integral of w.
     """
     plo = max(lo, min(_PROBE_MIN, 0.5 * hi))
     phi = min(hi, max(_PROBE_MAX, 2.0 * lo))
@@ -299,12 +324,14 @@ def _integrate_half_line(w: Callable, lo: float, hi: float) -> tuple[np.ndarray,
     mags = np.abs(vals)
     peak = mags.max(axis=1)
     live = finite & (peak > 0.0)
+    core, rules = (_PROBE_COUNT, -1), []
     if live.any():
         mags, peak = mags[live], peak[live]
         logs = np.log(probes)
         # the core is the union of every element's bracket of probe segments
         # above _CORE_FLOOR times its own peak, widened by one segment
         cols = np.flatnonzero((mags >= _CORE_FLOOR * peak[:, np.newaxis]).any(axis=0))
+        core = (int(cols[0]), int(cols[-1]))
         edges = logs[max(cols[0] - 1, 0) : min(cols[-1] + 1, len(logs) - 1) + 1].tolist()
         scale = (np.diff(logs) * (mags[:, 1:] + mags[:, :-1]) / 2.0).sum(axis=1)  # trapezoid rule
         inv = 1.0 / scale[:, np.newaxis]
@@ -321,14 +348,22 @@ def _integrate_half_line(w: Callable, lo: float, hi: float) -> tuple[np.ndarray,
         # put all its nodes where the integrand is flat and miss the bump
         for a, b, points in ((edges[0], edges[-1], edges[1:-1]), (u_lo, edges[0], None), (edges[-1], u_hi, None)):
             if a < b:
-                part, part_err = _gauss_kronrod(
+                part, part_err, rule = _gauss_kronrod(
                     scaled, a, b, epsabs=MARK_INTEGRAL_REL_TOL, limit=len(edges) + _QUAD_SPLITS, points=points
                 )
                 total = total + part
                 total_err += part_err
+                rules.append(rule)
         value[live] = total * scale
         err[live] = total_err * scale
-    return value.reshape(shape), err.reshape(shape)
+
+    def leaves() -> tuple:
+        panels = [rule() for rule in rules]
+        u = np.concatenate([np.empty((0, 21))] + [nodes for nodes, _ in panels])
+        xi = np.exp(u)  # back from u to xi: the panels integrate w(e^u) e^u
+        return probes, core, xi, np.concatenate([np.empty((0, 21))] + [jac for _, jac in panels]) * xi
+
+    return value.reshape(shape), err.reshape(shape), leaves
 
 
 def _gk21_panel(f: Callable, a: float, b: float) -> tuple[np.ndarray, float, float]:
@@ -356,7 +391,7 @@ def _gk21_panel(f: Callable, a: float, b: float) -> tuple[np.ndarray, float, flo
 
 def _gauss_kronrod(
     f: Callable, a: float, b: float, *, epsabs: float = 0.0, epsrel: float = 0.0, limit: int, points=None
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, Callable[[], tuple[np.ndarray, np.ndarray]]]:
     """Globally adaptive 21-point Gauss-Kronrod quadrature of f over [a, b], a < b.
 
     ``f`` maps a 1-D array of points to an array whose last axis runs over
@@ -367,9 +402,14 @@ def _gauss_kronrod(
     above the round-off floor summed over every panel evaluated; it also
     stops when either is not finite, and at ``limit`` panels.  An infinite
     end can only be the lower one, a = -inf, without interior points; it
-    maps to t in (0, 1] by x = b - (1 - t) / t.  Returns the value and the
-    error estimate plus the round-off floor.
+    maps to t in (0, 1] by x = b - (1 - t) / t.  Returns the value, the
+    error estimate plus the round-off floor, and a function that gives
+    the final panels in ascending order as a fixed rule in x: their
+    (panels, 21) nodes and jacobians, the half-width times dx/dt, so that
+    each panel's Kronrod estimate is sum Kronrod weight x jacobian x
+    f(node).  Only a caller that keeps the rule pays for building it.
     """
+    end = None
     if math.isinf(a):
         end, finite_f = b, f
 
@@ -395,7 +435,20 @@ def _gauss_kronrod(
             part, part_err, floor = _gk21_panel(f, x1, x2)
             heapq.heappush(heap, (-part_err, x1, x2, part))
             value, error, rounding = value + part, error + part_err, rounding + floor
-    return value, error + rounding
+    # the bounds alone: the heap holds every panel's values
+    bounds = [(lo, hi) for _, lo, hi, _ in heap]
+
+    def panels() -> tuple[np.ndarray, np.ndarray]:
+        # the same node arithmetic as _gk21_panel and the map above, so a
+        # rule evaluates f where this pass did
+        lo, hi = np.array(sorted(bounds)).T[:, :, np.newaxis]
+        c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        nodes, jacobians = c + h * _GK_NODES, np.broadcast_to(h, (len(bounds), 21))
+        if end is not None:
+            nodes, jacobians = end - (1.0 - nodes) / nodes, jacobians / (nodes * nodes)
+        return nodes, jacobians
+
+    return value, error + rounding, panels
 
 
 @dataclass(frozen=True)
@@ -503,21 +556,121 @@ def sample_noise_ensemble(grid: TimeGrid, measure: LevyMeasure, n_paths: int, ma
     return NoiseBatch.of([sample_noise_path(grid, measure, (master_seed, i)) for i in range(n_paths)])
 
 
-def compensator_integral(coeffs: "CoefficientSet", t, s, x):
+class MarkRule(NamedTuple):
+    """A fixed rule against a measure: the final panels of one adaptive pass, kept for other integrands.
+
+    ``MarkRule.fit`` runs the pass of ``LevyMeasure.integrate`` on one
+    integrand and keeps, per half-line of the support, its probe marks
+    with their weights density x |mark| (the probed integrand in log(|xi|)),
+    its core bracket as a first and last probe index, and its leaf panels'
+    marks with their weights density x jacobian.  ``integrate`` applies the
+    rule to another integrand with one call on the probes and one on the
+    panel marks, and returns None unless every element passes the checks
+    of the adaptive pass, so a caller falls back to ``LevyMeasure.integrate``.
+    """
+
+    measure: LevyMeasure
+    probes: np.ndarray  # (half-lines, 161) marks
+    probe_weights: np.ndarray
+    core: np.ndarray  # (half-lines, 2) probe indices
+    nodes: np.ndarray  # (panels, 21) marks
+    weights: np.ndarray
+
+    @classmethod
+    def fit(cls, measure: LevyMeasure, fn: Callable[[np.ndarray], np.ndarray]) -> "MarkRule":
+        """Keep the panels that one adaptive pass of ``fn`` against ``measure`` ends with.
+
+        The pass is not certified: each integrand the rule is applied to
+        is.  A measure without mass, whose integrals are all 0, has no rule.
+        """
+        if measure.total_mass == 0.0:
+            raise ConfigurationError("a measure without mass has no mark rule; its integrals are all 0")
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            halves = [(sign, leaves()) for sign, _, _, leaves in measure._half_lines(fn)]
+            probes = np.stack([sign * leaves[0] for sign, leaves in halves])
+            nodes = np.concatenate([sign * leaves[2] for sign, leaves in halves])
+
+            def weights(marks: np.ndarray, jacobians: np.ndarray) -> np.ndarray:
+                flat = marks.ravel()
+                density = np.broadcast_to(measure.mark_density(flat), flat.shape).reshape(marks.shape)
+                # 0 where the density is, even where the jacobian overflows
+                return np.where(density == 0.0, 0.0, density * jacobians)
+
+            return cls(
+                measure,
+                probes,
+                weights(probes, np.abs(probes)),
+                np.array([leaves[1] for _, leaves in halves], dtype=np.int64),
+                nodes,
+                weights(nodes, np.concatenate([leaves[3] for _, leaves in halves])),
+            )
+
+    def integrate(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray | float | None:
+        """``measure.integrate(fn)`` on the rule's panels, or None unless every element is certified.
+
+        An element is certified when every probe value is finite; when it is
+        zero on every probe, its value must be exactly 0; otherwise, on each
+        half-line where it is not zero on every probe, its core bracket (the
+        probes at or above 1e-18 times its peak there) must lie inside the
+        rule's, and its error must be at most MARK_INTEGRAL_REL_TOL times
+        |value|.  The error is QUADPACK's per-panel estimate of the
+        element, summed over the panels, plus the round-off floor.  Only
+        elementwise products and last-axis sums run over the elements, so
+        no element's value depends on the others.
+        """
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            probed = _weigh(fn, self.probes, self.probe_weights)  # (element..., half-line, probe)
+            if not np.isfinite(probed).all():
+                return None
+            mags = np.abs(probed)
+            peak = mags.max(axis=-1)
+            above = mags >= _CORE_FLOOR * peak[..., np.newaxis]
+            first, last = above.argmax(axis=-1), _PROBE_COUNT - 1 - above[..., ::-1].argmax(axis=-1)
+            if not ((peak == 0.0) | ((self.core[:, 0] <= first) & (last <= self.core[:, 1]))).all():
+                return None
+            block = _weigh(fn, self.nodes, self.weights)  # (element..., panel, node)
+            kronrod = (block * _GK_WEIGHTS[0]).sum(axis=-1)
+            err = np.abs(kronrod - (block * _GK_WEIGHTS[1]).sum(axis=-1))
+            dabs = (np.abs(block - 0.5 * kronrod[..., np.newaxis]) * _GK_WEIGHTS[0]).sum(axis=-1)
+            floor = 50.0 * sys.float_info.epsilon * (np.abs(block) * _GK_WEIGHTS[0]).sum(axis=-1)
+            # _gk21_panel's estimate, element by element
+            err = np.where((dabs != 0.0) & (err != 0.0), dabs * np.minimum(1.0, (200.0 * err / dabs) ** 1.5), err)
+            err = np.where(floor > sys.float_info.min, np.maximum(err, floor), err)
+            value, err = kronrod.sum(axis=-1), err.sum(axis=-1) + floor.sum(axis=-1)
+            zero = (peak == 0.0).all(axis=-1)
+        if not np.all((err <= MARK_INTEGRAL_REL_TOL * np.abs(value)) & ~(zero & (value != 0.0))):
+            return None
+        value = self.measure.total_mass * value
+        return float(value) if value.ndim == 0 else value
+
+
+def _weigh(fn: Callable, marks: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """fn on ``marks`` times ``weights``, 0 where a weight is 0, shaped (element..., *marks.shape)."""
+    flat = weights.ravel()
+    # where the weight is 0 the product is 0 even if fn alone overflows
+    block = np.where(flat == 0.0, 0.0, _over_marks(fn, marks.ravel()) * flat)
+    return block.reshape(block.shape[:-1] + marks.shape)
+
+
+def compensator_integral(coeffs: "CoefficientSet", t, s, x, rule: MarkRule | None = None):
     """Mean jump contribution int h(t, s, x, xi) nu(dxi).
 
-    Uses the coefficient set's closed form when present, otherwise one
-    vector quadrature against the mark density per slice along the last
-    axis (per path and column in the solver: one path's cells in the later
-    rows, the marks on a trailing axis), each element with certified
-    relative error MARK_INTEGRAL_REL_TOL.  Slices are integrated separately
-    so that a path's values never depend on the other paths of a batch.
-    ``t``, ``s`` and ``x`` may be arrays; ``s <= t`` is required elementwise.
+    Uses the coefficient set's closed form when present, otherwise a
+    quadrature against the mark density per slice along the last axis (per
+    path and column in the solver: one path's cells in the later rows, the
+    marks on a trailing axis), each element with certified relative error
+    MARK_INTEGRAL_REL_TOL.  A slice takes the values of ``rule``, a
+    ``MarkRule`` fitted to the jump kernel, when the rule certifies all of
+    its elements, and one adaptive ``LevyMeasure.integrate`` pass
+    otherwise.  Slices are integrated separately, each deciding alone, so
+    that a path's values never depend on the other paths of a batch.
+    ``t``, ``s`` and ``x`` may be arrays; ``s <= t`` is required
+    elementwise, and a nan time fails it.
     """
     t_arr = np.asarray(t, dtype=np.float64)
     s_arr = np.asarray(s, dtype=np.float64)
     x_arr = np.asarray(x, dtype=np.float64)
-    if np.any(s_arr > t_arr):
+    if not np.all(s_arr <= t_arr):
         raise ConfigurationError("compensator_integral requires s <= t")
     shape = np.broadcast_shapes(t_arr.shape, s_arr.shape, x_arr.shape)
     if coeffs.jump is None:
@@ -528,10 +681,11 @@ def compensator_integral(coeffs: "CoefficientSet", t, s, x):
         rows, width = math.prod(shape[:-1]), math.prod(shape[-1:])
         tb, sb, xb = (np.broadcast_to(a, shape).reshape(rows, width, 1) for a in (t_arr, s_arr, x_arr))
         jump, measure = coeffs.jump, coeffs.measure
-        out = np.array(
-            [
-                _check_shape("jump", measure.integrate(lambda xi, tk=tk, sk=sk, xk=xk: jump(tk, sk, xk, xi)), (width,))
-                for tk, sk, xk in zip(tb, sb, xb)
-            ]
-        ).reshape(shape)
+
+        def integral(tk, sk, xk):
+            fn = functools.partial(jump, tk, sk, xk)
+            values = None if rule is None else rule.integrate(fn)
+            return _check_shape("jump", measure.integrate(fn) if values is None else values, (width,))
+
+        out = np.array([integral(tk, sk, xk) for tk, sk, xk in zip(tb, sb, xb)]).reshape(shape)
     return float(out) if out.ndim == 0 else out

@@ -45,7 +45,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet, SeparableKernel
 from .errors import ConfigurationError, ExplosionError, _check_int, _check_real, _check_shape
-from .grid_noise import NoiseBatch, NoisePath, TimeGrid, compensator_integral, sample_noise_ensemble
+from .grid_noise import MarkRule, NoiseBatch, NoisePath, TimeGrid, compensator_integral, sample_noise_ensemble
 from .grid_noise import sample_noise_path  # noqa: F401 -- perfbench/tracer.py wraps solver.sample_noise_path by name
 
 __all__ = [
@@ -107,7 +107,11 @@ def _sweep(coeffs: CoefficientSet, batch: NoiseBatch, source: np.ndarray, out: n
     a separable one adds lag(tau) state(x_j, xi) to its sums.  Row j + 1 then
     adds sum time(t_{j+1}) A in term order.  Jumps go in unbuffered and in
     list order, and every other step is elementwise per path, with no BLAS
-    call whose blocking could see the batch.
+    call whose blocking could see the batch.  Without a closed-form
+    compensator, one ``grid_noise.MarkRule`` is fitted per sweep to the jump
+    kernel at (t_n, t_0, phi(t_0)), which no path changes, and
+    ``compensator_integral`` takes each path's column from it, or from an
+    adaptive pass where the rule cannot certify that column.
 
     When ``source`` is ``out`` this is the direct recursion; when it is a
     previous iterate, one Picard step.  Returns each path's first grid index
@@ -118,9 +122,12 @@ def _sweep(coeffs: CoefficientSet, batch: NoiseBatch, source: np.ndarray, out: n
     """
     grid, dW, jtimes, jmarks, jpath, jcells = batch
     pts = grid.points
-    comp = None
-    if coeffs.jump is not None:
-        comp = coeffs.compensator or (lambda t, s, x: compensator_integral(coeffs, t, s, x))
+    initial = _initial_curve(coeffs, grid)
+    comp = None if coeffs.jump is None else coeffs.compensator
+    if coeffs.jump is not None and comp is None:
+        # fitted where no path differs: phi(t_0) is every path's column-0 state
+        rule = MarkRule.fit(coeffs.measure, lambda xi: coeffs.jump(pts[-1], pts[0], initial[0], xi))
+        comp = lambda t, s, x: compensator_integral(coeffs, t, s, x, rule)
 
     def factor(kernel, k, part, fn, at):
         return None if fn is None else _check_shape(f"{kernel.name}: term {k} {part}", fn(at), at.shape)
@@ -144,7 +151,7 @@ def _sweep(coeffs: CoefficientSet, batch: NoiseBatch, source: np.ndarray, out: n
     folds = [terms for _, _, terms in table] + [jumps]
     sums = [(time, acc) for terms in folds for time, _, _, acc in terms]
     explosion = np.full(len(dW), -1, dtype=np.int64)
-    out[:] = _initial_curve(coeffs, grid)
+    out[:] = initial
     for j in range(out.shape[1]):
         col = out[:, j]
         # the sum is finite unless some state is not (or the sum overflows,

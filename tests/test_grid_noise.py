@@ -13,7 +13,9 @@ from svie import grid_noise
 from svie.errors import ConfigurationError, NumericalError
 from svie.grid_noise import (
     LevyMeasure,
+    MarkRule,
     NoisePath,
+    _GK_WEIGHTS,
     _gauss_kronrod,
     build_grid,
     compensator_integral,
@@ -269,6 +271,11 @@ def test_compensator_integral_broadcasts_and_checks_ordering():
     np.testing.assert_allclose(out, 0.2 * x * 1.5 * E_XI, rtol=1e-12)
     with pytest.raises(ConfigurationError):
         compensator_integral(coeffs, 0.1, np.array([0.2]), np.array([1.0]))
+    # a nan time is not ordered either, on the closed form and on quadrature
+    for route in (coeffs, dataclasses.replace(coeffs, compensator=None)):
+        for t, s in ((0.5, math.nan), (math.nan, 0.1)):
+            with pytest.raises(ConfigurationError, match=r"requires s <= t$"):
+                compensator_integral(route, t, s, 1.0)
 
 
 def test_compensator_integral_without_jumps_is_zero_of_the_broadcast_shape():
@@ -392,17 +399,52 @@ def test_integrate_returns_the_shape_of_fn():
     assert isinstance(measure.integrate(lambda xi: xi), float)
 
 
-def test_compensator_quadrature_is_accurate_per_element():
+def test_compensator_quadrature_is_accurate_per_element(monkeypatch):
     # a max-norm criterion would certify the small elements only relative to
     # the largest one; each element must meet the tolerance on its own
     coeffs = example_coefficients(0.1, rate=2.0)
     stripped = dataclasses.replace(coeffs, compensator=None)
     x = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 13), -np.geomspace(1e-6, 1e6, 5)])
     s = np.linspace(0.0, 0.5, x.size)
-    got = compensator_integral(stripped, 0.5, s, x)
     want = 0.1 * 2.0 * E_XI_SQ * x
-    assert got[0] == 0.0
-    np.testing.assert_allclose(got[1:], want[1:], rtol=MARK_INTEGRAL_REL_TOL, atol=0.0)
+    rule = MarkRule.fit(stripped.measure, lambda xi: stripped.jump(0.5, 0.0, 1.0, xi))
+    adaptive = compensator_integral(stripped, 0.5, s, x)
+    # the same elements through a mark rule, which certifies the row, so no
+    # adaptive pass runs
+    monkeypatch.setattr(LevyMeasure, "integrate", lambda self, fn: pytest.fail("the adaptive pass ran"))
+    for got in (adaptive, compensator_integral(stripped, 0.5, s, x, rule)):
+        assert got[0] == 0.0
+        np.testing.assert_allclose(got[1:], want[1:], rtol=MARK_INTEGRAL_REL_TOL, atol=0.0)
+
+
+def bump_between_probes(xi):
+    """A bump in log(xi) so narrow that it is exactly 0 on the probes at xi = 1 and e^4.3 on either side."""
+    return np.exp(-(((np.log(xi) - 2.16) / 0.07) ** 2))
+
+
+@pytest.mark.parametrize(
+    "fails",
+    [
+        lambda xi, probe: xi**2 * (1.0 + 0.5 * np.sin(3.0 * np.log(xi))),  # error about 3e-7 of the value
+        lambda xi, probe: np.where(xi == probe, math.inf, xi**2),
+        lambda xi, probe: bump_between_probes(xi),
+        lambda xi, probe: xi**6,
+        lambda xi, probe: xi**-2.0,
+    ],
+    ids=["error-above-tolerance", "not-finite-on-a-probe", "zero-on-every-probe", "core-above", "core-below"],
+)
+def test_mark_rule_keeps_an_integral_only_when_every_element_passes_each_check(fails):
+    # a rule fitted to xi^2, whose panels also resolve a bump that no probe
+    # sees, integrates xi^3 well; each other integrand fails one check of
+    # the adaptive pass and must come back as None
+    measure = LevyMeasure.lognormal(2.0)
+    rule = MarkRule.fit(measure, lambda xi: xi**2 + 100.0 * bump_between_probes(xi))
+    x = np.array([[1.0], [-2.0]])
+    good = rule.integrate(lambda xi: x * xi**3)
+    np.testing.assert_allclose(good, 2.0 * math.exp(4.5) * x[:, 0], rtol=MARK_INTEGRAL_REL_TOL, atol=0.0)
+    probe = rule.probes[0, 80]  # a probe inside the rule's core, where the density is not 0
+    # one failing element is enough: the caller runs the adaptive pass on all
+    assert rule.integrate(lambda xi: np.stack([xi**3, fails(xi, probe)])) is None
 
 
 def test_compensator_quadrature_integrates_each_row_on_its_own():
@@ -467,15 +509,25 @@ def gauss_kronrod(f, a, b, points=None):
 
 def test_gauss_kronrod_integrates_a_vector_across_interior_points():
     powers = np.arange(5.0)
-    value, err = gauss_kronrod(lambda x: x ** powers[:, np.newaxis], 0.0, 1.0, points=[0.25, 0.5, 0.9])
+    f = lambda x: x ** powers[:, np.newaxis]
+    value, err, panels = gauss_kronrod(f, 0.0, 1.0, points=[0.25, 0.5, 0.9])
     assert value.shape == (5,)
     np.testing.assert_allclose(value, 1.0 / (powers + 1.0), rtol=1e-12, atol=0.0)
     assert 0.0 < err < 1e-12
+    # the final panels, ascending, make a fixed rule that gives the value back
+    nodes, jacobians = panels()
+    assert nodes.shape == jacobians.shape and nodes.shape[1] == 21 and (np.diff(nodes.ravel()) > 0.0).all()
+    ruled = (f(nodes.ravel()).reshape(5, *nodes.shape) * jacobians * _GK_WEIGHTS[0]).sum(axis=(1, 2))
+    np.testing.assert_allclose(ruled, value, rtol=1e-14, atol=0.0)
 
 
 def test_gauss_kronrod_maps_an_infinite_end():
-    value, _ = gauss_kronrod(np.exp, -math.inf, 0.0)
+    value, _, panels = gauss_kronrod(np.exp, -math.inf, 0.0)
     assert value == pytest.approx(1.0, rel=1e-12)
+    nodes, jacobians = panels()
+    # the rule's nodes and jacobians are mapped back from t to x
+    assert (nodes < 0.0).all()
+    assert (np.exp(nodes) * jacobians * _GK_WEIGHTS[0]).sum() == pytest.approx(value, rel=1e-14)
 
 
 def test_gauss_kronrod_integrates_a_piecewise_zero_integrand():
@@ -484,7 +536,7 @@ def test_gauss_kronrod_integrates_a_piecewise_zero_integrand():
         d = x - 1.0 / 3.0
         return np.where(d < 0.0, 0.0, np.stack([d * d, d**3]))
 
-    value, _ = gauss_kronrod(f, 0.0, 1.0)
+    value, _, _ = gauss_kronrod(f, 0.0, 1.0)
     np.testing.assert_allclose(value, [(2.0 / 3.0) ** 3 / 3.0, (2.0 / 3.0) ** 4 / 4.0], rtol=1e-12, atol=0.0)
 
 
@@ -492,7 +544,7 @@ def test_gauss_kronrod_bisects_a_lone_panel_before_trusting_it():
     # one panel can look converged while its nodes miss a bump; a constant
     # is exact on every panel, so the loop stops right after the first split
     calls = []
-    value, _ = gauss_kronrod(lambda x: calls.append(len(x)) or np.ones_like(x), 0.0, 1.0)
+    value, _, _ = gauss_kronrod(lambda x: calls.append(len(x)) or np.ones_like(x), 0.0, 1.0)
     assert value == pytest.approx(1.0, rel=1e-15)
     assert calls == [21] * 3  # one call per panel, all 21 nodes at once
 
@@ -504,7 +556,7 @@ def test_gauss_kronrod_stops_at_a_non_finite_value():
         calls.append(len(x))
         return np.where(x > 0.9, math.inf, 1.0)
 
-    _, err = gauss_kronrod(f, 0.0, 1.0)
+    _, err, _ = gauss_kronrod(f, 0.0, 1.0)
     assert not math.isfinite(err)
     assert calls == [21]  # the first panel met the inf; nothing was split
 

@@ -7,7 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
+from svie import grid_noise
 from svie.coefficients import (
+    MARK_INTEGRAL_REL_TOL,
     CoefficientSet,
     SeparableKernel,
     deterministic_ode_coefficients,
@@ -18,6 +20,7 @@ from svie.coefficients import (
 from svie.errors import ConfigurationError, ExplosionError
 from svie.grid_noise import (
     LevyMeasure,
+    MarkRule,
     NoiseBatch,
     NoisePath,
     build_grid,
@@ -572,6 +575,28 @@ def test_state_dependent_mark_quadrature_does_not_depend_on_the_batch(monkeypatc
         for k in keep:
             assert bitwise_equal(alone[k][0], batch[k][idx])
         assert bitwise_equal(batch[last][idx], ens.values[idx])
+
+
+def test_a_quadrature_compensator_fits_one_mark_rule_per_sweep(monkeypatch):
+    # one adaptive pass fits the rule, which certifies every column; without
+    # it each column made a pass of its own
+    coeffs = dataclasses.replace(example_coefficients(0.1, rate=2.0), compensator=None)
+    grid = build_grid(0.5, 16)
+    passes = []
+    half_line = grid_noise._integrate_half_line
+    monkeypatch.setattr(grid_noise, "_integrate_half_line", lambda *args: passes.append(args) or half_line(*args))
+    direct_recursion(coeffs, sample_noise_path(grid, coeffs.measure, (5, 0)))
+    assert len(passes) == 1
+    # a row the rule cannot certify, x = 1e4 with its peak near xi = 1e-4,
+    # takes the adaptive pass; the row beside it keeps the rule's values
+    peaked = peaked_mark_coefficients()
+    rule = MarkRule.fit(peaked.measure, lambda xi: peaked.jump(0.5, 0.0, 1.0, xi))
+    s, x = np.linspace(0.0, 0.25, 4), np.array([[1.0], [1e4]])
+    assert rule.integrate(lambda xi: peaked.jump(0.5, s[:, None], x[0], xi)) is not None
+    assert rule.integrate(lambda xi: peaked.jump(0.5, s[:, None], x[1], xi)) is None
+    ruled, adaptive = compensator_integral(peaked, 0.5, s, x, rule), compensator_integral(peaked, 0.5, s, x)
+    assert bitwise_equal(ruled[1], adaptive[1])
+    np.testing.assert_allclose(ruled[0], adaptive[0], rtol=MARK_INTEGRAL_REL_TOL, atol=0.0)
 
 
 def test_exploding_ensemble_warns_nothing_and_flags_every_path():
