@@ -243,8 +243,41 @@ class LevyMeasure:
         """
         if self.total_mass == 0.0:
             return 0.0
+        return self._adaptive(self._half_lines(fn))
+
+    def _half_lines(self, fn: Callable) -> list[tuple[float, Callable, float, float]]:
+        """fn times the density on each half-line of the support, positive half first.
+
+        Each half-line is ``(sign, w, lo, hi)``: its marks are sign * r for
+        r in [lo, hi], 0 <= lo < hi, and w(r) is the weighted integrand at
+        those marks, as ``_integrate_half_line`` takes it.
+        """
+        lo, hi = float(self.support[0]), float(self.support[1])
+
+        def weighted(xi: np.ndarray) -> np.ndarray:
+            density = np.broadcast_to(self.mark_density(xi), xi.shape)
+            # where the density is 0 the product is 0 even if fn alone
+            # overflows (large mark powers at huge xi)
+            return np.where(density == 0.0, 0.0, _over_marks(fn, xi) * density)
+
+        def mirrored(r: np.ndarray) -> np.ndarray:
+            return weighted(-r)
+
+        if lo >= 0.0:
+            return [(1.0, weighted, lo, hi)]
+        if hi <= 0.0:
+            return [(-1.0, mirrored, -hi, -lo)]
+        return [(1.0, weighted, 0.0, hi), (-1.0, mirrored, 0.0, -lo)]
+
+    def _adaptive(self, halves: list, probed=None) -> float | np.ndarray:
+        """The adaptive pass of ``integrate`` on ``_half_lines(fn)``.
+
+        ``probed`` gives each half-line's ``(probes, values)`` when a caller
+        has already evaluated them, so the pass does not evaluate them again.
+        """
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            _, values, errs, _ = zip(*self._half_lines(fn))
+            known = probed or [None] * len(halves)
+            values, errs, _ = zip(*(_integrate_half_line(w, a, b, p) for (_, w, a, b), p in zip(halves, known)))
             value, err = sum(values[1:], values[0]), sum(errs[1:], errs[0])
             # non-finite elements carry no error; a nan error (the quadrature
             # met a non-finite value between probes) fails the check
@@ -259,32 +292,6 @@ class LevyMeasure:
         value = self.total_mass * value
         return float(value) if value.ndim == 0 else value
 
-    def _half_lines(self, fn: Callable) -> list:
-        """One ``_integrate_half_line`` pass of fn times the density per half-line of the support.
-
-        Returns ``(sign, value, err, leaves)`` per half-line, the marks
-        being sign * r for r >= 0, the positive half first, after
-        ``_integrate_half_line``.  Runs under the caller's ``np.errstate``.
-        """
-        lo, hi = float(self.support[0]), float(self.support[1])
-
-        def weighted(xi: np.ndarray) -> np.ndarray:
-            density = np.broadcast_to(self.mark_density(xi), xi.shape)
-            # where the density is 0 the product is 0 even if fn alone
-            # overflows (large mark powers at huge xi)
-            return np.where(density == 0.0, 0.0, _over_marks(fn, xi) * density)
-
-        if lo >= 0.0:
-            halves = ((1.0, lo, hi),)
-        elif hi <= 0.0:
-            halves = ((-1.0, -hi, -lo),)
-        else:
-            halves = ((1.0, 0.0, hi), (-1.0, 0.0, -lo))
-        return [
-            (sign, *_integrate_half_line(weighted if sign > 0.0 else lambda r: weighted(-r), a, b))
-            for sign, a, b in halves
-        ]
-
 
 def _over_marks(fn: Callable, xi: np.ndarray):
     """fn(xi), whose last axis must run over the marks xi (or broadcast: a scalar or a last axis of one)."""
@@ -296,7 +303,19 @@ def _over_marks(fn: Callable, xi: np.ndarray):
     return values
 
 
-def _integrate_half_line(w: Callable, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, Callable[[], tuple]]:
+def _probes(lo: float, hi: float) -> np.ndarray:
+    """The 161 log-spaced probes r of ``_integrate_half_line`` on [lo, hi]."""
+    return np.geomspace(max(lo, min(_PROBE_MIN, 0.5 * hi)), min(hi, max(_PROBE_MAX, 2.0 * lo)), _PROBE_COUNT)
+
+
+def _probe(w: Callable, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_integrate_half_line``'s ``probed``: the probes, and w's integrand in u = log(r) on them."""
+    return probes, w(probes) * probes
+
+
+def _integrate_half_line(
+    w: Callable, lo: float, hi: float, probed: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray, Callable[[], tuple]]:
     """Quadrature of w over [lo, hi] with 0 <= lo < hi (hi may be inf).
 
     Returns each element's value and certified error, shaped like w's
@@ -305,17 +324,15 @@ def _integrate_half_line(w: Callable, lo: float, hi: float) -> tuple[np.ndarray,
     a log-normal bump is a Gaussian that few Gauss-Kronrod nodes resolve.
     Every element is divided by its own probe-grid estimate of its
     integral of |w|, so the max-norm tolerance of one vector quadrature is
-    a relative tolerance for each element.  The leaves ``(probes, core,
-    nodes, jacobians)`` are the 161 probes, the first and last probe index
-    of the core bracket ((161, -1) when no element carries mass), and the
-    final panels' (panels, 21) nodes xi with the factors that make sum
-    Kronrod weight x jacobian x w(node) each panel's estimate of the
-    integral of w.
+    a relative tolerance for each element.  The leaves ``(core, nodes,
+    jacobians)`` are the first and last probe index of the core bracket
+    ((161, -1) when no element carries mass), and the final panels'
+    (panels, 21) nodes xi with the factors that make sum Kronrod weight x
+    jacobian x w(node) each panel's estimate of the integral of w.
+    ``probed``, the result of ``_probe`` when a caller has it already,
+    saves the probe call.
     """
-    plo = max(lo, min(_PROBE_MIN, 0.5 * hi))
-    phi = min(hi, max(_PROBE_MAX, 2.0 * lo))
-    probes = np.geomspace(plo, phi, _PROBE_COUNT)
-    vals = w(probes) * probes  # the integrand in u = log(xi)
+    probes, vals = _probe(w, _probes(lo, hi)) if probed is None else probed
     shape, vals = vals.shape[:-1], vals.reshape(-1, _PROBE_COUNT)  # (element, probe)
     finite = np.isfinite(vals).all(axis=1)
     # a non-finite element is not integrated: inf, -inf or nan as its probes sum
@@ -361,7 +378,7 @@ def _integrate_half_line(w: Callable, lo: float, hi: float) -> tuple[np.ndarray,
         panels = [rule() for rule in rules]
         u = np.concatenate([np.empty((0, 21))] + [nodes for nodes, _ in panels])
         xi = np.exp(u)  # back from u to xi: the panels integrate w(e^u) e^u
-        return probes, core, xi, np.concatenate([np.empty((0, 21))] + [jac for _, jac in panels]) * xi
+        return core, xi, np.concatenate([np.empty((0, 21))] + [jac for _, jac in panels]) * xi
 
     return value.reshape(shape), err.reshape(shape), leaves
 
@@ -376,17 +393,30 @@ def _gk21_panel(f: Callable, a: float, b: float) -> tuple[np.ndarray, float, flo
     block = f(c + h * _GK_NODES)  # (element..., node)
     weights = _GK_WEIGHTS[0]
     # a non-finite node value makes the floor below inf or nan, which ends the loop
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         sums = block @ _GK_WEIGHTS.T
         kronrod, gauss = sums[..., 0], sums[..., 1]
-        err = h * float(np.max(np.abs(kronrod - gauss)))
-        dabs = h * float(np.max(np.abs(block - 0.5 * kronrod[..., np.newaxis]) @ weights))
-        floor = 50.0 * sys.float_info.epsilon * h * float(np.max(np.abs(block) @ weights))
-    if dabs != 0.0 and err != 0.0:
-        err = dabs * min(1.0, (200.0 * err / dabs) ** 1.5)
-    if floor > sys.float_info.min:
-        err = max(err, floor)
-    return h * kronrod, err, floor
+        err, floor = _qk21_error(
+            h * np.max(np.abs(kronrod - gauss)),
+            h * np.max(np.abs(block - 0.5 * kronrod[..., np.newaxis]) @ weights),
+            h * np.max(np.abs(block) @ weights),
+        )
+    return h * kronrod, float(err), float(floor)
+
+
+def _qk21_error(err, dabs, resabs) -> tuple[np.ndarray, np.ndarray]:
+    """QUADPACK's qk21 error estimate and round-off floor, elementwise.
+
+    From ``err`` = |Kronrod - Gauss| and the Kronrod integrals ``dabs`` of
+    |f - mean| and ``resabs`` of |f|: the floor is 50 eps resabs, and the
+    estimate dabs min(1, (200 err / dabs)^1.5) where neither err nor dabs
+    is 0, raised to the floor where the floor is a normal number.  Takes
+    numpy arrays or numpy scalars, under the caller's ``np.errstate``.
+    """
+    floor = 50.0 * sys.float_info.epsilon * resabs
+    # fmin: a nan ratio leaves dabs, not nan
+    err = np.where((dabs != 0.0) & (err != 0.0), dabs * np.fmin(1.0, (200.0 * err / dabs) ** 1.5), err)
+    return np.where(floor > sys.float_info.min, np.maximum(err, floor), err), floor
 
 
 def _gauss_kronrod(
@@ -560,18 +590,16 @@ class MarkRule(NamedTuple):
     """A fixed rule against a measure: the final panels of one adaptive pass, kept for other integrands.
 
     ``MarkRule.fit`` runs the pass of ``LevyMeasure.integrate`` on one
-    integrand and keeps, per half-line of the support, its probe marks
-    with their weights density x |mark| (the probed integrand in log(|xi|)),
-    its core bracket as a first and last probe index, and its leaf panels'
-    marks with their weights density x jacobian.  ``integrate`` applies the
-    rule to another integrand with one call on the probes and one on the
-    panel marks, and returns None unless every element passes the checks
-    of the adaptive pass, so a caller falls back to ``LevyMeasure.integrate``.
+    integrand and keeps, per half-line of the support, its probes, its
+    core bracket as a first and last probe index, and its leaf panels'
+    marks with their weights density x jacobian.  ``integrate`` applies
+    the rule to another integrand and keeps its values only when every
+    element passes the checks of the adaptive pass; otherwise it runs
+    that pass.
     """
 
     measure: LevyMeasure
-    probes: np.ndarray  # (half-lines, 161) marks
-    probe_weights: np.ndarray
+    probes: np.ndarray  # (half-lines, 161) probes r, the marks being sign * r
     core: np.ndarray  # (half-lines, 2) probe indices
     nodes: np.ndarray  # (panels, 21) marks
     weights: np.ndarray
@@ -585,28 +613,26 @@ class MarkRule(NamedTuple):
         """
         if measure.total_mass == 0.0:
             raise ConfigurationError("a measure without mass has no mark rule; its integrals are all 0")
+        halves = measure._half_lines(fn)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            halves = [(sign, leaves()) for sign, _, _, leaves in measure._half_lines(fn)]
-            probes = np.stack([sign * leaves[0] for sign, leaves in halves])
-            nodes = np.concatenate([sign * leaves[2] for sign, leaves in halves])
+            # (core, nodes, jacobians) per half-line
+            leaves = [_integrate_half_line(w, a, b)[2]() for _, w, a, b in halves]
+            nodes = np.concatenate([sign * nodes for (sign, _, _, _), (_, nodes, _) in zip(halves, leaves)])
+            flat = nodes.ravel()
+            density = np.broadcast_to(measure.mark_density(flat), flat.shape).reshape(nodes.shape)
+            jacobians = np.concatenate([jacobians for _, _, jacobians in leaves])
+            # 0 where the density is, even where the jacobian overflows
+            weights = np.where(density == 0.0, 0.0, density * jacobians)
+        return cls(
+            measure,
+            np.stack([_probes(a, b) for _, _, a, b in halves]),
+            np.array([core for core, _, _ in leaves], dtype=np.int64),
+            nodes,
+            weights,
+        )
 
-            def weights(marks: np.ndarray, jacobians: np.ndarray) -> np.ndarray:
-                flat = marks.ravel()
-                density = np.broadcast_to(measure.mark_density(flat), flat.shape).reshape(marks.shape)
-                # 0 where the density is, even where the jacobian overflows
-                return np.where(density == 0.0, 0.0, density * jacobians)
-
-            return cls(
-                measure,
-                probes,
-                weights(probes, np.abs(probes)),
-                np.array([leaves[1] for _, leaves in halves], dtype=np.int64),
-                nodes,
-                weights(nodes, np.concatenate([leaves[3] for _, leaves in halves])),
-            )
-
-    def integrate(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray | float | None:
-        """``measure.integrate(fn)`` on the rule's panels, or None unless every element is certified.
+    def integrate(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray | float:
+        """``measure.integrate(fn)``: on the rule's panels when every element is certified, else adaptively.
 
         An element is certified when every probe value is finite; when it is
         zero on every probe, its value must be exactly 0; otherwise, on each
@@ -616,40 +642,47 @@ class MarkRule(NamedTuple):
         |value|.  The error is QUADPACK's per-panel estimate of the
         element, summed over the panels, plus the round-off floor.  Only
         elementwise products and last-axis sums run over the elements, so
-        no element's value depends on the others.
+        no element's value depends on the others.  The probe values are
+        those of the adaptive pass, which takes them over when some element
+        is not certified instead of evaluating them again.
         """
+        halves = self.measure._half_lines(fn)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            probed = _weigh(fn, self.probes, self.probe_weights)  # (element..., half-line, probe)
-            if not np.isfinite(probed).all():
-                return None
-            mags = np.abs(probed)
-            peak = mags.max(axis=-1)
-            above = mags >= _CORE_FLOOR * peak[..., np.newaxis]
-            first, last = above.argmax(axis=-1), _PROBE_COUNT - 1 - above[..., ::-1].argmax(axis=-1)
-            if not ((peak == 0.0) | ((self.core[:, 0] <= first) & (last <= self.core[:, 1]))).all():
-                return None
-            block = _weigh(fn, self.nodes, self.weights)  # (element..., panel, node)
-            kronrod = (block * _GK_WEIGHTS[0]).sum(axis=-1)
-            err = np.abs(kronrod - (block * _GK_WEIGHTS[1]).sum(axis=-1))
-            dabs = (np.abs(block - 0.5 * kronrod[..., np.newaxis]) * _GK_WEIGHTS[0]).sum(axis=-1)
-            floor = 50.0 * sys.float_info.epsilon * (np.abs(block) * _GK_WEIGHTS[0]).sum(axis=-1)
-            # _gk21_panel's estimate, element by element
-            err = np.where((dabs != 0.0) & (err != 0.0), dabs * np.minimum(1.0, (200.0 * err / dabs) ** 1.5), err)
-            err = np.where(floor > sys.float_info.min, np.maximum(err, floor), err)
-            value, err = kronrod.sum(axis=-1), err.sum(axis=-1) + floor.sum(axis=-1)
-            zero = (peak == 0.0).all(axis=-1)
-        if not np.all((err <= MARK_INTEGRAL_REL_TOL * np.abs(value)) & ~(zero & (value != 0.0))):
-            return None
+            probed = [_probe(w, probes) for (_, w, _, _), probes in zip(halves, self.probes)]
+            value = self._certified(fn, np.stack([vals for _, vals in probed], axis=-2))
+        if value is None:
+            return self.measure._adaptive(halves, probed)
         value = self.measure.total_mass * value
         return float(value) if value.ndim == 0 else value
 
+    def _certified(self, fn: Callable, probed: np.ndarray) -> np.ndarray | None:
+        """The rule's integrals of fn times the density, or None unless every element is certified.
 
-def _weigh(fn: Callable, marks: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """fn on ``marks`` times ``weights``, 0 where a weight is 0, shaped (element..., *marks.shape)."""
-    flat = weights.ravel()
-    # where the weight is 0 the product is 0 even if fn alone overflows
-    block = np.where(flat == 0.0, 0.0, _over_marks(fn, marks.ravel()) * flat)
-    return block.reshape(block.shape[:-1] + marks.shape)
+        ``probed`` holds each element's probe values, (element..., half-line, probe).
+        """
+        if not np.isfinite(probed).all():
+            return None
+        mags = np.abs(probed)
+        peak = mags.max(axis=-1)
+        above = mags >= _CORE_FLOOR * peak[..., np.newaxis]
+        first, last = above.argmax(axis=-1), _PROBE_COUNT - 1 - above[..., ::-1].argmax(axis=-1)
+        if not ((peak == 0.0) | ((self.core[:, 0] <= first) & (last <= self.core[:, 1]))).all():
+            return None
+        flat = self.weights.ravel()
+        # where the weight is 0 the product is 0 even if fn alone overflows
+        block = np.where(flat == 0.0, 0.0, _over_marks(fn, self.nodes.ravel()) * flat)
+        block = block.reshape(block.shape[:-1] + self.nodes.shape)  # (element..., panel, node)
+        kronrod = (block * _GK_WEIGHTS[0]).sum(axis=-1)
+        err, floor = _qk21_error(
+            np.abs(kronrod - (block * _GK_WEIGHTS[1]).sum(axis=-1)),
+            (np.abs(block - 0.5 * kronrod[..., np.newaxis]) * _GK_WEIGHTS[0]).sum(axis=-1),
+            (np.abs(block) * _GK_WEIGHTS[0]).sum(axis=-1),
+        )
+        value, err = kronrod.sum(axis=-1), err.sum(axis=-1) + floor.sum(axis=-1)
+        zero = (peak == 0.0).all(axis=-1)
+        if not np.all((err <= MARK_INTEGRAL_REL_TOL * np.abs(value)) & ~(zero & (value != 0.0))):
+            return None
+        return value
 
 
 def compensator_integral(coeffs: "CoefficientSet", t, s, x, rule: MarkRule | None = None):
@@ -661,9 +694,10 @@ def compensator_integral(coeffs: "CoefficientSet", t, s, x, rule: MarkRule | Non
     marks on a trailing axis), each element with certified relative error
     MARK_INTEGRAL_REL_TOL.  A slice takes the values of ``rule``, a
     ``MarkRule`` fitted to the jump kernel, when the rule certifies all of
-    its elements, and one adaptive ``LevyMeasure.integrate`` pass
-    otherwise.  Slices are integrated separately, each deciding alone, so
-    that a path's values never depend on the other paths of a batch.
+    its elements, and otherwise the adaptive pass of
+    ``LevyMeasure.integrate``, which reuses the rule's probe values.
+    Slices are integrated separately, each deciding alone, so that a
+    path's values never depend on the other paths of a batch.
     ``t``, ``s`` and ``x`` may be arrays; ``s <= t`` is required
     elementwise, and a nan time fails it.
     """
@@ -680,12 +714,11 @@ def compensator_integral(coeffs: "CoefficientSet", t, s, x, rule: MarkRule | Non
     else:
         rows, width = math.prod(shape[:-1]), math.prod(shape[-1:])
         tb, sb, xb = (np.broadcast_to(a, shape).reshape(rows, width, 1) for a in (t_arr, s_arr, x_arr))
-        jump, measure = coeffs.jump, coeffs.measure
-
-        def integral(tk, sk, xk):
-            fn = functools.partial(jump, tk, sk, xk)
-            values = None if rule is None else rule.integrate(fn)
-            return _check_shape("jump", measure.integrate(fn) if values is None else values, (width,))
-
-        out = np.array([integral(tk, sk, xk) for tk, sk, xk in zip(tb, sb, xb)]).reshape(shape)
+        quadrature = coeffs.measure if rule is None else rule
+        out = np.array(
+            [
+                _check_shape("jump", quadrature.integrate(functools.partial(coeffs.jump, tk, sk, xk)), (width,))
+                for tk, sk, xk in zip(tb, sb, xb)
+            ]
+        ).reshape(shape)
     return float(out) if out.ndim == 0 else out

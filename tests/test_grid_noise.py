@@ -411,7 +411,7 @@ def test_compensator_quadrature_is_accurate_per_element(monkeypatch):
     adaptive = compensator_integral(stripped, 0.5, s, x)
     # the same elements through a mark rule, which certifies the row, so no
     # adaptive pass runs
-    monkeypatch.setattr(LevyMeasure, "integrate", lambda self, fn: pytest.fail("the adaptive pass ran"))
+    monkeypatch.setattr(grid_noise, "_integrate_half_line", lambda *args: pytest.fail("the adaptive pass ran"))
     for got in (adaptive, compensator_integral(stripped, 0.5, s, x, rule)):
         assert got[0] == 0.0
         np.testing.assert_allclose(got[1:], want[1:], rtol=MARK_INTEGRAL_REL_TOL, atol=0.0)
@@ -433,18 +433,29 @@ def bump_between_probes(xi):
     ],
     ids=["error-above-tolerance", "not-finite-on-a-probe", "zero-on-every-probe", "core-above", "core-below"],
 )
-def test_mark_rule_keeps_an_integral_only_when_every_element_passes_each_check(fails):
+def test_mark_rule_keeps_an_integral_only_when_every_element_passes_each_check(fails, monkeypatch):
     # a rule fitted to xi^2, whose panels also resolve a bump that no probe
     # sees, integrates xi^3 well; each other integrand fails one check of
-    # the adaptive pass and must come back as None
+    # the adaptive pass, so the rule hands it to that pass
     measure = LevyMeasure.lognormal(2.0)
     rule = MarkRule.fit(measure, lambda xi: xi**2 + 100.0 * bump_between_probes(xi))
+    probe = rule.probes[0, 80]  # inside the rule's core, where the density is not 0
     x = np.array([[1.0], [-2.0]])
+    mixed = lambda xi: np.stack([xi**3, fails(xi, probe)])
+    want = measure.integrate(mixed)
+    passes, sizes = [], []
+    half_line = grid_noise._integrate_half_line
+    monkeypatch.setattr(grid_noise, "_integrate_half_line", lambda *args: passes.append(args) or half_line(*args))
     good = rule.integrate(lambda xi: x * xi**3)
     np.testing.assert_allclose(good, 2.0 * math.exp(4.5) * x[:, 0], rtol=MARK_INTEGRAL_REL_TOL, atol=0.0)
-    probe = rule.probes[0, 80]  # a probe inside the rule's core, where the density is not 0
-    # one failing element is enough: the caller runs the adaptive pass on all
-    assert rule.integrate(lambda xi: np.stack([xi**3, fails(xi, probe)])) is None
+    assert passes == []
+    # one failing element is enough: the pass runs on all of them, takes the
+    # rule's probe values instead of evaluating them again, and gives its
+    # own values bitwise
+    got = rule.integrate(lambda xi: sizes.append(xi.size) or mixed(xi))
+    assert len(passes) == 1 and passes[0][3] is not None
+    assert sizes.count(161) == 1
+    assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_compensator_quadrature_integrates_each_row_on_its_own():
