@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -499,12 +502,25 @@ def test_brownian_builder_matches_left_endpoint_variance():
             ),
             r"^integrand gave shape \(2,\), which does not broadcast to \(\d+,\)$",
         ),
+        (
+            # the same, over four blocks: the error of a block on any worker reaches the caller
+            lambda grid: compensated_jump_ensemble(
+                grid,
+                LevyMeasure.lognormal(5.0),
+                lambda s, xi: xi if np.ndim(s) == 2 else np.ones(2),
+                3 * analysis._BLOCK + 3,
+                seed=1,
+            ),
+            r"^integrand gave shape \(2,\), which does not broadcast to \(\d+,\)$",
+        ),
     ],
-    ids=["brownian-integrand", "jump-integrand", "jump-integrand-at-jumps"],
+    ids=["brownian-integrand", "jump-integrand", "jump-integrand-at-jumps", "jump-integrand-at-jumps-over-blocks"],
 )
 def test_builders_name_an_argument_of_the_wrong_shape(build, message):
+    threads = threading.active_count()
     with pytest.raises(ConfigurationError, match=message):
         build(build_grid(1.0, 8))
+    assert threading.active_count() == threads
 
 
 def test_jump_builder_zero_mass_gives_zero_paths():
@@ -551,12 +567,14 @@ def test_jump_builder_quadrature_route_reads_each_grid_time():
 # --- block-streamed builders: bitwise contract and memory bound -----------------
 
 
-def _one_shot_ensemble(n_paths, draw):
-    # reference: each block of _BLOCK paths drawn as one fresh dense
-    # (paths, times) array and reduced out of place, with no reused buffer
+def _one_shot_ensemble(n_paths, seed, draw):
+    # reference: block k of _BLOCK paths drawn with draw(rng, b) from its own
+    # keyed stream as one fresh dense (paths, times) array and reduced out of
+    # place, one block after the other on this thread, with no reused buffer
     sup_abs, terminal = np.empty(n_paths), np.empty(n_paths)
-    for done in range(0, n_paths, analysis._BLOCK):
-        x = draw(min(analysis._BLOCK, n_paths - done))
+    for k, done in enumerate(range(0, n_paths, analysis._BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+        x = draw(rng, min(analysis._BLOCK, n_paths - done))
         sup_abs[done : done + len(x)] = np.max(np.abs(x), axis=1)
         terminal[done : done + len(x)] = x[:, -1]
     return sup_abs * sup_abs, terminal * terminal, terminal
@@ -565,23 +583,23 @@ def _one_shot_ensemble(n_paths, draw):
 def _one_shot_brownian(grid, integrand, n_paths, seed):
     n = grid.steps
     sigma = np.broadcast_to(np.asarray(integrand(grid.points[:-1]), dtype=np.float64), (n,))
-    rng = np.random.default_rng(seed)
     scale = math.sqrt(grid.dt)
-    return _one_shot_ensemble(n_paths, lambda b: np.cumsum(scale * rng.standard_normal((b, n)) * sigma, axis=1))
+    return _one_shot_ensemble(
+        n_paths, seed, lambda rng, b: np.cumsum(scale * rng.standard_normal((b, n)) * sigma, axis=1)
+    )
 
 
 def _one_shot_jump(grid, measure, integrand, n_paths, seed, compensator_rate=None):
     pts, n = grid.points, grid.steps
     if measure.total_mass == 0.0:
-        return _one_shot_ensemble(n_paths, lambda b: np.zeros((b, n + 1)))
+        return _one_shot_ensemble(n_paths, seed, lambda rng, b: np.zeros((b, n + 1)))
     if compensator_rate is not None:
         rate = np.broadcast_to(np.asarray(compensator_rate(pts), dtype=np.float64), (n + 1,))
     else:
         rate = np.broadcast_to(measure.integrate(lambda xi: integrand(pts[:, np.newaxis], xi)), (n + 1,))
     comp = analysis._cumulative_trapezoid(rate, pts)
-    rng = np.random.default_rng(seed)
 
-    def draw(b):
+    def draw(rng, b):
         counts = rng.poisson(measure.total_mass * grid.horizon, b)
         total = int(counts.sum())
         times = grid.horizon * (1.0 - rng.random(total))
@@ -592,7 +610,7 @@ def _one_shot_jump(grid, measure, integrand, n_paths, seed, compensator_rate=Non
         flat = np.bincount(path_of * (n + 1) + first_idx, weights=jumps, minlength=b * (n + 1))
         return np.cumsum(flat.reshape(b, n + 1), axis=1) - comp
 
-    return _one_shot_ensemble(n_paths, draw)
+    return _one_shot_ensemble(n_paths, seed, draw)
 
 
 _JUMP_INTEGRAND = lambda s, xi: (1.0 + np.asarray(s)) * xi
@@ -625,6 +643,84 @@ def test_block_streamed_builders_equal_the_one_shot_builders_bitwise(case, n_pat
     sup_sq, terminal_sq, terminal = one_shot(grid, n_paths, 21)
     for got, want in ((ens.sup_sq, sup_sq), (ens.terminal_sq, terminal_sq), (ens.terminal, terminal)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _claim_cores(monkeypatch, n):
+    # the builders cap their workers at the cores the process may use
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.mark.parametrize("case", sorted(_BUILDER_CASES))
+@pytest.mark.parametrize("workers", [1, 3])
+def test_builders_do_not_depend_on_the_worker_count(case, workers, monkeypatch):
+    # small blocks and a short switch interval interleave the workers often;
+    # a block handed out twice or never would leave the reference's values
+    streamed, one_shot = _BUILDER_CASES[case]
+    monkeypatch.setattr(analysis, "_BLOCK", 16)
+    monkeypatch.setattr(analysis, "_WORKERS", workers)
+    _claim_cores(monkeypatch, 4)
+    grid = build_grid(1.0, 8)
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ens = streamed(grid, 40 * 16 + 3, 22)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    for got, want in zip((ens.sup_sq, ens.terminal_sq, ens.terminal), one_shot(grid, 40 * 16 + 3, 22)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_builder_workers_keep_the_callers_numpy_error_state(monkeypatch):
+    # numpy's error state is context-local and a bare thread starts from the
+    # default; a block on the calling thread waits until a helper has filled one
+    _claim_cores(monkeypatch, 2)
+    caller = threading.get_ident()
+    helper_filled = threading.Event()
+    seen = {}
+
+    def fill(rng, x):
+        seen[threading.get_ident()] = np.geterr()["over"]
+        if threading.get_ident() == caller:
+            helper_filled.wait(timeout=30)
+        else:
+            helper_filled.set()
+        x.fill(0.0)
+
+    with np.errstate(over="raise"):
+        analysis._martingale_ensemble(4 * analysis._BLOCK, 1, 2, fill)
+    assert helper_filled.is_set() and set(seen) - {caller}
+    assert set(seen.values()) == {"raise"}
+
+
+def test_brownian_builder_raises_an_overflow_under_the_callers_error_state():
+    grid = build_grid(1.0, 8)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        brownian_martingale_ensemble(grid, lambda s: np.full_like(s, 1e308), 3 * analysis._BLOCK, seed=2)
+
+
+def test_a_failing_block_stops_every_worker_and_the_lowest_blocks_error_is_raised(monkeypatch):
+    monkeypatch.setattr(analysis, "_WORKERS", 3)
+    _claim_cores(monkeypatch, 4)
+    threads = threading.active_count()
+    calls = []
+    second_failed = threading.Event()
+
+    def fill(rng, x):
+        calls.append(None)
+        if len(calls) == 1:
+            second_failed.wait(timeout=30)  # blocks 0 and 1 both fail, in either order
+        else:
+            second_failed.set()
+        raise ValueError(rng.random())
+
+    with pytest.raises(ValueError) as raised:
+        analysis._martingale_ensemble(10 * analysis._BLOCK, 5, 2, fill)
+    # each worker fails on the first block it takes and takes no other
+    assert second_failed.is_set() and 2 <= len(calls) <= 3
+    assert raised.value.args == (np.random.default_rng(np.random.SeedSequence(5, spawn_key=(0,))).random(),)
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("case", ["brownian", "jump-quadrature"])
