@@ -188,13 +188,14 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _paths_csv(times: np.ndarray, values: np.ndarray) -> str:
-    """paths.csv: a ``path_id,t,x`` line per path and grid time, numbers as ``_fmt`` writes them.
+def _paths_csv(fh, times: np.ndarray, values: np.ndarray) -> None:
+    """Write paths.csv to ``fh``: a ``path_id,t,x`` line per path and grid time, numbers as ``_fmt`` writes them.
 
-    The grid times are formatted once, into one line template that each path fills in.
+    The grid times are formatted once, into a line template that each path fills in and writes.
     """
     lines = "".join(f"{{0}},{_fmt(t)},%.17g\n" for t in times)
-    return "path_id,t,x\n" + "".join(lines.format(pid) % tuple(vals.tolist()) for pid, vals in enumerate(values))
+    fh.write("path_id,t,x\n")
+    fh.writelines(lines.format(pid) % tuple(vals.tolist()) for pid, vals in enumerate(values))
 
 
 def _json_num(x) -> float | None:
@@ -215,7 +216,8 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
     grid = build_grid(config.horizon, config.steps)
     coeffs, _ = _build_model(config)
     ensemble = ensemble_simulate(coeffs, grid, config.paths, config.master_seed)
-    (out_dir / "paths.csv").write_text(_paths_csv(grid.points, ensemble.values), encoding="utf-8")
+    with open(out_dir / "paths.csv", "w", encoding="utf-8") as fh:
+        _paths_csv(fh, grid.points, ensemble.values)
     surv = ensemble.survivors
     if surv.shape[0] > 0:
         with np.errstate(over="ignore"):  # a moment past the largest double is written as null

@@ -148,8 +148,8 @@ class CoefficientSet:
     off: ``jump`` and ``compensator`` are then None, so ``jump is None`` is
     the one test for "no jumps".  ``compensator`` is an optional closed form
     for int h(t, s, x, xi) nu(dxi); without it the solver integrates h
-    against ``measure`` by one vector quadrature per path and column, a few
-    hundred times slower.  ``growth_constant`` is the analytic C of the
+    against ``measure`` per path and column on a ``MarkRule``: at n = 32 a
+    solve takes 8.6 times as long.  ``growth_constant`` is the analytic C of the
     linear-growth condition when one is known, finite and non-negative.
     Kernels broadcast like numpy ufuncs: the solver calls a plain kernel
     with the later grid times t_{j+1..n} as a 1-D ``t``, the scalar t_j as

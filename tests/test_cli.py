@@ -1,5 +1,6 @@
 """Config round-tripping, artifact layout, and exit codes of the CLI."""
 
+import io
 import json
 import math
 import subprocess
@@ -229,9 +230,42 @@ def test_paths_csv_formats_every_number_as_the_per_value_formatter_does():
     lines = ["path_id,t,x"]
     for pid, row in enumerate(values):
         lines.extend(f"{pid},{format(float(t), '.17g')},{format(float(x), '.17g')}" for t, x in zip(times, row))
-    text = cli._paths_csv(times, values)
+    buffer = io.StringIO()
+    cli._paths_csv(buffer, times, values)
+    text = buffer.getvalue()
     assert text == "\n".join(lines) + "\n"
     assert "\n1,0.5,nan\n" in text and "\n2,0.125,-0\n" in text
+
+
+def whole_paths_csv(times, values):
+    """The paths.csv text as one string, formatted as before the file was written path by path."""
+    lines = "".join(f"{{0}},{format(float(t), '.17g')},%.17g\n" for t in times)
+    return "path_id,t,x\n" + "".join(lines.format(pid) % tuple(vals.tolist()) for pid, vals in enumerate(values))
+
+
+def test_streamed_paths_csv_has_the_bytes_of_the_whole_text(tmp_path, monkeypatch):
+    def check(config):
+        out = tmp_path / f"{config.paths}"
+        assert main(["simulate", "--config", write_config(tmp_path, config), "--out", str(out)]) == 0
+        grid = build_grid(config.horizon, config.steps)
+        ensemble = solver.ensemble_simulate(_build_model(config)[0], grid, config.paths, config.master_seed)
+        assert (out / "paths.csv").read_bytes() == whole_paths_csv(grid.points, ensemble.values).encode("utf-8")
+        return ensemble
+
+    assert check(simulate_config(paths=1)).n_paths == 1
+    # phi(0) = 1.7e308 overflows where the first increments are large
+    # enough: a batch with exploded paths among finite ones
+    surging = CoefficientSet(
+        drift=lambda t, s, x: 0.0 * (t + x),
+        diffusion=lambda t, s, x: 1e308 + 0.0 * (t + x),
+        jump=None,
+        initial=lambda t: np.full(np.shape(t), 1.7e308),
+        measure=LevyMeasure.empty(),
+        growth_constant=0.0,
+        name="surging",
+    )
+    monkeypatch.setattr(cli, "coefficient_catalogue", lambda *args: surging)
+    assert 0 < check(simulate_config(horizon=1.0, steps=4, paths=8)).exploded.sum() < 8
 
 
 def _reject_constant(name):
@@ -384,15 +418,16 @@ def test_verify_majorant_runs_when_picard_gap_raises(tmp_path, monkeypatch):
 
 
 def test_verify_draws_each_lineage_once(tmp_path, monkeypatch):
-    # the moment ensemble and the Picard gap read one noise batch
+    # the moment ensemble and the Picard gap read one noise batch; every
+    # lineage, alone or in a batch, is drawn by grid_noise._draw
     drawn = []
-    draw = grid_noise.sample_noise_path
+    draw = grid_noise._draw
 
-    def counted(grid, measure, lineage):
-        drawn.append(lineage)
-        return draw(grid, measure, lineage)
+    def counted(rng, grid, measure, seed, idx, row):
+        drawn.append((seed, idx))
+        return draw(rng, grid, measure, seed, idx, row)
 
-    monkeypatch.setattr(grid_noise, "sample_noise_path", counted)
+    monkeypatch.setattr(grid_noise, "_draw", counted)
     config = simulate_config(paths=6)
     verify_checks(tmp_path, config, 0)
     assert drawn == [(config.master_seed, idx) for idx in range(config.paths)]

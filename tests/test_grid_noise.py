@@ -91,9 +91,40 @@ def test_master_seeds_above_2_63_do_not_collide():
 
 @pytest.mark.parametrize("seed", [0, 5, 2**53 + 1, 2**62 + 7, 2**63 - 1])
 def test_seeds_below_2_63_draw_as_a_list_key_does(seed):
+    rng = np.random.Generator(np.random.Philox(key=0))
     for idx, role in ((0, 0), (7, 1)):
         by_list = np.random.Generator(np.random.Philox(key=[seed, (idx << 32) | role]))
-        np.testing.assert_array_equal(grid_noise._generator((seed, idx), role).random(16), by_list.random(16))
+        np.testing.assert_array_equal(grid_noise._stream(rng, seed, idx, role).random(16), by_list.random(16))
+
+
+def fresh_draws(rng):
+    """Draws that read every part of a Philox state: full and half words, and buffered doubles."""
+    return np.concatenate(
+        [rng.random(3), rng.integers(0, 2**32, 5, dtype=np.uint32), rng.standard_normal(7), rng.poisson(3.0, 4)]
+    ).view(np.uint64)
+
+
+@pytest.mark.parametrize("lineage", [(2**64 - 1, 2**32 - 1), (2**63, 0), (5, 2**31 + 3)])
+@pytest.mark.parametrize("role", [grid_noise._ROLE_BROWNIAN, grid_noise._ROLE_JUMPS])
+def test_a_reset_generator_draws_as_a_fresh_one(lineage, role):
+    # the guard against numpy changing the layout of its Philox state: a
+    # generator reset in the middle of another stream, with a half word
+    # pending, draws bit for bit what a newly built Philox with the
+    # lineage's key draws
+    seed, idx = lineage
+    key = np.array([seed, (idx << 32) | role], dtype=np.uint64)
+    fresh = np.random.Generator(np.random.Philox(key=key))
+    rng = np.random.Generator(np.random.Philox(key=0))
+    rng.integers(0, 2**32, 3, dtype=np.uint32)
+    reset = grid_noise._stream(rng, seed, idx, role)
+    assert reset is rng
+    np.testing.assert_array_equal(fresh_draws(reset), fresh_draws(fresh))
+    if role == grid_noise._ROLE_BROWNIAN:
+        # and so does the sampler, at the lineage itself
+        grid = build_grid(1.0, 16)
+        want = math.sqrt(grid.dt) * np.random.Generator(np.random.Philox(key=key)).standard_normal(16)
+        got = sample_noise_path(grid, LevyMeasure.lognormal(4.0), lineage).brownian
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_empty_measure_has_no_jumps():
@@ -353,12 +384,31 @@ def test_noise_ensemble_checks_its_lineage_range_before_the_first_draw(monkeypat
     def no_draw(*args):
         raise AssertionError("a path was drawn before the lineage range was checked")
 
-    monkeypatch.setattr(grid_noise, "sample_noise_path", no_draw)
+    # every lineage, alone or in a batch, is drawn by _draw
+    monkeypatch.setattr(grid_noise, "_draw", no_draw)
     grid = build_grid(0.5, 4)
     with pytest.raises(ConfigurationError, match=r"^path_index must lie in \[0, 2\^32\), got 4294967296$"):
         sample_noise_ensemble(grid, LevyMeasure.empty(), 2**32 + 1, 0)
     with pytest.raises(ConfigurationError, match=r"^master_seed must lie in \[0, 2\^64\), got 18446744073709551616$"):
         sample_noise_ensemble(grid, LevyMeasure.empty(), 1, 2**64)
+
+
+@pytest.mark.parametrize(
+    "bad_marks, message",
+    [
+        (lambda size: np.full(size, math.nan), "jump_marks must be finite"),
+        (lambda size: np.where(np.arange(size) == size - 1, math.inf, 1.0), "jump_marks must be finite"),
+        (lambda size: np.ones(size + 1), r"mark_sampler returned shape \(\d+,\), expected \(\d+,\)"),
+        (lambda size: np.ones((size, 1)), r"mark_sampler returned shape \(\d+, 1\), expected \(\d+,\)"),
+    ],
+    ids=["nan", "inf", "too-many", "column"],
+)
+def test_noise_ensemble_rejects_marks_a_noise_path_rejects(bad_marks, message):
+    measure = dataclasses.replace(LevyMeasure.lognormal(8.0), mark_sampler=lambda rng, size: bad_marks(size))
+    grid = build_grid(0.5, 4)
+    for draw in (lambda: sample_noise_ensemble(grid, measure, 3, 1), lambda: sample_noise_path(grid, measure, (1, 0))):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            draw()
 
 
 def test_noise_path_accepts_a_well_formed_hand_built_path():
