@@ -5,8 +5,9 @@ kernels may look back over the whole past, so paths are built grid point
 by grid point and refined by successive approximation.  The analysis
 layer checks the classical inequalities that make that construction
 trustworthy: linear-growth and continuity-modulus audits, Doob maximal
-bounds for the driving martingales, a uniform second-moment envelope,
-and the comparison argument that squeezes the approximation gap to zero.
+bounds for the solution's stochastic integrals, a uniform second-moment
+envelope, and the comparison argument that squeezes the approximation gap
+to zero.
 """
 
 from . import analysis, coefficients, errors, grid_noise, solver

@@ -23,7 +23,17 @@ Contents
 * ``majorant_recursion``: the deterministic sequence psi_1 = c3 t,
   psi_{j+1} = int_0^t kappa(psi_j), which must decrease monotonically on a
   window where kappa(c3 t) <= c3.
-* Martingale ensemble builders for the Doob and compensation checks.
+* ``solution_martingales``: the solver's own stochastic integrals at the
+  outer time T = t_n, formed from a solved ``Ensemble`` and its own noise
+  batch with no new draw: N_i = sum_{j<i} g(T, t_j, x_j) dW_j, and M_i, the
+  jumps h(T, tau, x_floor(tau), xi) up to t_i less the compensator the
+  solver subtracted.  ``svie verify`` runs ``doob_check`` on these two.  M
+  is an exact discrete martingale when the jump kernel does not depend on
+  s, which holds for every catalogue model; otherwise it carries the
+  scheme's O(dt) drift.
+* ``brownian_martingale_ensemble`` / ``compensated_jump_ensemble``:
+  synthetic martingale ensembles with deterministic integrands, drawn
+  block by block, for the acceptance criteria and the demos.
 
 Both envelopes take C from ``CoefficientSet.growth_constant`` and raise
 ConfigurationError naming the set when it is None; another constant goes
@@ -46,7 +56,7 @@ from .coefficients import CoefficientSet, Modulus, _kappa, bihari_integral
 from .errors import AnalysisError, ConfigurationError, DomainError, ExplosionError, NumericalError
 from .errors import _check_int, _check_real, _check_shape
 from .grid_noise import LevyMeasure, NoiseBatch, TimeGrid
-from .solver import Ensemble, _iterates
+from .solver import Ensemble, _compensator, _initial_curve, _iterates
 from .solver import picard_iterates  # noqa: F401 -- perfbench/tracer.py wraps analysis.picard_iterates by name
 
 __all__ = [
@@ -62,6 +72,7 @@ __all__ = [
     "MajorantSequence",
     "majorant_recursion",
     "MartingaleEnsemble",
+    "solution_martingales",
     "brownian_martingale_ensemble",
     "compensated_jump_ensemble",
 ]
@@ -153,7 +164,8 @@ def doob_check(sup_sq: np.ndarray, terminal_sq: np.ndarray, p: float = 2.0, slac
 
     Inputs are per-path running maxima of |X|^2 and terminal |X(T)|^2,
     raised to p/2.  The verdict allows the given relative slack plus four
-    combined standard errors.
+    combined standard errors.  A bound that overflows bounds nothing, so it
+    fails the check.
     """
     sup_sq = np.asarray(sup_sq, dtype=np.float64)
     terminal_sq = np.asarray(terminal_sq, dtype=np.float64)
@@ -178,7 +190,7 @@ def doob_check(sup_sq: np.ndarray, terminal_sq: np.ndarray, p: float = 2.0, slac
         se_lhs=se_lhs,
         se_rhs=se_rhs,
         n_paths=len(sup_sq),
-        passed=bool(lhs <= bound),
+        passed=bool(lhs <= bound < math.inf),
     )
 
 
@@ -381,7 +393,7 @@ def majorant_recursion(
     return MajorantSequence(c3=c3, window=window, times=times, curves=curves)
 
 
-# --- martingale ensemble builders -------------------------------------------
+# --- martingale ensembles ----------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -391,6 +403,64 @@ class MartingaleEnsemble:
     sup_sq: np.ndarray
     terminal_sq: np.ndarray
     terminal: np.ndarray
+
+
+def _reduced(paths: np.ndarray) -> MartingaleEnsemble:
+    """The ensemble of the (paths, times) block ``paths``, which it overwrites."""
+    terminal = paths[:, -1].copy()
+    sup_abs = np.max(np.abs(paths, out=paths), axis=1)
+    return MartingaleEnsemble(sup_sq=sup_abs * sup_abs, terminal_sq=terminal * terminal, terminal=terminal)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value is doob_check's to reject, not numpy's to warn
+def solution_martingales(coeffs: CoefficientSet, ensemble: Ensemble) -> tuple[MartingaleEnsemble, MartingaleEnsemble]:
+    """The solver's own stochastic integrals (N, M) at the outer time T = t_n, on ``ensemble``'s surviving rows.
+
+    With x the solved states and the ensemble's own ``NoiseBatch``,
+    N_i = sum_{j<i} g(T, t_j, x_j) dW_j, and M_i is the sum of
+    h(T, tau, x_floor(tau), xi) over the jumps up to t_i minus
+    sum_{j<i} comp(T, t_j, x_j) dt.  Each jump lands at the first grid index
+    at or after tau and reads the state one index earlier, as the sweep does,
+    and comp is the compensator the sweep subtracts (``solver._compensator``).
+    N is an exact discrete martingale in i.  So is M when h does not depend
+    on s and the compensator is a closed form, as in every catalogue model;
+    otherwise M carries the scheme's O(dt) drift, or a fitted compensator's
+    certified quadrature error.  Each is one kernel call over the (paths, n)
+    block, plus one over the jump list; nothing is drawn.  Every step is
+    elementwise per path or a running sum along a row, so a row does not
+    depend on the batch.  A model without jumps has M = 0.  Exploded rows are
+    dropped, as ``moment_check`` drops them; if every row exploded this
+    raises AnalysisError.  Values that overflow, in the integrals or their
+    squares, stay inf or nan without a numpy warning, for ``doob_check`` to
+    reject.
+    """
+    grid, brownian, jtimes, jmarks, jpath, jcells = ensemble.noise
+    keep = ~ensemble.exploded
+    paths = int(keep.sum())
+    if paths == 0:
+        raise AnalysisError("every path exploded; no surviving paths to form the solution martingales")
+    pts, n = grid.points, grid.steps
+    horizon, times, x = pts[-1], pts[:-1], ensemble.values[keep, :-1]
+
+    martingale = np.zeros((paths, n + 1))
+    diffusion = _check_shape("diffusion", coeffs.diffusion(horizon, times, x), x.shape)
+    np.cumsum(np.multiply(diffusion, brownian[keep], out=martingale[:, 1:]), axis=1, out=martingale[:, 1:])
+    brownian_part = _reduced(martingale)
+
+    martingale = np.zeros((paths, n + 1))
+    comp = _compensator(coeffs, grid, _initial_curve(coeffs, grid))
+    if comp is not None:
+        np.multiply(_check_shape("compensator", comp(horizon, times, x), x.shape), -grid.dt, out=martingale[:, 1:])
+        live = keep[jpath]
+        if live.any():
+            # column j holds the jumps in (t_j, t_{j+1}]; they read x_j and land at j + 1
+            columns = np.repeat(np.arange(n), np.diff(jcells))[live]
+            rows = (np.cumsum(keep) - 1)[jpath[live]]
+            jumps = coeffs.jump(horizon, jtimes[live], x[rows, columns], jmarks[live])
+            # unbuffered and in list order: each row adds its own jumps in time order
+            np.add.at(martingale, (rows, columns + 1), _check_shape("jump", jumps, rows.shape))
+        np.cumsum(martingale, axis=1, out=martingale)
+    return brownian_part, _reduced(martingale)
 
 
 def _martingale_ensemble(n_paths: int, seed: int, width: int, fill: Callable) -> MartingaleEnsemble:

@@ -47,7 +47,6 @@ SCHEMA = "svie-run/1"
 
 _AUDIT_X_BOUND = 10.0
 _AUDIT_SAMPLES = 1000
-_DOOB_PATHS = 100_000
 
 
 @dataclass(frozen=True)
@@ -269,9 +268,15 @@ def cmd_verify(config: RunConfig, out_dir: Path) -> int:
     is recorded with null numbers, ``pass: false`` and the message under
     ``error``.  No record's value feeds another check: the moment, gap and
     majorant envelopes read the model's analytic ``growth_constant``, the
-    constant ``linear_growth`` audits, and ``doob_jump``'s builder
-    integrates its own compensator.  ``moment_envelope`` and ``picard_gap``
-    read one ensemble and its noise batch, so each lineage is drawn once.
+    constant ``linear_growth`` audits.  The Doob, moment and gap records read
+    one solved ensemble and its noise batch, so each lineage is drawn once.
+    ``doob_brownian`` and ``doob_jump`` check Doob's inequality on the
+    solution's own stochastic integrals at T = t_n
+    (``analysis.solution_martingales``): sum g(T, t_j, x_j) dW_j, and the
+    jumps h(T, tau, x, xi) less the compensator the solver subtracted.  The
+    second is an exact discrete martingale when h does not depend on s, as
+    in every catalogue model, and otherwise carries the scheme's O(dt)
+    drift.  An ensemble that overflows fails both records.
     An overflowing gap envelope bounds nothing: both of its records fail.
     """
     grid = build_grid(config.horizon, config.steps)
@@ -296,21 +301,20 @@ def cmd_verify(config: RunConfig, out_dir: Path) -> int:
         audit = audit_modulus(coeffs, modulus, pair_sampler(horizon, _AUDIT_X_BOUND, seed + 1), _AUDIT_SAMPLES)
         return audit.worst_slack, AUDIT_SLACK, None, audit.passed
 
+    # one solve for the Doob records, moment_envelope and picard_gap; a solve
+    # that raised is not cached, so each of them raises it again
+    ensemble = functools.cache(lambda: ensemble_simulate(coeffs, grid, config.paths, seed))
+    martingales = functools.cache(lambda: analysis.solution_martingales(coeffs, ensemble()))
+
     def doob(ens):
         rep = analysis.doob_check(ens.sup_sq, ens.terminal_sq)
         return rep.lhs, rep.bound, rep.se_lhs, rep.passed
 
     def check_doob_brownian():
-        sigma = lambda s: coeffs.diffusion(horizon, s, 1.0)
-        return doob(analysis.brownian_martingale_ensemble(grid, sigma, _DOOB_PATHS, seed + 2))
+        return doob(martingales()[0])
 
     def check_doob_jump():
-        # a catalogue model without jumps has an empty measure, so the integrand is never called
-        integrand = lambda s, xi: coeffs.jump(horizon, s, 1.0, xi)
-        return doob(analysis.compensated_jump_ensemble(grid, coeffs.measure, integrand, _DOOB_PATHS, seed + 3))
-
-    # one solve for moment_envelope and picard_gap; a solve that raised is not cached and raises again
-    ensemble = functools.cache(lambda: ensemble_simulate(coeffs, grid, config.paths, seed))
+        return doob(martingales()[1])
 
     def check_moment_envelope():
         rep = analysis.moment_check(ensemble(), coeffs)

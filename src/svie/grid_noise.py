@@ -103,6 +103,21 @@ def _check_lineage(lineage: tuple[int, int]) -> tuple[int, int]:
     return seed, idx
 
 
+def _generator() -> np.random.Generator:
+    """A generator for ``_stream`` to reset, seeded from a fixed ``SeedSequence``.
+
+    The first reset overwrites its state, so building it reads no OS entropy.
+    The seed is made on first use: importing this module does not import
+    numpy.random.
+    """
+    return np.random.Generator(np.random.Philox(_fixed_seed()))
+
+
+@functools.cache
+def _fixed_seed() -> np.random.SeedSequence:
+    return np.random.SeedSequence(0)
+
+
 def _stream(rng: np.random.Generator, seed: int, idx: int, role: int) -> np.random.Generator:
     """``rng`` reset to a fresh ``Philox(key=(seed, idx << 32 | role))``, at about a tenth of the cost of building one.
 
@@ -589,7 +604,7 @@ def sample_noise_path(grid: TimeGrid, measure: LevyMeasure, lineage: tuple[int, 
     """Draw one lineage's NoisePath as ``sample_noise_ensemble`` draws its row; Brownian and jumps use two streams."""
     seed, idx = _check_lineage(lineage)
     brownian = np.empty(grid.steps)
-    times, marks = _draw(np.random.Generator(np.random.Philox(key=0)), grid, measure, seed, idx, brownian)
+    times, marks = _draw(_generator(), grid, measure, seed, idx, brownian)
     order = np.argsort(times, kind="stable")
     return NoisePath(grid, brownian, times[order], marks[order], lineage=(seed, idx))
 
@@ -598,7 +613,7 @@ def sample_noise_ensemble(grid: TimeGrid, measure: LevyMeasure, n_paths: int, ma
     """Lineages (master_seed, 0..n_paths-1), checked once, as one batch; row i is ``sample_noise_path``'s."""
     n_paths = _check_int("n_paths", n_paths, 1)
     master_seed, _ = _check_lineage((master_seed, n_paths - 1))
-    rng = np.random.Generator(np.random.Philox(key=0))  # one generator, reset for every stream
+    rng = _generator()  # one generator, reset for every stream
     brownian = np.empty((n_paths, grid.steps))
     trains = [_draw(rng, grid, measure, master_seed, idx, row) for idx, row in enumerate(brownian)]
     return NoiseBatch._laid_out(grid, brownian, trains)

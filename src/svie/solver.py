@@ -91,6 +91,25 @@ def _initial_curve(coeffs: CoefficientSet, grid: TimeGrid) -> np.ndarray:
     return np.array(_check_shape("initial", coeffs.initial(grid.points), grid.points.shape))
 
 
+def _compensator(coeffs: CoefficientSet, grid: TimeGrid, initial: np.ndarray):
+    """The compensator kernel that the sweep subtracts, None without jumps.
+
+    It is the closed form when the set has one.  Otherwise one
+    ``grid_noise.MarkRule`` is fitted to the jump kernel at (t_n, t_0,
+    phi(t_0)), which no path changes, and ``compensator_integral`` takes each
+    slice from it, or from an adaptive pass where the rule cannot certify
+    that slice.  ``initial`` is phi on the grid points.
+    """
+    if coeffs.jump is None:
+        return None
+    if coeffs.compensator is not None:
+        return coeffs.compensator
+    pts = grid.points
+    # fitted where no path differs: phi(t_0) is every path's column-0 state
+    rule = MarkRule.fit(coeffs.measure, lambda xi: coeffs.jump(pts[-1], pts[0], initial[0], xi))
+    return lambda t, s, x: compensator_integral(coeffs, t, s, x, rule)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # the finiteness check reports an overflow, not numpy
 def _sweep(coeffs: CoefficientSet, batch: NoiseBatch, source: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill the (paths, n + 1) block ``out`` column by column from ``source``.
@@ -107,11 +126,9 @@ def _sweep(coeffs: CoefficientSet, batch: NoiseBatch, source: np.ndarray, out: n
     a separable one adds lag(tau) state(x_j, xi) to its sums.  Row j + 1 then
     adds sum time(t_{j+1}) A in term order.  Jumps go in unbuffered and in
     list order, and every other step is elementwise per path, with no BLAS
-    call whose blocking could see the batch.  Without a closed-form
-    compensator, one ``grid_noise.MarkRule`` is fitted per sweep to the jump
-    kernel at (t_n, t_0, phi(t_0)), which no path changes, and
-    ``compensator_integral`` takes each path's column from it, or from an
-    adaptive pass where the rule cannot certify that column.
+    call whose blocking could see the batch.  The compensator is
+    ``_compensator``'s: without a closed form, one ``MarkRule`` is fitted per
+    sweep and each path's column is a slice of its own.
 
     When ``source`` is ``out`` this is the direct recursion; when it is a
     previous iterate, one Picard step.  Returns each path's first grid index
@@ -123,11 +140,7 @@ def _sweep(coeffs: CoefficientSet, batch: NoiseBatch, source: np.ndarray, out: n
     grid, dW, jtimes, jmarks, jpath, jcells = batch
     pts = grid.points
     initial = _initial_curve(coeffs, grid)
-    comp = None if coeffs.jump is None else coeffs.compensator
-    if coeffs.jump is not None and comp is None:
-        # fitted where no path differs: phi(t_0) is every path's column-0 state
-        rule = MarkRule.fit(coeffs.measure, lambda xi: coeffs.jump(pts[-1], pts[0], initial[0], xi))
-        comp = lambda t, s, x: compensator_integral(coeffs, t, s, x, rule)
+    comp = _compensator(coeffs, grid, initial)
 
     def factor(kernel, k, part, fn, at):
         return None if fn is None else _check_shape(f"{kernel.name}: term {k} {part}", fn(at), at.shape)

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from svie import analysis
+from svie import analysis, solver
 from svie.analysis import (
     bihari_bound,
     bihari_integral,
@@ -22,6 +22,7 @@ from svie.analysis import (
     mean_stderr,
     moment_check,
     picard_gap,
+    solution_martingales,
     uniform_moment_bound,
 )
 from svie.coefficients import (
@@ -141,6 +142,14 @@ def test_doob_check_fails_a_power_past_the_largest_double_without_a_warning():
     assert report.lhs == math.inf and report.rhs == math.inf
     assert not report.passed
 
+
+
+def test_doob_check_fails_a_bound_that_overflows():
+    # finite squares whose spread overflows: the standard error and so the
+    # bound are inf, and an infinite bound bounds nothing
+    report = doob_check([1e307, 0.0], [1e307, 0.0])
+    assert math.isfinite(report.lhs) and report.bound == math.inf
+    assert not report.passed
 
 # --- second-moment envelope ---------------------------------------------------
 
@@ -458,6 +467,145 @@ def test_every_reader_of_kappa_names_a_value_of_the_wrong_shape(reader, shape):
     three = Modulus(kappa=lambda u: np.ones(3), scale=1.0, osgood_divergent=True)
     with pytest.raises(ConfigurationError, match=rf"^kappa gave shape \(3,\), which does not broadcast to {shape}$"):
         reader(three)
+
+
+# --- the solver's own martingales ------------------------------------------------
+
+
+def _polynomial_model(rate=3.0):
+    """Plain kernels whose diffusion depends on s and whose jump kernel does not."""
+    return CoefficientSet(
+        drift=lambda t, s, x: 0.3 * x,
+        diffusion=lambda t, s, x: (1.0 + t - s) * x,
+        jump=lambda t, s, x, xi: (2.0 + t) * xi * x,
+        compensator=lambda t, s, x: (2.0 + t) * (rate * E_XI) * x,
+        initial=lambda t: np.ones_like(np.asarray(t, dtype=np.float64)),
+        measure=LevyMeasure.lognormal(rate) if rate else LevyMeasure.empty(),
+        growth_constant=1.0,
+        name="polynomial",
+    )
+
+
+def _solved(coeffs, batch, master_seed=0):
+    """The direct solve of ``batch`` as an Ensemble, whichever lineages its rows hold."""
+    values = np.empty((len(batch.brownian), batch.grid.steps + 1))
+    explosion = solver._sweep(coeffs, batch, values, values)
+    values[explosion >= 0] = np.nan
+    return Ensemble(noise=batch, values=values, explosion_index=explosion, master_seed=master_seed)
+
+
+def _hand_built_batch():
+    # on the grid 0, 1/4, ..., 1: path 0 has a jump exactly on t_2 and two
+    # jumps in column 2, path 2 a jump at T; path 1 is the one to explode
+    grid = build_grid(1.0, 4)
+    trains = [
+        ([0.3, -0.2, 0.5, -0.1], [0.5, 0.6, 0.7], [1.5, 0.5, 2.0]),
+        ([0.1, 0.1, -0.4, 0.2], [0.3], [1.0]),
+        ([-0.3, 0.4, 0.2, 0.1], [0.1, 1.0], [0.7, 1.2]),
+    ]
+    return NoiseBatch.of(
+        [NoisePath(grid, np.array(w), np.array(t), np.array(m), lineage=(0, p)) for p, (w, t, m) in enumerate(trains)]
+    )
+
+
+def _loop_martingales(coeffs, ensemble):
+    """(N, M) of each surviving row, one grid column and one jump at a time."""
+    grid, brownian, times, marks, paths, _ = ensemble.noise
+    pts, horizon = grid.points, grid.points[-1]
+    rows = []
+    for p in np.flatnonzero(~ensemble.exploded):
+        x = ensemble.values[p]
+        n_path, m_path = [0.0], [0.0]
+        for i in range(1, grid.steps + 1):
+            j = i - 1
+            n_path.append(n_path[-1] + coeffs.diffusion(horizon, pts[j], x[j]) * brownian[p, j])
+            cell = 0.0
+            if coeffs.jump is not None:  # a model without jumps ignores the batch's jumps, as the sweep does
+                cell = coeffs.compensator(horizon, pts[j], x[j]) * -grid.dt
+                for tau, xi in zip(times[paths == p], marks[paths == p]):
+                    if pts[j] < tau <= pts[i]:  # lands at i, the first grid index at or after tau, and reads x_j
+                        cell += coeffs.jump(horizon, tau, x[j], xi)
+            m_path.append(m_path[-1] + cell)
+        rows.append((n_path, m_path))
+    return [np.array(block) for block in zip(*rows)]
+
+
+def _assert_reduces(ens, block):
+    sup_abs, terminal = np.max(np.abs(block), axis=1), block[:, -1]
+    np.testing.assert_array_equal(ens.sup_sq, sup_abs * sup_abs)
+    np.testing.assert_array_equal(ens.terminal_sq, terminal * terminal)
+    np.testing.assert_array_equal(ens.terminal, terminal)
+
+
+@pytest.mark.parametrize("rate", [3.0, 0.0], ids=["jumps", "no-jumps"])
+def test_solution_martingales_equal_a_plain_loop_and_drop_exploded_rows(rate):
+    coeffs = _polynomial_model(rate)
+    ensemble = _solved(coeffs, _hand_built_batch())
+    assert not ensemble.exploded.any() and len(np.unique(ensemble.values[0])) == 5
+    ensemble.values[1] = np.nan
+    ensemble.explosion_index[1] = 2
+    brownian_part, jump_part = solution_martingales(coeffs, ensemble)
+    n_block, m_block = _loop_martingales(coeffs, ensemble)
+    assert n_block.shape == m_block.shape == (2, 5)
+    _assert_reduces(brownian_part, n_block)
+    _assert_reduces(jump_part, m_block)
+    assert np.any(n_block != 0.0)
+    if rate:
+        assert np.all(m_block[:, -1] != 0.0)
+    else:
+        assert coeffs.jump is None and np.all(m_block == 0.0)
+
+
+def test_solution_martingales_that_overflow_are_rejected_by_doob_check_without_a_warning():
+    coeffs = _polynomial_model()
+    ensemble = _solved(coeffs, _hand_built_batch())
+    ensemble.values[2] = 1e300  # finite states whose integrals overflow when squared
+    brownian_part, jump_part = solution_martingales(coeffs, ensemble)
+    for part in (brownian_part, jump_part):
+        assert np.all(np.isfinite(part.sup_sq[:2])) and part.sup_sq[2] == math.inf
+        with pytest.raises(AnalysisError, match="^ensemble contains non-finite values$"):
+            doob_check(part.sup_sq, part.terminal_sq)
+
+
+def test_a_fitted_compensator_gives_the_closed_forms_jump_martingale_within_its_tolerance():
+    closed = _polynomial_model()
+    fitted = dataclasses.replace(closed, compensator=None)
+    ensemble = ensemble_simulate(closed, build_grid(0.5, 16), 20, master_seed=3)
+    _, by_closed_form = solution_martingales(closed, ensemble)
+    _, by_rule = solution_martingales(fitted, ensemble)
+    np.testing.assert_allclose(by_rule.terminal, by_closed_form.terminal, rtol=0.0, atol=1e-7)
+
+
+def test_a_row_of_the_solution_martingales_is_the_batch_of_one_of_its_lineage():
+    coeffs = example_coefficients(0.1, rate=10.0)
+    grid = build_grid(0.5, 32)
+    ensemble = ensemble_simulate(coeffs, grid, 6, master_seed=5)
+    assert len(ensemble.noise.jump_times) > 6
+    whole = solution_martingales(coeffs, ensemble)
+    for p in range(6):
+        one = NoiseBatch.of([sample_noise_path(grid, coeffs.measure, (5, p))])
+        alone = solution_martingales(coeffs, _solved(coeffs, one))
+        for part, one in zip(whole, alone):
+            for field in ("sup_sq", "terminal_sq", "terminal"):
+                assert getattr(part, field)[p : p + 1].tobytes() == getattr(one, field).tobytes()
+
+
+def _z(values):
+    mean, se = mean_stderr(values)
+    return float(mean / se)
+
+
+@pytest.mark.parametrize("master_seed", [1, 2, 3])
+def test_the_brownian_solution_martingale_catches_increments_read_one_column_late(master_seed):
+    # the mean of N_n is 0 for the solver; a solve on dW_{j+1} in column j
+    # gives x_j a share of dW_j, which N, formed from the batch's own dW, sees
+    coeffs = linear_test_coefficients()
+    ensemble = ensemble_simulate(coeffs, build_grid(0.5, 128), 1000, master_seed)
+    assert abs(_z(solution_martingales(coeffs, ensemble)[0].terminal)) <= 4.0
+    noise = ensemble.noise
+    late = _solved(coeffs, noise._replace(brownian=np.roll(noise.brownian, -1, axis=1)), master_seed)
+    mutant = dataclasses.replace(late, noise=noise)
+    assert abs(_z(solution_martingales(coeffs, mutant)[0].terminal)) >= 6.0
 
 
 # --- martingale ensemble builders ----------------------------------------------

@@ -479,6 +479,44 @@ def test_verify_writes_an_overflowing_moment_envelope_as_a_failure_without_a_war
     assert moment == {"name": "moment_envelope", "value": None, "bound": None, "stderr": None, "pass": False}
 
 
+
+def test_verify_fails_both_doob_records_when_the_solved_ensemble_overflows(tmp_path):
+    # the Doob records read the solve: the spread of N's squares overflows,
+    # so its bound is inf and bounds nothing, and M's squares overflow
+    config = RunConfig(jump_coefficient=1e10, paths=50, steps=16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        by_name = verify_checks(tmp_path, config, 2)
+    brownian = by_name["doob_brownian"]
+    assert brownian["pass"] is False and isinstance(brownian["value"], float) and brownian["bound"] is None
+    assert by_name["doob_jump"] == {
+        "name": "doob_jump",
+        "value": None,
+        "bound": None,
+        "stderr": None,
+        "pass": False,
+        "error": "ensemble contains non-finite values",
+    }
+
+
+def test_verify_fails_the_doob_records_when_every_path_explodes(tmp_path, monkeypatch):
+    # phi(0) + f dt = 1.7e308 (1 + 0.25 / 4) is past the largest double; the
+    # audits sample states up to 10 and overflow nothing
+    exploding = CoefficientSet(
+        drift=lambda t, s, x: 0.25 * x,
+        diffusion=lambda t, s, x: 0.0 * (t + x),
+        jump=None,
+        initial=lambda t: np.full(np.shape(t), 1.7e308),
+        measure=LevyMeasure.empty(),
+        growth_constant=0.25,
+        name="exploding",
+    )
+    monkeypatch.setattr(cli, "coefficient_catalogue", lambda *args: exploding)
+    by_name = verify_checks(tmp_path, simulate_config(horizon=1.0, steps=4, paths=3), 2)
+    for name in ("doob_brownian", "doob_jump"):
+        assert by_name[name]["pass"] is False
+        assert by_name[name]["error"] == "every path exploded; no surviving paths to form the solution martingales"
+
 def test_verify_on_an_overflowing_picard_gap_raises_no_warning(tmp_path):
     # the same run as above, with every warning an error: nothing may warn,
     # and the records must be those of the unfiltered run

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import os
+import random
 import subprocess
 import sys
 import warnings
@@ -125,6 +127,25 @@ def test_a_reset_generator_draws_as_a_fresh_one(lineage, role):
         want = math.sqrt(grid.dt) * np.random.Generator(np.random.Philox(key=key)).standard_normal(16)
         got = sample_noise_path(grid, LevyMeasure.lognormal(4.0), lineage).brownian
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_drawing_a_path_reads_no_os_entropy(monkeypatch):
+    # the first stream reset overwrites the generator's state, so building it
+    # must not read the OS entropy pool; numpy reads it through the random
+    # module's own alias of os.urandom, so both are patched
+    def no_entropy(size):
+        raise AssertionError("read OS entropy")
+
+    monkeypatch.setattr(os, "urandom", no_entropy)
+    monkeypatch.setattr(random, "_urandom", no_entropy)
+    with pytest.raises(AssertionError, match="read OS entropy"):
+        np.random.Philox(key=0)
+    grid = build_grid(1.0, 16)
+    measure = LevyMeasure.lognormal(4.0)
+    path = sample_noise_path(grid, measure, (3, 5))
+    batch = sample_noise_ensemble(grid, measure, 6, 3)
+    assert path.brownian.tobytes() == batch.brownian[5].tobytes()
+    assert path.jump_times.tobytes() == batch.jump_times[batch.jump_paths == 5].tobytes()
 
 
 def test_empty_measure_has_no_jumps():
