@@ -42,11 +42,8 @@ in through ``dataclasses.replace(coeffs, growth_constant=c)``.
 
 from __future__ import annotations
 
-import contextvars
 import itertools
 import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -77,15 +74,9 @@ __all__ = [
     "compensated_jump_ensemble",
 ]
 
-# paths the Doob builders draw and reduce at a time, in a reused ~1 MB buffer
-# per worker; block k draws from its own stream, keyed by (seed, k)
+# paths the Doob builders draw and reduce at a time, in one reused ~1 MB
+# buffer; block k draws from its own stream, keyed by (seed, k)
 _BLOCK = 1024
-# threads that fill and reduce blocks, the calling one included, capped by the
-# cores the process may use.  numpy's samplers and ufuncs release the GIL, so
-# a second thread runs on a second core.  Two, not one per core: the builders
-# were measured on 2-core hosts only, and each worker holds its own buffer.
-# No value depends on it.
-_WORKERS = 2
 
 
 # --- inverse of the comparison function ------------------------------------
@@ -467,60 +458,17 @@ def _martingale_ensemble(n_paths: int, seed: int, width: int, fill: Callable) ->
     """Reduce paths of ``width`` times block by block: ``fill(rng, x)`` draws
     block k's len(x) paths into a reused buffer ``x`` from the generator of
     ``SeedSequence(seed, spawn_key=(k,))``, so a block depends on (seed, k) alone.
-
-    Up to ``_WORKERS`` threads, the caller among them, take blocks in order,
-    each into its own buffer and under a copy of the caller's context, which
-    carries numpy's error state.  Each block writes only its own slots of the
-    reductions, so no value depends on the worker count or the scheduling.
-    A block that raises stops every worker at its next block; once all are
-    joined, the error of the lowest failing block is raised, the one a single
-    worker would meet.
     """
     n_paths = _check_int("n_paths", n_paths, 1)
     seed = _check_int("seed", seed, 0)
     sup_abs = np.empty(n_paths)
     terminal = np.empty(n_paths)
-    n_blocks = -(-n_paths // _BLOCK)
-    blocks = iter(range(n_blocks))
-    lock = threading.Lock()
-    errors: dict[int, BaseException] = {}
-
-    def work() -> None:
-        block = np.empty((min(_BLOCK, n_paths), width))
-        while True:
-            with lock:
-                k = None if errors else next(blocks, None)
-            if k is None:
-                return
-            lo = k * _BLOCK
-            x = block[: min(_BLOCK, n_paths - lo)]
-            try:
-                fill(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))), x)
-                terminal[lo : lo + len(x)] = x[:, -1]
-                np.max(np.abs(x, out=x), axis=1, out=sup_abs[lo : lo + len(x)])
-            except BaseException as exc:
-                with lock:
-                    errors[k] = exc
-
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    helpers = [
-        threading.Thread(target=contextvars.copy_context().run, args=(work,))
-        for _ in range(min(_WORKERS, cores, n_blocks) - 1)
-    ]
-    try:
-        for helper in helpers:
-            helper.start()
-        work()
-    except BaseException as exc:  # an interrupt or a failed start stops the helpers too
-        with lock:
-            errors[-1] = exc
-        raise
-    finally:
-        for helper in helpers:
-            if helper.is_alive():
-                helper.join()
-    if errors:
-        raise errors[min(errors)]
+    block = np.empty((min(_BLOCK, n_paths), width))
+    for k, lo in enumerate(range(0, n_paths, _BLOCK)):
+        x = block[: min(_BLOCK, n_paths - lo)]
+        fill(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))), x)
+        terminal[lo : lo + len(x)] = x[:, -1]
+        np.max(np.abs(x, out=x), axis=1, out=sup_abs[lo : lo + len(x)])
     # squares of exploding paths overflow to inf, which doob_check rejects
     with np.errstate(over="ignore"):
         return MartingaleEnsemble(sup_sq=sup_abs * sup_abs, terminal_sq=terminal * terminal, terminal=terminal)
@@ -553,8 +501,7 @@ def compensated_jump_ensemble(
 ) -> MartingaleEnsemble:
     """X(t_i) = sum_{tau<=t_i} u(tau, xi) - int_0^{t_i} (int u(s, .) dnu) ds.
 
-    ``integrand`` u(s, xi) must be deterministic and broadcast over arrays;
-    the blocks' workers may call it from two threads at once.
+    ``integrand`` u(s, xi) must be deterministic and broadcast over arrays.
     The compensator rate int u(s, .) dnu comes from one ``measure.integrate``
     call over all grid times, which get a leading axis and the marks a
     trailing one; an integrand whose last axis does not run over the marks

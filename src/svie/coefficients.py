@@ -435,6 +435,7 @@ class GrowthAudit:
     passed: bool
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing sample is a non-finite ratio, which fails the audit
 def audit_linear_growth(coeffs: CoefficientSet, sampler: Callable, samples: int = 1000) -> GrowthAudit:
     """Estimate the best C with max(|f|^2, |g|^2, int |h|^2 nu) <= C (1 + |x|^2).
 
@@ -564,6 +565,7 @@ def _kappa_self_checks(modulus: Modulus, u_values: np.ndarray) -> tuple[bool, bo
     return zero_ok, positive_ok, monotone_ok, concave_ok
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing difference is a non-finite sample, which fails the audit
 def audit_modulus(coeffs: CoefficientSet, modulus: Modulus, sampler: Callable, samples: int = 1000) -> ModulusAudit:
     """Certify squared kernel differences against scale * kappa(|x - y|^2).
 

@@ -2,9 +2,6 @@
 
 import dataclasses
 import math
-import os
-import sys
-import threading
 import tracemalloc
 import warnings
 
@@ -651,7 +648,7 @@ def test_brownian_builder_matches_left_endpoint_variance():
             r"^integrand gave shape \(2,\), which does not broadcast to \(\d+,\)$",
         ),
         (
-            # the same, over four blocks: the error of a block on any worker reaches the caller
+            # the same, over four blocks: the first failing block's error reaches the caller
             lambda grid: compensated_jump_ensemble(
                 grid,
                 LevyMeasure.lognormal(5.0),
@@ -665,10 +662,8 @@ def test_brownian_builder_matches_left_endpoint_variance():
     ids=["brownian-integrand", "jump-integrand", "jump-integrand-at-jumps", "jump-integrand-at-jumps-over-blocks"],
 )
 def test_builders_name_an_argument_of_the_wrong_shape(build, message):
-    threads = threading.active_count()
     with pytest.raises(ConfigurationError, match=message):
         build(build_grid(1.0, 8))
-    assert threading.active_count() == threads
 
 
 def test_jump_builder_zero_mass_gives_zero_paths():
@@ -793,82 +788,23 @@ def test_block_streamed_builders_equal_the_one_shot_builders_bitwise(case, n_pat
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def _claim_cores(monkeypatch, n):
-    # the builders cap their workers at the cores the process may use
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
-@pytest.mark.parametrize("case", sorted(_BUILDER_CASES))
-@pytest.mark.parametrize("workers", [1, 3])
-def test_builders_do_not_depend_on_the_worker_count(case, workers, monkeypatch):
-    # small blocks and a short switch interval interleave the workers often;
-    # a block handed out twice or never would leave the reference's values
-    streamed, one_shot = _BUILDER_CASES[case]
-    monkeypatch.setattr(analysis, "_BLOCK", 16)
-    monkeypatch.setattr(analysis, "_WORKERS", workers)
-    _claim_cores(monkeypatch, 4)
-    grid = build_grid(1.0, 8)
-    threads = threading.active_count()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        ens = streamed(grid, 40 * 16 + 3, 22)
-    finally:
-        sys.setswitchinterval(interval)
-    assert threading.active_count() == threads
-    for got, want in zip((ens.sup_sq, ens.terminal_sq, ens.terminal), one_shot(grid, 40 * 16 + 3, 22)):
-        assert got.tobytes() == want.tobytes()
-
-
-def test_builder_workers_keep_the_callers_numpy_error_state(monkeypatch):
-    # numpy's error state is context-local and a bare thread starts from the
-    # default; a block on the calling thread waits until a helper has filled one
-    _claim_cores(monkeypatch, 2)
-    caller = threading.get_ident()
-    helper_filled = threading.Event()
-    seen = {}
-
-    def fill(rng, x):
-        seen[threading.get_ident()] = np.geterr()["over"]
-        if threading.get_ident() == caller:
-            helper_filled.wait(timeout=30)
-        else:
-            helper_filled.set()
-        x.fill(0.0)
-
-    with np.errstate(over="raise"):
-        analysis._martingale_ensemble(4 * analysis._BLOCK, 1, 2, fill)
-    assert helper_filled.is_set() and set(seen) - {caller}
-    assert set(seen.values()) == {"raise"}
-
-
 def test_brownian_builder_raises_an_overflow_under_the_callers_error_state():
     grid = build_grid(1.0, 8)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         brownian_martingale_ensemble(grid, lambda s: np.full_like(s, 1e308), 3 * analysis._BLOCK, seed=2)
 
 
-def test_a_failing_block_stops_every_worker_and_the_lowest_blocks_error_is_raised(monkeypatch):
-    monkeypatch.setattr(analysis, "_WORKERS", 3)
-    _claim_cores(monkeypatch, 4)
-    threads = threading.active_count()
+def test_a_failing_block_raises_its_error_and_no_later_block_is_filled():
     calls = []
-    second_failed = threading.Event()
 
     def fill(rng, x):
         calls.append(None)
-        if len(calls) == 1:
-            second_failed.wait(timeout=30)  # blocks 0 and 1 both fail, in either order
-        else:
-            second_failed.set()
         raise ValueError(rng.random())
 
     with pytest.raises(ValueError) as raised:
         analysis._martingale_ensemble(10 * analysis._BLOCK, 5, 2, fill)
-    # each worker fails on the first block it takes and takes no other
-    assert second_failed.is_set() and 2 <= len(calls) <= 3
+    assert len(calls) == 1
     assert raised.value.args == (np.random.default_rng(np.random.SeedSequence(5, spawn_key=(0,))).random(),)
-    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("case", ["brownian", "jump-quadrature"])

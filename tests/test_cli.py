@@ -517,6 +517,27 @@ def test_verify_fails_the_doob_records_when_every_path_explodes(tmp_path, monkey
         assert by_name[name]["pass"] is False
         assert by_name[name]["error"] == "every path exploded; no surviving paths to form the solution martingales"
 
+
+def test_verify_fails_the_growth_audit_whose_squares_overflow_without_a_warning(tmp_path, monkeypatch):
+    # the model of test_simulate_writes_null_moments_when_every_path_explodes:
+    # the audit squares a drift of 1e308, past the largest double
+    exploding = CoefficientSet(
+        drift=lambda t, s, x: 1e308 + 0.0 * (t + x),
+        diffusion=lambda t, s, x: 0.0 * (t + x),
+        jump=None,
+        initial=lambda t: np.full(np.shape(t), 1.7e308),
+        measure=LevyMeasure.empty(),
+        growth_constant=0.0,
+        name="exploding",
+    )
+    monkeypatch.setattr(cli, "coefficient_catalogue", lambda *args: exploding)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        by_name = verify_checks(tmp_path, simulate_config(horizon=1.0, steps=4, paths=3), 2)
+    assert list(by_name) == CHECK_NAMES
+    assert by_name["linear_growth"]["pass"] is False and "error" not in by_name["linear_growth"]
+
+
 def test_verify_on_an_overflowing_picard_gap_raises_no_warning(tmp_path):
     # the same run as above, with every warning an error: nothing may warn,
     # and the records must be those of the unfiltered run

@@ -469,6 +469,22 @@ def _audit(name, coeffs):
     return audit_modulus(coeffs, linear_modulus(1.0), pair_sampler(0.5, 10.0, seed=1), 50)
 
 
+@pytest.mark.parametrize("audit", ["growth", "modulus"])
+def test_both_audits_fail_a_square_that_overflows_without_a_warning(audit):
+    # (1e200)^2 is past the largest double: the growth audit's square of f at
+    # x > 5, and the modulus audit's squared difference where x and y straddle 5
+    broken = dataclasses.replace(
+        zero_coefficients(), drift=lambda t, s, x: np.where(np.asarray(x) > 5.0, 1e200, 0.0) + 0.0 * t
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = _audit(audit, broken)
+    assert not result.passed and result.bad_points
+    for point in result.bad_points:
+        x, y = point[2], (point[3] if audit == "modulus" else -math.inf)
+        assert (x > 5.0) != (y > 5.0)
+
+
 @pytest.mark.parametrize("slot", ["drift", "diffusion"])
 @pytest.mark.parametrize("audit", ["growth", "modulus"])
 def test_both_audits_name_a_slot_of_the_wrong_shape(audit, slot):
