@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -805,6 +806,44 @@ def test_a_failing_block_raises_its_error_and_no_later_block_is_filled():
         analysis._martingale_ensemble(10 * analysis._BLOCK, 5, 2, fill)
     assert len(calls) == 1
     assert raised.value.args == (np.random.default_rng(np.random.SeedSequence(5, spawn_key=(0,))).random(),)
+
+
+@pytest.mark.parametrize(
+    "n_paths",
+    [1, analysis._BLOCK - 1, analysis._BLOCK + 1, 3 * analysis._BLOCK + 3],
+    ids=["1", "block-1", "block+1", "3blocks+3"],
+)
+def test_blocks_are_filled_in_order_on_the_calling_thread_from_one_buffer(n_paths):
+    # block k gets the next len(x) paths, the stream keyed by (seed, k) and a
+    # view of the same reused buffer; no other thread takes part
+    caller = threading.get_ident()
+    threads = threading.active_count()
+    seen = []
+
+    def fill(rng, x):
+        seen.append((threading.get_ident(), len(x), x.__array_interface__["data"][0], rng.random()))
+        x.fill(0.0)
+
+    ens = analysis._martingale_ensemble(n_paths, 7, 3, fill)
+    assert threading.active_count() == threads
+    sizes = [min(analysis._BLOCK, n_paths - lo) for lo in range(0, n_paths, analysis._BLOCK)]
+    assert [s[1] for s in seen] == sizes and ens.terminal.shape == (n_paths,)
+    assert {s[0] for s in seen} == {caller}
+    assert len({s[2] for s in seen}) == 1
+    keyed = [np.random.default_rng(np.random.SeedSequence(7, spawn_key=(k,))).random() for k in range(len(sizes))]
+    assert [s[3] for s in seen] == keyed
+
+
+def test_fill_runs_under_the_callers_numpy_error_state():
+    seen = []
+
+    def fill(rng, x):
+        seen.append(np.geterr()["over"])
+        x.fill(0.0)
+
+    with np.errstate(over="raise"):
+        analysis._martingale_ensemble(3 * analysis._BLOCK, 1, 2, fill)
+    assert seen == ["raise"] * 3
 
 
 @pytest.mark.parametrize("case", ["brownian", "jump-quadrature"])
