@@ -45,7 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -77,6 +77,8 @@ __all__ = [
 # paths the Doob builders draw and reduce at a time, in one reused ~1 MB
 # buffer; block k draws from its own stream, keyed by (seed, k)
 _BLOCK = 1024
+# grid times an ensemble statistic takes at a time, so it copies a few columns, not the solution
+_COLUMNS = 32
 
 
 # --- inverse of the comparison function ------------------------------------
@@ -148,6 +150,25 @@ def mean_stderr(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mean = np.mean(values, axis=0)
     se = np.std(values, axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
     return mean, se
+
+
+def _columns(width: int) -> Iterator[slice]:
+    """Blocks of about ``_COLUMNS`` of ``width`` columns, none one column wide unless ``width`` is: numpy sums
+    two or more columns over paths row by row, as it does the whole array, but one column alone pairwise."""
+    return itertools.starmap(slice, itertools.pairwise([*range(0, max(width - 1, 1), _COLUMNS), width]))
+
+
+def _by_columns(stat: Callable, values: np.ndarray, rows=slice(None)) -> tuple[np.ndarray, ...]:
+    """``stat(values[rows])``, a tuple of per-column arrays, one ``_columns`` block at a time (views for slice rows)."""
+    parts = [stat(values[rows, cols]) for cols in _columns(values.shape[1])]
+    return tuple(np.concatenate(columns) for columns in zip(*parts))
+
+
+@np.errstate(over="ignore")  # a moment past the largest double is inf
+def _survivor_moments(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per grid time, the mean of x and ``mean_stderr`` of x^2 over the paths that did not explode."""
+    rows = ~ensemble.exploded if ensemble.exploded.any() else slice(None)
+    return _by_columns(lambda x: (np.mean(x, axis=0), *mean_stderr(x * x)), ensemble.values, rows)
 
 
 def doob_check(sup_sq: np.ndarray, terminal_sq: np.ndarray, p: float = 2.0, slack: float = 0.05) -> DoobReport:
@@ -234,12 +255,10 @@ def moment_check(ensemble: Ensemble, coeffs: CoefficientSet) -> MomentReport:
     excesses beyond statistical noise count against it.
     """
     bound = _moment_envelope(coeffs, ensemble.grid.horizon)
-    surv = ensemble.survivors
-    m = surv.shape[0]
-    if m == 0:
+    exploded = int(ensemble.exploded.sum())
+    if exploded == ensemble.n_paths:
         raise AnalysisError("every path exploded; no surviving paths to estimate moments")
-    with np.errstate(over="ignore"):  # a square past the largest double is an inf estimate, which fails
-        estimates, stderrs = mean_stderr(surv * surv)
+    _, estimates, stderrs = _survivor_moments(ensemble)  # an inf estimate fails
     passes = estimates - 4.0 * stderrs <= bound
     return MomentReport(
         times=ensemble.grid.points,
@@ -247,8 +266,8 @@ def moment_check(ensemble: Ensemble, coeffs: CoefficientSet) -> MomentReport:
         stderrs=stderrs,
         bound=bound,
         passes=passes,
-        survivors=m,
-        exploded=int(ensemble.exploded.sum()),
+        survivors=ensemble.n_paths - exploded,
+        exploded=exploded,
     )
 
 
@@ -302,21 +321,21 @@ def picard_gap(coeffs: CoefficientSet, noise: NoiseBatch, k: int, m: int, modulu
     if m == 0:
         zero = np.zeros(grid.steps + 1)
         return GapReport(grid.points, zero, zero.copy(), c3, np.ones(grid.steps + 1, dtype=bool), k, m, n_paths)
-    (lower, _), (upper, explosion) = itertools.islice(_iterates(coeffs, noise), k, k + m + 1, m)
-    # finite iterates can still be too far apart to square
-    with np.errstate(over="ignore"):
-        diff = upper - lower
-        sq = diff * diff
-    bad = ~np.isfinite(sq)
-    failed = (explosion >= 0) | bad.any(axis=1)
+    # x^{k+m}, the last iterate taken, which _iterates reads no more, becomes the squared gap and its running max
+    (lower, _), (sups, explosion) = itertools.islice(_iterates(coeffs, noise), k, k + m + 1, m)
+    with np.errstate(over="ignore"):  # finite iterates can still be too far apart to square
+        np.multiply(np.subtract(sups, lower, out=sups), sups, out=sups)
+    del lower
+    # a running max turns non-finite at a row's first non-finite square and stays so
+    np.maximum.accumulate(sups, axis=1, out=sups)
+    failed = (explosion >= 0) | ~np.isfinite(sups[:, -1])
     if failed.any():
         path = np.argmax(failed)
         if explosion[path] >= 0:
             raise ExplosionError(explosion[path])
-        t_bad = float(grid.points[np.argmax(bad[path])])
+        t_bad = float(grid.points[np.argmax(~np.isfinite(sups[path]))])
         raise NumericalError(f"squared gap between Picard iterates {k} and {k + m} overflows at t = {t_bad}")
-    sups = np.maximum.accumulate(sq, axis=1)
-    estimates, stderrs = mean_stderr(sups)
+    estimates, stderrs = _by_columns(mean_stderr, sups)
     # the envelope is 0 at t = 0 even when c3 overflows: inf * 0 is never formed
     envelope = np.multiply(c3, grid.points, out=np.zeros_like(grid.points), where=grid.points > 0.0)
     passes = estimates - 4.0 * stderrs <= envelope
@@ -416,12 +435,14 @@ def solution_martingales(coeffs: CoefficientSet, ensemble: Ensemble) -> tuple[Ma
     N is an exact discrete martingale in i.  So is M when h does not depend
     on s and the compensator is a closed form, as in every catalogue model;
     otherwise M carries the scheme's O(dt) drift, or a fitted compensator's
-    certified quadrature error.  Each is one kernel call over the (paths, n)
-    block, plus one over the jump list; nothing is drawn.  Every step is
-    elementwise per path or a running sum along a row, so a row does not
-    depend on the batch.  A model without jumps has M = 0.  Exploded rows are
-    dropped, as ``moment_check`` drops them; if every row exploded this
-    raises AnalysisError.  Values that overflow, in the integrals or their
+    certified quadrature error.  N calls the diffusion kernel a ``_columns``
+    block of the (paths, n) states at a time, M the compensator once on all
+    of them and the jump kernel once on the jump list, each into one buffer
+    that is then summed; nothing is drawn.  Every step is elementwise per
+    path or a running sum along a row, so a row does not depend on the
+    batch.  A model without jumps has M = 0.  Exploded rows are dropped, as
+    ``moment_check`` drops them; if every row exploded this raises
+    AnalysisError.  Values that overflow, in the integrals or their
     squares, stay inf or nan without a numpy warning, for ``doob_check`` to
     reject.
     """
@@ -431,17 +452,25 @@ def solution_martingales(coeffs: CoefficientSet, ensemble: Ensemble) -> tuple[Ma
     if paths == 0:
         raise AnalysisError("every path exploded; no surviving paths to form the solution martingales")
     pts, n = grid.points, grid.steps
-    horizon, times, x = pts[-1], pts[:-1], ensemble.values[keep, :-1]
+    kept = slice(None) if paths == len(keep) else keep  # views when every row survived
+    horizon, times, x = pts[-1], pts[:-1], ensemble.values[kept, :-1]
 
+    # column 0 holds X_0 = 0
     martingale = np.zeros((paths, n + 1))
-    diffusion = _check_shape("diffusion", coeffs.diffusion(horizon, times, x), x.shape)
-    np.cumsum(np.multiply(diffusion, brownian[keep], out=martingale[:, 1:]), axis=1, out=martingale[:, 1:])
+    increments = martingale[:, 1:]
+    for cols in _columns(n):
+        block = increments[:, cols]
+        diffusion = coeffs.diffusion(horizon, times[cols], x[:, cols])
+        np.multiply(_check_shape("diffusion", diffusion, block.shape), brownian[kept, cols], out=block)
+        del diffusion  # not held through the next block's call, nor the compensator's
+    np.cumsum(increments, axis=1, out=increments)
     brownian_part = _reduced(martingale)
 
-    martingale = np.zeros((paths, n + 1))
+    martingale.fill(0.0)  # the same buffer holds M
     comp = _compensator(coeffs, grid, _initial_curve(coeffs, grid))
     if comp is not None:
-        np.multiply(_check_shape("compensator", comp(horizon, times, x), x.shape), -grid.dt, out=martingale[:, 1:])
+        # whole rows: a fitted compensator certifies each row alone
+        np.multiply(_check_shape("compensator", comp(horizon, times, x), x.shape), -grid.dt, out=increments)
         live = keep[jpath]
         if live.any():
             # column j holds the jumps in (t_j, t_{j+1}]; they read x_j and land at j + 1

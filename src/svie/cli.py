@@ -190,11 +190,11 @@ def _fmt(x: float) -> str:
 def _paths_csv(fh, times: np.ndarray, values: np.ndarray) -> None:
     """Write paths.csv to ``fh``: a ``path_id,t,x`` line per path and grid time, numbers as ``_fmt`` writes them.
 
-    The grid times are formatted once, into a line template that each path fills in and writes.
+    The grid times are formatted once, into line tails that each path's id joins into its template.
     """
-    lines = "".join(f"{{0}},{_fmt(t)},%.17g\n" for t in times)
+    tails = ["", *(f",{_fmt(t)},%.17g\n" for t in times)]
     fh.write("path_id,t,x\n")
-    fh.writelines(lines.format(pid) % tuple(vals.tolist()) for pid, vals in enumerate(values))
+    fh.writelines(str(pid).join(tails) % tuple(vals.tolist()) for pid, vals in enumerate(values))
 
 
 def _json_num(x) -> float | None:
@@ -217,14 +217,10 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
     ensemble = ensemble_simulate(coeffs, grid, config.paths, config.master_seed)
     with open(out_dir / "paths.csv", "w", encoding="utf-8") as fh:
         _paths_csv(fh, grid.points, ensemble.values)
-    surv = ensemble.survivors
-    if surv.shape[0] > 0:
-        with np.errstate(over="ignore"):  # a moment past the largest double is written as null
-            second, second_se = analysis.mean_stderr(surv * surv)
-            mean = np.mean(surv, axis=0)
-        mean, second, second_se = ([_json_num(v) for v in a] for a in (mean, second, second_se))
-    else:
+    if ensemble.exploded.all():
         mean = second = second_se = None
+    else:  # a moment past the largest double is written as null
+        mean, second, second_se = ([_json_num(v) for v in a] for a in analysis._survivor_moments(ensemble))
     summary = {
         "schema": "svie-summary/1",
         "config": _config_echo(config),

@@ -229,13 +229,16 @@ def _iterates(coeffs: CoefficientSet, batch: NoiseBatch) -> Iterator[tuple[np.nd
     Yields ``(x^k, explosion)``: the (paths, n + 1) block of iterate k and,
     per path, the grid index at which it first exploded in sweeps 1..k (-1
     where it never did).  An exploded path's row is parked, not a solution.
+    The generator reads a yielded block only in the sweep that makes the next
+    iterate, so a caller may overwrite the last iterate it takes.
     """
     state = np.tile(_initial_curve(coeffs, batch.grid), (len(batch.brownian), 1))
     explosion = np.full(len(state), -1, dtype=np.int64)
     while True:
         yield state, explosion
-        # empty, not zeros: the sweep writes every row, 0 where an early stop left it
-        source, state = state, np.empty_like(state)
+        # x^{k-1} goes before x^{k+1} is made; empty, not zeros: the sweep writes every row, 0 where it stopped early
+        source = state
+        state = np.empty_like(source)
         explosion = np.where(explosion < 0, _sweep(coeffs, batch, source, state), explosion)
 
 

@@ -606,6 +606,122 @@ def test_the_brownian_solution_martingale_catches_increments_read_one_column_lat
     assert abs(_z(solution_martingales(coeffs, mutant)[0].terminal)) >= 6.0
 
 
+# --- ensemble statistics in column blocks --------------------------------------
+
+COLUMNS = analysis._COLUMNS
+# grid widths (n + 1) around the block size, where a block boundary or a
+# trailing block of one column would show
+WIDTHS = [2, 3, COLUMNS, COLUMNS + 1, COLUMNS + 2, 2 * COLUMNS + 1]
+
+
+@pytest.mark.parametrize("width", [1, *WIDTHS, 2 * COLUMNS, 5 * COLUMNS + 7])
+def test_column_blocks_cover_each_column_once_and_none_is_one_column_wide(width):
+    blocks = list(analysis._columns(width))
+    assert [col for cols in blocks for col in range(width)[cols]] == list(range(width))
+    assert all(min(2, width) <= cols.stop - cols.start <= COLUMNS + 1 for cols in blocks)
+
+
+def _spread_ensemble(width, exploded):
+    """257 rows on ``width`` grid times, of both signs and many magnitudes, so that summation order shows."""
+    rng = np.random.default_rng(width)
+    values = rng.lognormal(0.0, 3.0, (257, width)) * rng.choice([-1.0, 1.0], (257, width))
+    explosion = np.full(257, -1)
+    explosion[list(exploded)] = 1
+    values[explosion >= 0] = np.nan
+    noise = sample_noise_ensemble(build_grid(1.0, width - 1), LevyMeasure.empty(), 257, 0)
+    return Ensemble(noise, values, explosion, 0)
+
+
+@pytest.mark.parametrize(
+    "exploded", [(), (0, 5, 256), range(1, 257)], ids=["none-exploded", "three-exploded", "one-survivor"]
+)
+@pytest.mark.parametrize("width", WIDTHS)
+def test_survivor_moments_equal_the_whole_survivor_block_statistics_bitwise(width, exploded):
+    ens = _spread_ensemble(width, exploded)
+    survivors = ens.survivors
+    want = (np.mean(survivors, axis=0), *mean_stderr(survivors * survivors))
+    got = analysis._survivor_moments(ens)
+    assert all(bitwise_equal(g, w) for g, w in zip(got, want))
+    report = moment_check(ens, zero_coefficients())
+    assert bitwise_equal(report.estimates, want[1]) and bitwise_equal(report.stderrs, want[2])
+    assert (report.survivors, report.exploded) == (257 - len(exploded), len(exploded))
+
+
+def test_gap_in_column_blocks_matches_the_per_path_reference_bitwise():
+    coeffs = example_coefficients(0.1, rate=40.0)
+    noises = lineage_paths(build_grid(0.5, 2 * COLUMNS), coeffs.measure, 25, master_seed=13)
+    report = picard_gap(coeffs, NoiseBatch.of(noises), 1, 1, linear_modulus(coeffs.growth_constant))
+    estimates, stderrs = per_path_gap(coeffs, noises, 1, 1)
+    assert bitwise_equal(report.estimates, estimates) and bitwise_equal(report.stderrs, stderrs)
+
+
+@pytest.mark.parametrize(("k", "m"), [(1, 1), (2, 1), (1, 2)])
+def test_gap_leaves_the_batch_and_the_solved_ensemble_unchanged(k, m):
+    coeffs = example_coefficients(0.1, rate=40.0)
+    ens = ensemble_simulate(coeffs, build_grid(0.5, 2 * COLUMNS), 20, master_seed=14)
+    before = [np.copy(a) for a in (ens.values, *ens.noise[1:])]
+    first = picard_gap(coeffs, ens.noise, k, m, linear_modulus(coeffs.growth_constant))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(before, (ens.values, *ens.noise[1:])))
+    again = picard_gap(coeffs, ens.noise, k, m, linear_modulus(coeffs.growth_constant))
+    assert bitwise_equal(first.estimates, again.estimates) and bitwise_equal(first.stderrs, again.stderrs)
+
+
+@pytest.mark.parametrize("steps", [COLUMNS, 2 * COLUMNS + 1])
+def test_solution_martingales_in_column_blocks_equal_the_plain_loop(steps):
+    coeffs = _polynomial_model()
+    ensemble = ensemble_simulate(coeffs, build_grid(0.5, steps), 6, master_seed=4)
+    for exploded in ((), (1, 4)):
+        ens = dataclasses.replace(
+            ensemble, values=ensemble.values.copy(), explosion_index=ensemble.explosion_index.copy()
+        )
+        ens.values[list(exploded)] = np.nan
+        ens.explosion_index[list(exploded)] = 3
+        brownian_part, jump_part = solution_martingales(coeffs, ens)
+        n_block, m_block = _loop_martingales(coeffs, ens)
+        _assert_reduces(brownian_part, n_block)
+        _assert_reduces(jump_part, m_block)
+
+
+# Peak traced memory of each statistic above what is live when it starts,
+# in solution blocks of paths x (n + 1) doubles.  At these sizes the parent
+# of the column-block change peaked at 3.0 (moment_check and cmd_simulate's
+# moments), 6.1 (picard_gap) and 5.0 (solution_martingales) blocks.
+MEMORY_STEPS, MEMORY_PATHS = 128, 4000
+
+
+@pytest.fixture(scope="module")
+def memory_case():
+    coeffs = example_coefficients(0.1)
+    return coeffs, ensemble_simulate(coeffs, build_grid(0.5, MEMORY_STEPS), MEMORY_PATHS, master_seed=1)
+
+
+def traced_blocks(fn) -> float:
+    """fn's peak traced memory, in blocks of MEMORY_PATHS x (MEMORY_STEPS + 1) doubles."""
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (MEMORY_PATHS * (MEMORY_STEPS + 1) * 8)
+
+
+def test_moment_check_holds_a_fraction_of_a_solution_block(memory_case):
+    coeffs, ens = memory_case
+    assert traced_blocks(lambda: moment_check(ens, coeffs)) <= 0.6
+
+
+def test_picard_gap_holds_its_two_iterates_and_a_fraction_of_a_block(memory_case):
+    coeffs, ens = memory_case
+    assert traced_blocks(lambda: picard_gap(coeffs, ens.noise, 1, 1, linear_modulus(coeffs.growth_constant))) <= 2.6
+
+
+def test_solution_martingales_hold_about_two_solution_blocks(memory_case):
+    # one buffer that is summed, and the compensator's values on the whole block
+    coeffs, ens = memory_case
+    assert traced_blocks(lambda: solution_martingales(coeffs, ens)) <= 2.1
+
+
 # --- martingale ensemble builders ----------------------------------------------
 
 

@@ -1,10 +1,12 @@
 """Config round-tripping, artifact layout, and exit codes of the CLI."""
 
 import io
+import itertools
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import PurePosixPath
@@ -304,6 +306,69 @@ def test_simulate_writes_null_moments_when_every_path_explodes(tmp_path, monkeyp
     summary = json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
     assert summary["n_paths"] == summary["exploded_paths"] == 3
     assert summary["mean"] is summary["second_moment"] is summary["second_moment_stderr"] is None
+
+
+# On this model 167 of 200 paths explode and the survivors' squares overflow
+# in 17 of the 33 columns: moments of a partly exploded ensemble, some of
+# them past the largest double
+PARTLY_EXPLODING = RunConfig(steps=32, paths=200, jump_coefficient=1e9, jump_rate=40.0)
+
+
+def survivor_reference(ensemble):
+    """Mean, second moment and its stderr per grid time, from one copy of the survivors, as lists for JSON."""
+    survivors = ensemble.survivors
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = (np.mean(survivors, axis=0), *analysis.mean_stderr(survivors * survivors))
+    return [[cli._json_num(v) for v in column] for column in moments]
+
+
+def test_simulate_on_a_partly_exploding_ensemble_writes_null_where_a_moment_overflows(tmp_path):
+    out = tmp_path / "runout"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", write_config(tmp_path, PARTLY_EXPLODING), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
+    assert summary["exploded_paths"] == 167
+    assert sum(v is None for v in summary["second_moment"]) == 17
+    grid = build_grid(PARTLY_EXPLODING.horizon, PARTLY_EXPLODING.steps)
+    ensemble = solver.ensemble_simulate(_build_model(PARTLY_EXPLODING)[0], grid, 200, PARTLY_EXPLODING.master_seed)
+    mean, second, second_se = survivor_reference(ensemble)
+    assert (summary["mean"], summary["second_moment"], summary["second_moment_stderr"]) == (mean, second, second_se)
+
+
+def test_verify_on_a_partly_exploding_ensemble_writes_every_record_without_a_warning(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        by_name = verify_checks(tmp_path, PARTLY_EXPLODING, 2)
+    assert list(by_name) == CHECK_NAMES
+    moment_record = {"name": "moment_envelope", "value": None, "bound": None, "stderr": None, "pass": False}
+    assert by_name["moment_envelope"] == moment_record
+    for name in ("doob_brownian", "doob_jump"):
+        assert by_name[name]["error"] == "ensemble contains non-finite values"
+    # the gap from the two whole iterates, squared and maximised in copies
+    coeffs, _ = _build_model(PARTLY_EXPLODING)
+    noise = solver.ensemble_simulate(coeffs, build_grid(0.5, 32), 200, PARTLY_EXPLODING.master_seed).noise
+    (lower, _), (upper, explosion) = itertools.islice(solver._iterates(coeffs, noise), 1, 3)
+    assert np.all(explosion < 0)
+    estimates, stderrs = analysis.mean_stderr(np.maximum.accumulate((upper - lower) ** 2, axis=1))
+    gap = by_name["picard_gap"]
+    assert (gap["value"], gap["stderr"], gap["pass"]) == (float(np.max(estimates)), float(np.max(stderrs)), False)
+
+
+def test_simulate_moments_hold_a_fraction_of_a_solution_block(tmp_path, monkeypatch):
+    # peak traced memory past the solve, in blocks of paths x (n + 1) doubles;
+    # from one copy of the survivors it was 3.0 blocks
+    config = RunConfig(steps=128, paths=4000)
+    ensemble = solver.ensemble_simulate(_build_model(config)[0], build_grid(0.5, 128), 4000, config.master_seed)
+    monkeypatch.setattr(cli, "ensemble_simulate", lambda *args: ensemble)
+    monkeypatch.setattr(cli, "_paths_csv", lambda fh, times, values: None)
+    tracemalloc.start()
+    try:
+        assert cli.cmd_simulate(config, tmp_path) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.6 * ensemble.values.nbytes
 
 
 def test_simulate_seed_override_changes_paths(tmp_path):
