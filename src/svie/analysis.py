@@ -32,8 +32,8 @@ Contents
   s, which holds for every catalogue model; otherwise it carries the
   scheme's O(dt) drift.
 * ``brownian_martingale_ensemble`` / ``compensated_jump_ensemble``:
-  synthetic martingale ensembles with deterministic integrands, drawn
-  block by block, for the acceptance criteria and the demos.
+  synthetic martingale ensembles with deterministic integrands, drawn one
+  grid step at a time, for the acceptance criteria and the demos.
 
 Both envelopes take C from ``CoefficientSet.growth_constant`` and raise
 ConfigurationError naming the set when it is None; another constant goes
@@ -45,14 +45,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .coefficients import CoefficientSet, Modulus, _kappa, bihari_integral
 from .errors import AnalysisError, ConfigurationError, DomainError, ExplosionError, NumericalError
 from .errors import _check_int, _check_real, _check_shape
-from .grid_noise import LevyMeasure, NoiseBatch, TimeGrid
+from .grid_noise import LevyMeasure, NoiseBatch, TimeGrid, _check_batch, _check_jump_mean
 from .solver import Ensemble, _compensator, _initial_curve, _iterates
 from .solver import picard_iterates  # noqa: F401 -- perfbench/tracer.py wraps analysis.picard_iterates by name
 
@@ -74,9 +74,6 @@ __all__ = [
     "compensated_jump_ensemble",
 ]
 
-# paths the Doob builders draw and reduce at a time, in one reused ~1 MB
-# buffer; block k draws from its own stream, keyed by (seed, k)
-_BLOCK = 1024
 # grid times an ensemble statistic takes at a time, so it copies a few columns, not the solution
 _COLUMNS = 32
 
@@ -306,15 +303,16 @@ def picard_gap(coeffs: CoefficientSet, noise: NoiseBatch, k: int, m: int, modulu
     estimate stays below c3 * t within four standard errors,
     c3 = ``gap_envelope_slope(coeffs, modulus, T)``.  m = 0 compares an
     iterate with itself and is zero.  All paths iterate together, one
-    batched sweep per iterate.  The first path in batch order that exploded
+    batched sweep per iterate.  A ``noise`` that is not a ``NoiseBatch`` laid
+    out as ``NoiseBatch.of`` lays one out raises ConfigurationError naming
+    the field.  The first path in batch order that exploded
     in any of sweeps 1..k+m, or whose squared gap is not finite, fails the
     curve: the first raises ExplosionError with the grid index of its
     earliest explosion, the second NumericalError naming the iterates and
     its first such grid time.
     """
     k, m = _check_int("k", k, 1), _check_int("m", m, 0)
-    if not isinstance(noise, NoiseBatch):
-        raise ConfigurationError(f"noise must be a NoiseBatch (see NoiseBatch.of), got {type(noise).__name__}")
+    _check_batch(noise)
     grid = noise.grid
     c3 = gap_envelope_slope(coeffs, modulus, grid.horizon)
     n_paths = len(noise.brownian)
@@ -415,11 +413,23 @@ class MartingaleEnsemble:
     terminal: np.ndarray
 
 
-def _reduced(paths: np.ndarray) -> MartingaleEnsemble:
-    """The ensemble of the (paths, times) block ``paths``, which it overwrites."""
-    terminal = paths[:, -1].copy()
-    sup_abs = np.max(np.abs(paths, out=paths), axis=1)
-    return MartingaleEnsemble(sup_sq=sup_abs * sup_abs, terminal_sq=terminal * terminal, terminal=terminal)
+def _reduced(paths: int, increments: Iterable[np.ndarray]) -> MartingaleEnsemble:
+    """The ensemble of X_0 = 0, X_i = X_{i-1} + dX_i from its increments, (paths, c) blocks in grid order.
+
+    Each block, which this overwrites, takes the running value into its first
+    column and is summed along its rows.  The running value starts at -0.0,
+    which leaves every x as it is, so X is bitwise the row ``cumsum`` of all
+    increments at once.  Sums run under the caller's numpy error state;
+    squares past the largest double are inf without a warning.
+    """
+    terminal, sup_abs = np.full(paths, -0.0), np.zeros(paths)
+    for block in increments:
+        block[:, 0] += terminal
+        np.cumsum(block, axis=1, out=block)
+        terminal = block[:, -1].copy()
+        np.maximum(sup_abs, np.max(np.abs(block, out=block), axis=1), out=sup_abs)
+    with np.errstate(over="ignore"):
+        return MartingaleEnsemble(sup_sq=sup_abs * sup_abs, terminal_sq=terminal * terminal, terminal=terminal)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value is doob_check's to reject, not numpy's to warn
@@ -437,9 +447,9 @@ def solution_martingales(coeffs: CoefficientSet, ensemble: Ensemble) -> tuple[Ma
     otherwise M carries the scheme's O(dt) drift, or a fitted compensator's
     certified quadrature error.  N calls the diffusion kernel a ``_columns``
     block of the (paths, n) states at a time, M the compensator once on all
-    of them and the jump kernel once on the jump list, each into one buffer
-    that is then summed; nothing is drawn.  Every step is elementwise per
-    path or a running sum along a row, so a row does not depend on the
+    of them and the jump kernel once on the jump list, and ``_reduced`` sums
+    each block of increments; nothing is drawn.  Every step is elementwise
+    per path or a running sum along a row, so a row does not depend on the
     batch.  A model without jumps has M = 0.  Exploded rows are dropped, as
     ``moment_check`` drops them; if every row exploded this raises
     AnalysisError.  Values that overflow, in the integrals or their
@@ -455,52 +465,26 @@ def solution_martingales(coeffs: CoefficientSet, ensemble: Ensemble) -> tuple[Ma
     kept = slice(None) if paths == len(keep) else keep  # views when every row survived
     horizon, times, x = pts[-1], pts[:-1], ensemble.values[kept, :-1]
 
-    # column 0 holds X_0 = 0
-    martingale = np.zeros((paths, n + 1))
-    increments = martingale[:, 1:]
-    for cols in _columns(n):
-        block = increments[:, cols]
-        diffusion = coeffs.diffusion(horizon, times[cols], x[:, cols])
-        np.multiply(_check_shape("diffusion", diffusion, block.shape), brownian[kept, cols], out=block)
-        del diffusion  # not held through the next block's call, nor the compensator's
-    np.cumsum(increments, axis=1, out=increments)
-    brownian_part = _reduced(martingale)
-
-    martingale.fill(0.0)  # the same buffer holds M
+    # one block's diffusion is freed before the next block's call, and before the compensator's
+    diffusion = (
+        _check_shape("diffusion", coeffs.diffusion(horizon, times[c], x[:, c]), x[:, c].shape) * brownian[kept, c]
+        for c in _columns(n)
+    )
+    brownian_part = _reduced(paths, diffusion)
     comp = _compensator(coeffs, grid, _initial_curve(coeffs, grid))
-    if comp is not None:
-        # whole rows: a fitted compensator certifies each row alone
-        np.multiply(_check_shape("compensator", comp(horizon, times, x), x.shape), -grid.dt, out=increments)
-        live = keep[jpath]
-        if live.any():
-            # column j holds the jumps in (t_j, t_{j+1}]; they read x_j and land at j + 1
-            columns = np.repeat(np.arange(n), np.diff(jcells))[live]
-            rows = (np.cumsum(keep) - 1)[jpath[live]]
-            jumps = coeffs.jump(horizon, jtimes[live], x[rows, columns], jmarks[live])
-            # unbuffered and in list order: each row adds its own jumps in time order
-            np.add.at(martingale, (rows, columns + 1), _check_shape("jump", jumps, rows.shape))
-        np.cumsum(martingale, axis=1, out=martingale)
-    return brownian_part, _reduced(martingale)
-
-
-def _martingale_ensemble(n_paths: int, seed: int, width: int, fill: Callable) -> MartingaleEnsemble:
-    """Reduce paths of ``width`` times block by block: ``fill(rng, x)`` draws
-    block k's len(x) paths into a reused buffer ``x`` from the generator of
-    ``SeedSequence(seed, spawn_key=(k,))``, so a block depends on (seed, k) alone.
-    """
-    n_paths = _check_int("n_paths", n_paths, 1)
-    seed = _check_int("seed", seed, 0)
-    sup_abs = np.empty(n_paths)
-    terminal = np.empty(n_paths)
-    block = np.empty((min(_BLOCK, n_paths), width))
-    for k, lo in enumerate(range(0, n_paths, _BLOCK)):
-        x = block[: min(_BLOCK, n_paths - lo)]
-        fill(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))), x)
-        terminal[lo : lo + len(x)] = x[:, -1]
-        np.max(np.abs(x, out=x), axis=1, out=sup_abs[lo : lo + len(x)])
-    # squares of exploding paths overflow to inf, which doob_check rejects
-    with np.errstate(over="ignore"):
-        return MartingaleEnsemble(sup_sq=sup_abs * sup_abs, terminal_sq=terminal * terminal, terminal=terminal)
+    if comp is None:
+        return brownian_part, _reduced(paths, [np.zeros((paths, 1))])  # one zero increment: X(T) = +0.0
+    # whole rows: a fitted compensator certifies each row alone
+    increments = np.multiply(_check_shape("compensator", comp(horizon, times, x), x.shape), -grid.dt)
+    live = keep[jpath]
+    if live.any():
+        # column j holds the jumps in (t_j, t_{j+1}]; they read x_j
+        columns = np.repeat(np.arange(n), np.diff(jcells))[live]
+        rows = (np.cumsum(keep) - 1)[jpath[live]]
+        jumps = coeffs.jump(horizon, jtimes[live], x[rows, columns], jmarks[live])
+        # unbuffered and in list order: each row adds its own jumps in time order
+        np.add.at(increments, (rows, columns), _check_shape("jump", jumps, rows.shape))
+    return brownian_part, _reduced(paths, [increments])
 
 
 def brownian_martingale_ensemble(
@@ -509,16 +493,17 @@ def brownian_martingale_ensemble(
     n_paths: int,
     seed: int,
 ) -> MartingaleEnsemble:
-    """X(t_i) = sum_{j<i} sigma(t_j) dW_j for a deterministic sigma; normals are drawn per block."""
-    n = grid.steps
-    sigma = _check_shape("integrand", integrand(grid.points[:-1]), (n,))
-    scale = math.sqrt(grid.dt)
+    """X(t_i) = sum_{j<i} sigma(t_j) dW_j for a deterministic sigma, in O(n_paths) memory.
 
-    def fill(rng: np.random.Generator, x: np.ndarray) -> None:
-        np.multiply(rng.standard_normal(out=x), scale, out=x)  # not z * (scale * sigma), which rounds differently
-        np.cumsum(np.multiply(x, sigma, out=x), axis=1, out=x)
-
-    return _martingale_ensemble(n_paths, seed, n, fill)
+    One ``np.random.default_rng(seed)`` draws the n_paths normals of dW_0, then
+    those of dW_1, and so on, so a path depends on ``n_paths`` as well as on
+    ``seed``.  Values changed when the draws stopped coming per 1 024-path block.
+    """
+    n_paths, seed = _check_int("n_paths", n_paths, 1), _check_int("seed", seed, 0)
+    sigma = _check_shape("integrand", integrand(grid.points[:-1]), (grid.steps,))
+    scale, rng = math.sqrt(grid.dt), np.random.default_rng(seed)
+    # (z * scale) * sigma: not z * (scale * sigma), which rounds differently
+    return _reduced(n_paths, (rng.standard_normal((n_paths, 1)) * scale * s for s in sigma))
 
 
 def compensated_jump_ensemble(
@@ -534,29 +519,31 @@ def compensated_jump_ensemble(
     The compensator rate int u(s, .) dnu comes from one ``measure.integrate``
     call over all grid times, which get a leading axis and the marks a
     trailing one; an integrand whose last axis does not run over the marks
-    raises ConfigurationError there.  The running max is evaluated at grid
-    times.  Counts, times and marks are drawn per block and summed onto
-    the grid in draw order.
+    raises ConfigurationError there, and so, before it, does a mean jump
+    count, total_mass * T, that numpy cannot draw.  The running max is
+    evaluated at grid times.  Step by step, one ``np.random.default_rng(seed)``
+    draws a Poisson(total_mass * dt) count per path, then that many times
+    uniform on (t_j, t_{j+1}] and marks; a path's increment is its jumps in
+    draw order less the step's trapezoid of the rate.  So a path depends on
+    ``n_paths`` as well as on ``seed``, and memory is O(n_paths) beside the
+    rate quadrature.  Values changed when the draws stopped coming per
+    1 024-path block.
     """
-    pts = grid.points
-    n = grid.steps
+    n_paths, seed = _check_int("n_paths", n_paths, 1), _check_int("seed", seed, 0)
     if measure.total_mass == 0.0:
-        return _martingale_ensemble(n_paths, seed, n + 1, lambda rng, x: x.fill(0.0))
-    rate = _check_shape("integrand", measure.integrate(lambda xi: integrand(pts[:, np.newaxis], xi)), (n + 1,))
-    comp = _cumulative_trapezoid(rate, pts)
-    mean_count = measure.total_mass * grid.horizon
+        return _reduced(n_paths, [np.zeros((n_paths, 1))])  # one zero increment: X(T) = +0.0
+    _check_jump_mean(measure, grid.horizon)
+    pts, dt, rng, rows = grid.points, grid.dt, np.random.default_rng(seed), np.arange(n_paths)
+    rate = _check_shape("integrand", measure.integrate(lambda xi: integrand(pts[:, np.newaxis], xi)), pts.shape)
 
-    def fill(rng: np.random.Generator, x: np.ndarray) -> None:
-        counts = rng.poisson(mean_count, len(x))
-        total = int(counts.sum())
-        times = grid.horizon * (1.0 - rng.random(total))
-        marks = measure.sample_marks(rng, total)
-        jumps = _check_shape("integrand", integrand(times, marks), times.shape)
-        # flat (path, first grid time >= tau) cell of each jump, path by path
-        cells = np.repeat(np.arange(len(x)) * (n + 1), counts) + np.searchsorted(pts, times, side="left")
-        x.fill(0.0)
-        np.add.at(x.reshape(-1), cells, jumps)  # x is a contiguous block, so this is a view
-        np.cumsum(x, axis=1, out=x)
-        np.subtract(x, comp, out=x)
+    def steps() -> Iterator[np.ndarray]:
+        # the trapezoids are the terms that _cumulative_trapezoid(rate, pts) sums
+        for t, trapezoid in zip(pts, np.diff(pts) * (rate[1:] + rate[:-1]) / 2.0):
+            counts = rng.poisson(measure.total_mass * dt, n_paths)
+            times = t + dt * (1.0 - rng.random(counts.sum()))
+            jumps = _check_shape("integrand", integrand(times, measure.sample_marks(rng, len(times))), times.shape)
+            # bincount gives int zeros when the step has no jump
+            sums = np.bincount(np.repeat(rows, counts), weights=jumps, minlength=n_paths)
+            yield (sums - trapezoid)[:, np.newaxis]
 
-    return _martingale_ensemble(n_paths, seed, n + 1, fill)
+    return _reduced(n_paths, steps())

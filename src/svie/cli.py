@@ -247,7 +247,7 @@ def cmd_picard(config: RunConfig, out_dir: Path) -> int:
     if not run.converged:
         print(
             f"picard: no convergence within {run.iterations} iterations "
-            f"(last sup_diff {run.sup_diffs[-1]!r} > tolerance {config.picard_tolerance!r})",
+            f"(last sup_diff {float(run.sup_diffs[-1])!r} > tolerance {config.picard_tolerance!r})",
             file=sys.stderr,
         )
         return 1

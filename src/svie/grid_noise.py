@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 _MASK32 = 0xFFFFFFFF
+# numpy's largest Poisson mean (POISSON_LAM_MAX); a larger one raises a bare ValueError from the draw
+_POISSON_MAX = float(2**63 - 1) - math.sqrt(2**63 - 1) * 10.0
 _ROLE_BROWNIAN = 0
 _ROLE_JUMPS = 1
 _FRESH_PHILOX = {"bit_generator": "Philox", "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
@@ -575,6 +577,45 @@ class NoiseBatch(NamedTuple):
         return cls(grid, brownian, times, marks, paths, np.searchsorted(times, grid.points, side="right"))
 
 
+def _check_batch(batch: NoiseBatch) -> None:
+    """Raise ConfigurationError naming the first field of ``batch`` that is not laid out as ``_laid_out`` lays it out.
+
+    ``brownian`` is (paths, n) with a path or more; the jump arrays are 1-D and aligned, times sorted
+    inside (0, T], rows in range; ``jump_cells`` is what ``_laid_out`` computes from the times.
+    """
+    if not isinstance(batch, NoiseBatch):
+        raise ConfigurationError(f"noise must be a NoiseBatch (see NoiseBatch.of), got {type(batch).__name__}")
+    grid = batch.grid
+    brownian, times, marks, paths, cells = map(np.asarray, batch[1:])
+    if brownian.ndim != 2 or brownian.shape[1] != grid.steps or len(brownian) == 0:
+        raise ConfigurationError(
+            f"noise.brownian must have shape (paths, {grid.steps}) with paths >= 1, got {brownian.shape}"
+        )
+    if times.ndim != 1:
+        raise ConfigurationError(f"noise.jump_times must be 1-D, got shape {times.shape}")
+    for name, arr in (("jump_marks", marks), ("jump_paths", paths)):
+        if arr.shape != times.shape:
+            raise ConfigurationError(f"noise.{name} has shape {arr.shape}, expected {times.shape} as jump_times")
+    if len(times) and not (times[0] > 0.0 and times[-1] <= grid.horizon and (np.diff(times) >= 0.0).all()):
+        raise ConfigurationError(f"noise.jump_times must be sorted inside (0, {grid.horizon!r}]")
+    if len(paths) and not (np.issubdtype(paths.dtype, np.integer) and 0 <= paths.min() and paths.max() < len(brownian)):
+        raise ConfigurationError(f"noise.jump_paths must be integer rows in [0, {len(brownian)})")
+    if not np.array_equal(cells, np.searchsorted(times, grid.points, side="right")):
+        raise ConfigurationError(
+            f"noise.jump_cells must hold, for each of the {grid.steps + 1} grid points, "
+            "the count of jump_times at or before it"
+        )
+
+
+def _check_jump_mean(measure: LevyMeasure, horizon: float) -> None:
+    """Raise ConfigurationError if a path's mean jump count, rate times horizon, is a Poisson mean numpy cannot draw."""
+    if measure.total_mass * horizon > _POISSON_MAX:
+        raise ConfigurationError(
+            f"jump rate {measure.total_mass!r} times horizon {horizon!r} is a mean jump count above "
+            f"{_POISSON_MAX!r}, the largest Poisson mean numpy draws"
+        )
+
+
 def _draw(rng: np.random.Generator, grid: TimeGrid, measure: LevyMeasure, seed: int, idx: int, row: np.ndarray):
     """Draw lineage (seed, idx): its n N(0, dt) increments into ``row``; return its jump times and marks.
 
@@ -605,6 +646,7 @@ def sample_jumps(grid: TimeGrid, measure: LevyMeasure, lineage: tuple[int, int])
 def sample_noise_path(grid: TimeGrid, measure: LevyMeasure, lineage: tuple[int, int]) -> NoisePath:
     """Draw one lineage's NoisePath as ``sample_noise_ensemble`` draws its row; Brownian and jumps use two streams."""
     seed, idx = _check_lineage(lineage)
+    _check_jump_mean(measure, grid.horizon)
     brownian = np.empty(grid.steps)
     times, marks = _draw(_generator(), grid, measure, seed, idx, brownian)
     order = np.argsort(times, kind="stable")
@@ -615,6 +657,7 @@ def sample_noise_ensemble(grid: TimeGrid, measure: LevyMeasure, n_paths: int, ma
     """Lineages (master_seed, 0..n_paths-1), checked once, as one batch; row i is ``sample_noise_path``'s."""
     n_paths = _check_int("n_paths", n_paths, 1)
     master_seed, _ = _check_lineage((master_seed, n_paths - 1))
+    _check_jump_mean(measure, grid.horizon)
     rng = _generator()  # one generator, reset for every stream
     brownian = np.empty((n_paths, grid.steps))
     trains = [_draw(rng, grid, measure, master_seed, idx, row) for idx, row in enumerate(brownian)]

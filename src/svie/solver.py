@@ -45,7 +45,8 @@ import numpy as np
 
 from .coefficients import CoefficientSet, SeparableKernel
 from .errors import ConfigurationError, ExplosionError, _check_int, _check_real, _check_shape
-from .grid_noise import MarkRule, NoiseBatch, NoisePath, TimeGrid, compensator_integral, sample_noise_ensemble
+from .grid_noise import MarkRule, NoiseBatch, NoisePath, TimeGrid, _check_batch, compensator_integral
+from .grid_noise import sample_noise_ensemble
 from .grid_noise import sample_noise_path  # noqa: F401 -- perfbench/tracer.py wraps solver.sample_noise_path by name
 
 __all__ = [
@@ -296,13 +297,23 @@ class Ensemble:
 
     ``noise`` is the batch they were solved on, which a later check on the
     same lineages reads instead of drawing it again.  Exploded paths are
-    flagged and their rows are NaN; statistics run on the survivors.
+    flagged and their rows are NaN; statistics run on the survivors.  A
+    batch that is not laid out as ``NoiseBatch`` lays it out, or ``values``
+    and ``explosion_index`` without a row per path and ``values`` without a
+    column per grid time, raise ConfigurationError naming the field.
     """
 
     noise: NoiseBatch
     values: np.ndarray
     explosion_index: np.ndarray
     master_seed: int
+
+    def __post_init__(self):
+        _check_batch(self.noise)
+        paths, width = len(self.noise.brownian), self.noise.grid.steps + 1
+        for name, want in (("values", (paths, width)), ("explosion_index", (paths,))):
+            if (shape := np.shape(getattr(self, name))) != want:
+                raise ConfigurationError(f"{name} has shape {shape}, expected {want}")
 
     @property
     def grid(self) -> TimeGrid:

@@ -1,8 +1,8 @@
 """Comparison integrals, maximal inequalities, envelopes, and majorants."""
 
 import dataclasses
+import itertools
 import math
-import threading
 import tracemalloc
 import warnings
 
@@ -404,6 +404,48 @@ def test_gap_validates_arguments():
         NoiseBatch.of(stretched)
 
 
+@pytest.mark.parametrize(
+    "field,change",
+    [
+        ("brownian", lambda b: b._replace(brownian=b.brownian[0])),
+        ("brownian", lambda b: b._replace(brownian=b.brownian[:, :2])),
+        ("jump_cells", lambda b: b._replace(jump_cells=b.jump_cells[:-1])),
+        ("jump_times", lambda b: b._replace(jump_times=b.jump_times[::-1])),
+        ("jump_times", lambda b: b._replace(jump_times=b.jump_times + 0.5)),
+        ("jump_marks", lambda b: b._replace(jump_marks=b.jump_marks[:-1])),
+        ("jump_paths", lambda b: b._replace(jump_paths=b.jump_paths + 1)),
+        ("jump_paths", lambda b: b._replace(jump_paths=b.jump_paths.astype(float))),
+    ],
+    ids=["1-D-brownian", "narrow-brownian", "short-cells", "unsorted-times", "times-past-T", "short-marks",
+         "rows-out-of-range", "float-rows"],  # fmt: skip
+)
+def test_gap_rejects_a_batch_not_laid_out_as_noise_batch_lays_it_out(field, change):
+    # unchecked, each of these reaches the sweep and ends in numpy's IndexError, or in no error at all
+    batch = change(_hand_built_batch())
+    with pytest.raises(ConfigurationError, match=rf"^noise\.{field} "):
+        picard_gap(_polynomial_model(), batch, 1, 1, linear_modulus(1.0))
+    with pytest.raises(ConfigurationError, match=rf"^noise\.{field} "):
+        Ensemble(noise=batch, values=np.zeros((3, 5)), explosion_index=np.full(3, -1), master_seed=0)
+
+
+@pytest.mark.parametrize(
+    "field,change",
+    [
+        # 3 of 9 grid times, which moment_check would report as 9 times with 3 estimates
+        ("values", lambda ens: {"values": ens.values[:, :3]}),
+        # more rows than paths, which solution_martingales would meet as numpy's broadcast ValueError
+        ("values", lambda ens: {"values": np.vstack([ens.values, ens.values])}),
+        # a short explosion_index, which every statistic would ignore
+        ("explosion_index", lambda ens: {"explosion_index": ens.explosion_index[:2]}),
+    ],
+    ids=["3-of-9-times", "more-rows-than-paths", "short-explosion-index"],
+)
+def test_an_ensemble_whose_arrays_do_not_fit_its_noise_is_rejected_naming_the_field(field, change):
+    ensemble = ensemble_simulate(example_coefficients(0.1), build_grid(0.5, 8), 4, master_seed=1)
+    with pytest.raises(ConfigurationError, match=f"^{field} has shape "):
+        dataclasses.replace(ensemble, **change(ensemble))
+
+
 # --- majorant recursion ---------------------------------------------------------
 
 
@@ -552,6 +594,28 @@ def test_solution_martingales_equal_a_plain_loop_and_drop_exploded_rows(rate):
         assert np.all(m_block[:, -1] != 0.0)
     else:
         assert coeffs.jump is None and np.all(m_block == 0.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_reducer_equals_the_row_cumsum_of_all_increments_bitwise(seed):
+    # blocks of 1 to 33 columns; row 0 only -0.0, row 1 only +0.0, row 2 zeros of both signs,
+    # the other rows normals with zeros of both signs among them
+    rng = np.random.default_rng(seed)
+    n = 200
+    increments = rng.standard_normal((6, n))
+    increments[rng.random((6, n)) < 0.3] = 0.0
+    increments[:3] = 0.0
+    increments = np.copysign(increments, rng.choice([-1.0, 1.0], increments.shape))
+    increments[0], increments[1] = -0.0, 0.0
+    cuts = np.cumsum(rng.integers(1, 34, n))
+    bounds = [0, *cuts[cuts < n], n]
+    ens = analysis._reduced(6, (increments[:, a:b].copy() for a, b in itertools.pairwise(bounds)))
+    x = np.cumsum(increments, axis=1)
+    sup_abs, terminal = np.max(np.abs(x), axis=1), x[:, -1]
+    assert np.signbit(ens.terminal[:2]).tolist() == [True, False]
+    assert ens.sup_sq.tobytes() == (sup_abs * sup_abs).tobytes()
+    assert ens.terminal_sq.tobytes() == (terminal * terminal).tobytes()
+    assert ens.terminal.tobytes() == terminal.tobytes()
 
 
 def test_solution_martingales_that_overflow_are_rejected_by_doob_check_without_a_warning():
@@ -758,19 +822,19 @@ def test_brownian_builder_matches_left_endpoint_variance():
         ),
         (
             # right on the (times, marks) grid of the quadrature, wrong at the
-            # drawn jumps; enough paths that a block holds more than two jumps
+            # drawn jumps; enough paths that a step draws more than two jumps
             lambda grid: compensated_jump_ensemble(
                 grid, LevyMeasure.lognormal(5.0), lambda s, xi: xi if np.ndim(s) == 2 else np.ones(2), 100, seed=1
             ),
             r"^integrand gave shape \(2,\), which does not broadcast to \(\d+,\)$",
         ),
         (
-            # the same, over four blocks: the first failing block's error reaches the caller
+            # the same at more paths: the first failing step's error reaches the caller
             lambda grid: compensated_jump_ensemble(
                 grid,
                 LevyMeasure.lognormal(5.0),
                 lambda s, xi: xi if np.ndim(s) == 2 else np.ones(2),
-                3 * analysis._BLOCK + 3,
+                3075,
                 seed=1,
             ),
             r"^integrand gave shape \(2,\), which does not broadcast to \(\d+,\)$",
@@ -783,6 +847,11 @@ def test_builders_name_an_argument_of_the_wrong_shape(build, message):
         build(build_grid(1.0, 8))
 
 
+def test_jump_builder_rejects_a_mean_jump_count_numpy_cannot_draw():
+    with pytest.raises(ConfigurationError, match=r"^jump rate 2\.0 times horizon 1e\+19 is a mean jump count above "):
+        compensated_jump_ensemble(build_grid(1e19, 4), LevyMeasure.lognormal(2.0), lambda s, xi: xi, 10, seed=1)
+
+
 def test_jump_builder_zero_mass_gives_zero_paths():
     grid = build_grid(1.0, 8)
     ens = compensated_jump_ensemble(grid, LevyMeasure.empty(), lambda s, xi: xi, 50, seed=10)
@@ -792,8 +861,9 @@ def test_jump_builder_zero_mass_gives_zero_paths():
 def test_jump_builder_compensation_is_mean_zero():
     grid = build_grid(1.0, 16)
     measure = LevyMeasure.lognormal(2.0)
-    ens = compensated_jump_ensemble(grid, measure, lambda s, xi: xi, 20000, seed=11)
-    mean, se = ens.terminal.mean(), ens.terminal.std(ddof=1) / math.sqrt(20000)
+    # 250 000 paths, so that the 5% below is about 4 standard deviations of terminal_sq.mean()
+    ens = compensated_jump_ensemble(grid, measure, lambda s, xi: xi, 250_000, seed=11)
+    mean, se = ens.terminal.mean(), ens.terminal.std(ddof=1) / math.sqrt(250_000)
     assert abs(mean) <= 4.0 * se
     # isometry: Var = rate * E[xi^2] * T for the state-free integrand
     assert ens.terminal_sq.mean() == pytest.approx(2.0 * E_XI_SQ, rel=0.05)
@@ -804,7 +874,7 @@ def test_jump_builder_quadrature_route_agrees_with_closed_form():
     grid = build_grid(1.0, 8)
     measure = LevyMeasure.lognormal(1.5)
     by_quadrature = compensated_jump_ensemble(grid, measure, lambda s, xi: xi * xi, 200, seed=13)
-    _, _, closed_terminal = _one_shot_jump(
+    _, _, closed_terminal = _dense_jump(
         grid, measure, lambda s, xi: xi * xi, 200, 13, compensator_rate=lambda s: 1.5 * E_XI_SQ * np.ones_like(s)
     )
     np.testing.assert_allclose(by_quadrature.terminal, closed_terminal, rtol=1e-6, atol=1e-9)
@@ -817,90 +887,79 @@ def test_jump_builder_quadrature_route_reads_each_grid_time():
     measure = LevyMeasure.lognormal(1.5)
     integrand = lambda s, xi: (1.0 + np.asarray(s)) * xi
     by_quadrature = compensated_jump_ensemble(grid, measure, integrand, 200, seed=14)
-    closed_sup_sq, _, closed_terminal = _one_shot_jump(
+    closed_sup_sq, _, closed_terminal = _dense_jump(
         grid, measure, integrand, 200, 14, compensator_rate=lambda s: 1.5 * E_XI * (1.0 + np.asarray(s))
     )
     np.testing.assert_allclose(by_quadrature.terminal, closed_terminal, rtol=1e-6, atol=1e-9)
     np.testing.assert_allclose(by_quadrature.sup_sq, closed_sup_sq, rtol=1e-6, atol=1e-9)
 
 
-# --- block-streamed builders: bitwise contract and memory bound -----------------
+# --- builders: bitwise contract and memory bound --------------------------------
 
 
-def _one_shot_ensemble(n_paths, seed, draw):
-    # reference: block k of _BLOCK paths drawn with draw(rng, b) from its own
-    # keyed stream as one fresh dense (paths, times) array and reduced out of
-    # place, one block after the other on this thread, with no reused buffer
-    sup_abs, terminal = np.empty(n_paths), np.empty(n_paths)
-    for k, done in enumerate(range(0, n_paths, analysis._BLOCK)):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
-        x = draw(rng, min(analysis._BLOCK, n_paths - done))
-        sup_abs[done : done + len(x)] = np.max(np.abs(x), axis=1)
-        terminal[done : done + len(x)] = x[:, -1]
+def _dense_reduced(increments):
+    # the (paths, n) increments summed out of place along whole rows
+    x = np.cumsum(increments, axis=1)
+    sup_abs, terminal = np.max(np.abs(x), axis=1), x[:, -1]
     return sup_abs * sup_abs, terminal * terminal, terminal
 
 
-def _one_shot_brownian(grid, integrand, n_paths, seed):
+def _dense_brownian(grid, integrand, n_paths, seed):
+    # reference: one generator draws the n_paths normals of each step in turn, which is
+    # one (n, paths) array of normals drawn at once
     n = grid.steps
     sigma = np.broadcast_to(np.asarray(integrand(grid.points[:-1]), dtype=np.float64), (n,))
-    scale = math.sqrt(grid.dt)
-    return _one_shot_ensemble(
-        n_paths, seed, lambda rng, b: np.cumsum(scale * rng.standard_normal((b, n)) * sigma, axis=1)
-    )
+    z = np.random.default_rng(seed).standard_normal((n, n_paths)).T
+    return _dense_reduced(z * math.sqrt(grid.dt) * sigma)
 
 
-def _one_shot_jump(grid, measure, integrand, n_paths, seed, compensator_rate=None):
-    pts, n = grid.points, grid.steps
+def _dense_jump(grid, measure, integrand, n_paths, seed, compensator_rate=None):
+    # reference: step by step, a Poisson(mass * dt) count per path, then that many times in
+    # (t_j, t_{j+1}] and marks, each path's jumps added one at a time, less the step's trapezoid
+    pts, n, dt = grid.points, grid.steps, grid.dt
+    increments = np.zeros((n_paths, n))
     if measure.total_mass == 0.0:
-        return _one_shot_ensemble(n_paths, seed, lambda rng, b: np.zeros((b, n + 1)))
+        return _dense_reduced(increments)
     if compensator_rate is not None:
         rate = np.broadcast_to(np.asarray(compensator_rate(pts), dtype=np.float64), (n + 1,))
     else:
         rate = np.broadcast_to(measure.integrate(lambda xi: integrand(pts[:, np.newaxis], xi)), (n + 1,))
-    comp = analysis._cumulative_trapezoid(rate, pts)
-
-    def draw(rng, b):
-        counts = rng.poisson(measure.total_mass * grid.horizon, b)
+    rng = np.random.default_rng(seed)
+    for j in range(n):
+        counts = rng.poisson(measure.total_mass * dt, n_paths)
         total = int(counts.sum())
-        times = grid.horizon * (1.0 - rng.random(total))
+        times = pts[j] + dt * (1.0 - rng.random(total))
         marks = measure.sample_marks(rng, total)
-        path_of = np.repeat(np.arange(b), counts)
         jumps = np.broadcast_to(np.asarray(integrand(times, marks), dtype=np.float64), times.shape)
-        first_idx = np.searchsorted(pts, times, side="left")
-        flat = np.bincount(path_of * (n + 1) + first_idx, weights=jumps, minlength=b * (n + 1))
-        return np.cumsum(flat.reshape(b, n + 1), axis=1) - comp
-
-    return _one_shot_ensemble(n_paths, seed, draw)
+        np.add.at(increments[:, j], np.repeat(np.arange(n_paths), counts), jumps)
+        increments[:, j] -= (pts[j + 1] - pts[j]) * (rate[j] + rate[j + 1]) / 2.0
+    return _dense_reduced(increments)
 
 
 _JUMP_INTEGRAND = lambda s, xi: (1.0 + np.asarray(s)) * xi
 _BUILDER_CASES = {
     "brownian": (
         lambda grid, n, seed: brownian_martingale_ensemble(grid, lambda s: 0.3 + s, n, seed),
-        lambda grid, n, seed: _one_shot_brownian(grid, lambda s: 0.3 + s, n, seed),
+        lambda grid, n, seed: _dense_brownian(grid, lambda s: 0.3 + s, n, seed),
     ),
     "jump-quadrature": (
         lambda grid, n, seed: compensated_jump_ensemble(grid, LevyMeasure.lognormal(3.0), _JUMP_INTEGRAND, n, seed),
-        lambda grid, n, seed: _one_shot_jump(grid, LevyMeasure.lognormal(3.0), _JUMP_INTEGRAND, n, seed),
+        lambda grid, n, seed: _dense_jump(grid, LevyMeasure.lognormal(3.0), _JUMP_INTEGRAND, n, seed),
     ),
     "jump-zero-mass": (
         lambda grid, n, seed: compensated_jump_ensemble(grid, LevyMeasure.empty(), _JUMP_INTEGRAND, n, seed),
-        lambda grid, n, seed: _one_shot_jump(grid, LevyMeasure.empty(), _JUMP_INTEGRAND, n, seed),
+        lambda grid, n, seed: _dense_jump(grid, LevyMeasure.empty(), _JUMP_INTEGRAND, n, seed),
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BUILDER_CASES))
-@pytest.mark.parametrize(
-    "n_paths",
-    [1, analysis._BLOCK - 1, analysis._BLOCK + 1, 3 * analysis._BLOCK + 3],
-    ids=["1", "block-1", "block+1", "3blocks+3"],
-)
+@pytest.mark.parametrize("n_paths", [1, 1023, 1025, 3075], ids=["1", "block-1", "block+1", "3blocks+3"])
 def test_block_streamed_builders_equal_the_one_shot_builders_bitwise(case, n_paths):
-    streamed, one_shot = _BUILDER_CASES[case]
+    built, dense = _BUILDER_CASES[case]
     grid = build_grid(1.0, 8)
-    ens = streamed(grid, n_paths, 21)
-    sup_sq, terminal_sq, terminal = one_shot(grid, n_paths, 21)
+    ens = built(grid, n_paths, 21)
+    sup_sq, terminal_sq, terminal = dense(grid, n_paths, 21)
     for got, want in ((ens.sup_sq, sup_sq), (ens.terminal_sq, terminal_sq), (ens.terminal, terminal)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -908,78 +967,26 @@ def test_block_streamed_builders_equal_the_one_shot_builders_bitwise(case, n_pat
 def test_brownian_builder_raises_an_overflow_under_the_callers_error_state():
     grid = build_grid(1.0, 8)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        brownian_martingale_ensemble(grid, lambda s: np.full_like(s, 1e308), 3 * analysis._BLOCK, seed=2)
-
-
-def test_a_failing_block_raises_its_error_and_no_later_block_is_filled():
-    calls = []
-
-    def fill(rng, x):
-        calls.append(None)
-        raise ValueError(rng.random())
-
-    with pytest.raises(ValueError) as raised:
-        analysis._martingale_ensemble(10 * analysis._BLOCK, 5, 2, fill)
-    assert len(calls) == 1
-    assert raised.value.args == (np.random.default_rng(np.random.SeedSequence(5, spawn_key=(0,))).random(),)
-
-
-@pytest.mark.parametrize(
-    "n_paths",
-    [1, analysis._BLOCK - 1, analysis._BLOCK + 1, 3 * analysis._BLOCK + 3],
-    ids=["1", "block-1", "block+1", "3blocks+3"],
-)
-def test_blocks_are_filled_in_order_on_the_calling_thread_from_one_buffer(n_paths):
-    # block k gets the next len(x) paths, the stream keyed by (seed, k) and a
-    # view of the same reused buffer; no other thread takes part
-    caller = threading.get_ident()
-    threads = threading.active_count()
-    seen = []
-
-    def fill(rng, x):
-        seen.append((threading.get_ident(), len(x), x.__array_interface__["data"][0], rng.random()))
-        x.fill(0.0)
-
-    ens = analysis._martingale_ensemble(n_paths, 7, 3, fill)
-    assert threading.active_count() == threads
-    sizes = [min(analysis._BLOCK, n_paths - lo) for lo in range(0, n_paths, analysis._BLOCK)]
-    assert [s[1] for s in seen] == sizes and ens.terminal.shape == (n_paths,)
-    assert {s[0] for s in seen} == {caller}
-    assert len({s[2] for s in seen}) == 1
-    keyed = [np.random.default_rng(np.random.SeedSequence(7, spawn_key=(k,))).random() for k in range(len(sizes))]
-    assert [s[3] for s in seen] == keyed
-
-
-def test_fill_runs_under_the_callers_numpy_error_state():
-    seen = []
-
-    def fill(rng, x):
-        seen.append(np.geterr()["over"])
-        x.fill(0.0)
-
-    with np.errstate(over="raise"):
-        analysis._martingale_ensemble(3 * analysis._BLOCK, 1, 2, fill)
-    assert seen == ["raise"] * 3
+        brownian_martingale_ensemble(grid, lambda s: np.full_like(s, 1e308), 3072, seed=2)
 
 
 @pytest.mark.parametrize("case", ["brownian", "jump-quadrature"])
 def test_builder_memory_is_bounded_by_a_block(case):
-    # the returned arrays and the two per-path reductions take 32 bytes a
-    # path; everything else the builder holds must not grow with n_paths
-    streamed = _BUILDER_CASES[case][0]
-    grid = build_grid(1.0, 128)
-    working = {}
-    for n_paths in (20_000, 100_000):
+    # the returned arrays and the per-path running values take O(paths), and
+    # nothing else the builder holds grows with the step count; at 1 024
+    # steps the jump builder's rate quadrature takes about as much as they do
+    built = _BUILDER_CASES[case][0]
+    built(build_grid(1.0, 16), 100_000, 5)  # a first call's one-off allocations are not the builder's
+    peaks = {}
+    for steps in (16, 128, 1024):
         tracemalloc.start()
         try:
-            streamed(grid, n_paths, 5)
-            peak = tracemalloc.get_traced_memory()[1]
+            built(build_grid(1.0, steps), 100_000, 5)
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        if n_paths == 100_000:
-            assert peak < 8e6
-        working[n_paths] = peak - 32 * n_paths
-    assert working[100_000] <= working[20_000] + 0.25e6
+    assert peaks[128] < 8e6
+    assert peaks[1024] <= peaks[16] + 0.25e6
 
 
 @pytest.mark.parametrize("build", ["brownian", "jump", "noise"])

@@ -407,8 +407,12 @@ def test_picard_nonconvergence_exits_one(tmp_path, capsys):
     cfg_path = write_config(tmp_path, simulate_config(picard_tolerance=0.0, picard_k_max=1))
     out = tmp_path / "p1"
     assert main(["picard", "--config", cfg_path, "--out", str(out)]) == 1
-    assert "no convergence" in capsys.readouterr().err
-    assert (out / "picard.csv").exists()
+    last = float((out / "picard.csv").read_text().splitlines()[-1].split(",")[1])
+    assert last > 0.0
+    # the plain float, not numpy's np.float64(...) repr
+    assert capsys.readouterr().err == (
+        f"picard: no convergence within 1 iterations (last sup_diff {last!r} > tolerance 0.0)\n"
+    )
 
 
 # --- verify ------------------------------------------------------------------
@@ -668,6 +672,18 @@ def test_bad_thread_count_exits_two(tmp_path, capsys):
     cfg_path = write_config(tmp_path, simulate_config())
     assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "x"), "--threads", "0"]) == 2
     assert "threads" in capsys.readouterr().err
+
+
+def test_a_mean_jump_count_numpy_cannot_draw_exits_two_with_one_error_line(tmp_path, capsys):
+    # rate 2 times horizon 1e19 is above numpy's largest Poisson mean; the check fires before any draw
+    cfg_path = write_config(tmp_path, simulate_config(horizon=1e19))
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: jump rate 2.0 times horizon 1e+19 is a mean jump count above 9.223372006484771e+18, "
+        "the largest Poisson mean numpy draws\n"
+    )
+    assert captured.out == ""
 
 
 def test_module_entry_point_runs(tmp_path, child_env):

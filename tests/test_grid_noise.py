@@ -180,6 +180,30 @@ def test_jump_count_matches_poisson_mean():
     assert counts.var() == pytest.approx(mean, rel=0.05)
 
 
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda grid, measure: sample_noise_path(grid, measure, (1, 0)),
+        lambda grid, measure: sample_noise_ensemble(grid, measure, 3, 1),
+    ],
+    ids=["path", "ensemble"],
+)
+def test_a_mean_jump_count_numpy_cannot_draw_is_rejected_before_any_draw(draw):
+    # rate 2 times horizon 1e19 is above numpy's largest Poisson mean; nothing of that size is allocated
+    with pytest.raises(ConfigurationError, match=r"^jump rate 2\.0 times horizon 1e\+19 is a mean jump count above "):
+        draw(build_grid(1e19, 4), LevyMeasure.lognormal(2.0))
+
+
+def test_the_largest_mean_jump_count_is_the_largest_poisson_mean_numpy_draws():
+    limit = grid_noise._POISSON_MAX
+    assert np.random.default_rng(0).poisson(limit) >= 0  # a scalar draw, nothing allocated
+    with pytest.raises(ValueError, match="lam value too large"):
+        np.random.default_rng(0).poisson(np.nextafter(limit, math.inf))
+    grid_noise._check_jump_mean(LevyMeasure.lognormal(limit), 1.0)
+    with pytest.raises(ConfigurationError, match="is a mean jump count above"):
+        grid_noise._check_jump_mean(LevyMeasure.lognormal(np.nextafter(limit, math.inf)), 1.0)
+
+
 def test_mark_moments_match_lognormal_law():
     measure = LevyMeasure.lognormal(1.0)
     rng = np.random.default_rng(2024)
