@@ -448,13 +448,15 @@ def solution_martingales(coeffs: CoefficientSet, ensemble: Ensemble) -> tuple[Ma
     certified quadrature error.  N calls the diffusion kernel a ``_columns``
     block of the (paths, n) states at a time, M the compensator once on all
     of them and the jump kernel once on the jump list, and ``_reduced`` sums
-    each block of increments; nothing is drawn.  Every step is elementwise
-    per path or a running sum along a row, so a row does not depend on the
-    batch.  A model without jumps has M = 0.  Exploded rows are dropped, as
-    ``moment_check`` drops them; if every row exploded this raises
-    AnalysisError.  Values that overflow, in the integrals or their
-    squares, stay inf or nan without a numpy warning, for ``doob_check`` to
-    reject.
+    each block of increments; nothing is drawn.  Without a closed form the
+    compensator integrates one row of states per mark integral, for a
+    separable jump kernel once per term, and each row is certified alone.
+    Every step is elementwise per path or a running sum along a row, so a
+    row does not depend on the batch.  A model without jumps has M = 0.
+    Exploded rows are dropped, as ``moment_check`` drops them; if every row
+    exploded this raises AnalysisError.  Values that overflow, in the
+    integrals or their squares, stay inf or nan without a numpy warning, for
+    ``doob_check`` to reject.
     """
     grid, brownian, jtimes, jmarks, jpath, jcells = ensemble.noise
     keep = ~ensemble.exploded
@@ -474,7 +476,7 @@ def solution_martingales(coeffs: CoefficientSet, ensemble: Ensemble) -> tuple[Ma
     comp = _compensator(coeffs, grid, _initial_curve(coeffs, grid))
     if comp is None:
         return brownian_part, _reduced(paths, [np.zeros((paths, 1))])  # one zero increment: X(T) = +0.0
-    # whole rows: a fitted compensator certifies each row alone
+    # whole rows: a fitted compensator integrates, and certifies, each row alone
     increments = np.multiply(_check_shape("compensator", comp(horizon, times, x), x.shape), -grid.dt)
     live = keep[jpath]
     if live.any():

@@ -147,10 +147,12 @@ class CoefficientSet:
     naming it.  ``jump=None``, or a measure with no mass, switches jumps
     off: ``jump`` and ``compensator`` are then None, so ``jump is None`` is
     the one test for "no jumps".  ``compensator`` is an optional closed form
-    for int h(t, s, x, xi) nu(dxi); without it the solver integrates h
-    against ``measure`` per path and column on a ``MarkRule``: at n = 32 a
-    solve takes 8.6 times as long.  ``growth_constant`` is the analytic C of the
-    linear-growth condition when one is known, finite and non-negative.
+    for int h(t, s, x, xi) nu(dxi); without it the solver integrates against
+    ``measure`` on ``MarkRule``s, a ``SeparableKernel`` jump's state parts
+    per path, column and term (at n = 32 a solve of ``example`` takes twice
+    as long), a plain jump kernel's cells per path and column.
+    ``growth_constant`` is the analytic C of the linear-growth condition
+    when one is known, finite and non-negative.
     Kernels broadcast like numpy ufuncs: the solver calls a plain kernel
     with the later grid times t_{j+1..n} as a 1-D ``t``, the scalar t_j as
     ``s`` (``jump`` gets columns of jump times and marks) and a (paths, 1)

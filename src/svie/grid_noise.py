@@ -266,18 +266,22 @@ class LevyMeasure:
 
         Each half-line is ``(sign, w, lo, hi)``: its marks are sign * r for
         r in [lo, hi], 0 <= lo < hi, and w(r) is the weighted integrand at
-        those marks, as ``_integrate_half_line`` takes it.
+        those marks, as ``_integrate_half_line`` takes it.  ``w(r, density)``
+        takes the density at those marks instead of evaluating it.
         """
         lo, hi = float(self.support[0]), float(self.support[1])
 
-        def weighted(xi: np.ndarray) -> np.ndarray:
-            density = np.broadcast_to(self.mark_density(xi), xi.shape)
+        def weighted(xi: np.ndarray, density: np.ndarray | None = None) -> np.ndarray:
+            if density is None:
+                density = np.broadcast_to(self.mark_density(xi), xi.shape)
             # where the density is 0 the product is 0 even if fn alone
-            # overflows (large mark powers at huge xi)
-            return np.where(density == 0.0, 0.0, _over_marks(fn, xi) * density)
+            # overflows (large mark powers at huge xi); zeroed in place
+            vals = _over_marks(fn, xi) * density
+            np.copyto(vals, 0.0, where=density == 0.0)
+            return vals
 
-        def mirrored(r: np.ndarray) -> np.ndarray:
-            return weighted(-r)
+        def mirrored(r: np.ndarray, density: np.ndarray | None = None) -> np.ndarray:
+            return weighted(-r, density)
 
         if lo >= 0.0:
             return [(1.0, weighted, lo, hi)]
@@ -324,9 +328,11 @@ def _probes(lo: float, hi: float) -> np.ndarray:
     return np.geomspace(max(lo, min(_PROBE_MIN, 0.5 * hi)), min(hi, max(_PROBE_MAX, 2.0 * lo)), _PROBE_COUNT)
 
 
-def _probe(w: Callable, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_integrate_half_line``'s ``probed``: the probes, and w's integrand in u = log(r) on them."""
-    return probes, w(probes) * probes
+def _probe(w: Callable, probes: np.ndarray, density: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``_integrate_half_line``'s ``probed``: the probes, and w's integrand in u = log(r) on them (on ``density``)."""
+    vals = w(probes, density)
+    vals *= probes
+    return probes, vals
 
 
 def _integrate_half_line(
@@ -346,7 +352,7 @@ def _integrate_half_line(
     (panels, 21) nodes xi with the factors that make sum Kronrod weight x
     jacobian x w(node) each panel's estimate of the integral of w.
     ``probed``, the result of ``_probe`` when a caller has it already,
-    saves the probe call.
+    saves the probe call; the pass overwrites its values.
     """
     probes, vals = _probe(w, _probes(lo, hi)) if probed is None else probed
     shape, vals = vals.shape[:-1], vals.reshape(-1, _PROBE_COUNT)  # (element, probe)
@@ -354,7 +360,8 @@ def _integrate_half_line(
     # a non-finite element is not integrated: inf, -inf or nan as its probes sum
     value = np.where(finite, 0.0, vals.sum(axis=1))
     err = np.zeros_like(value)
-    mags = np.abs(vals)
+    mags = np.abs(vals, out=vals)  # the values are not read again
+    del vals
     peak = mags.max(axis=1)
     live = finite & (peak > 0.0)
     core, rules = (_PROBE_COUNT, -1), []
@@ -367,9 +374,15 @@ def _integrate_half_line(
         cols = np.flatnonzero((mags >= _CORE_FLOOR * peak[:, np.newaxis]).any(axis=0))
         core = (int(cols[0]), int(cols[-1]))
         edges = logs[max(cols[0] - 1, 0) : min(cols[-1] + 1, len(logs) - 1) + 1].tolist()
-        # trapezoid rule, (d * (right + left)) / 2 summed, formed in one buffer that the sum lets go
-        scale = np.add(mags[:, 1:], mags[:, :-1])
-        scale = np.divide(np.multiply(np.diff(logs), scale, out=scale), 2.0, out=scale).sum(axis=1)
+        # trapezoid rule, (d * (right + left)) / 2 summed, in blocks of 64
+        # elements so that no second (element, probe) array is made
+        steps, scale = np.diff(logs), np.empty(len(mags))
+        for rows in range(0, len(mags), 64):
+            part = mags[rows : rows + 64]
+            block = np.add(part[:, 1:], part[:, :-1])
+            block = np.divide(np.multiply(steps, block, out=block), 2.0, out=block)
+            block.sum(axis=1, out=scale[rows : rows + len(part)])
+        del mags  # the adaptive pass below keeps no probe values
         inv = 1.0 / scale[:, np.newaxis]
 
         def scaled(u: np.ndarray) -> np.ndarray:
@@ -668,17 +681,18 @@ class MarkRule(NamedTuple):
     """A fixed rule against a measure: the final panels of one adaptive pass, kept for other integrands.
 
     ``MarkRule.fit`` runs the pass of ``LevyMeasure.integrate`` on one
-    integrand and keeps, per half-line of the support, its probes, its
-    core bracket as a first and last probe index, and its leaf panels'
-    marks with their weights density x jacobian.  ``integrate`` applies
-    the rule to another integrand and keeps its values only when every
-    element passes the checks of the adaptive pass; otherwise it runs
+    integrand and keeps, per half-line of the support, its probes with the
+    mark density at them, which probes lie outside its core bracket, and its
+    leaf panels' marks with their weights density x jacobian.  ``integrate``
+    applies the rule to another integrand and keeps its values only when
+    every element passes the checks of the adaptive pass; otherwise it runs
     that pass.
     """
 
     measure: LevyMeasure
     probes: np.ndarray  # (half-lines, 161) probes r, the marks being sign * r
-    core: np.ndarray  # (half-lines, 2) probe indices
+    density: np.ndarray  # (half-lines, 161) the mark density there
+    outside: np.ndarray  # (half-lines, 161) True at the probes outside the core bracket
     nodes: np.ndarray  # (panels, 21) marks
     weights: np.ndarray
 
@@ -692,6 +706,7 @@ class MarkRule(NamedTuple):
         if measure.total_mass == 0.0:
             raise ConfigurationError("a measure without mass has no mark rule; its integrals are all 0")
         halves = measure._half_lines(fn)
+        probes = [_probes(a, b) for _, _, a, b in halves]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # (core, nodes, jacobians) per half-line
             leaves = [_integrate_half_line(w, a, b)[2]() for _, w, a, b in halves]
@@ -701,10 +716,14 @@ class MarkRule(NamedTuple):
             jacobians = np.concatenate([jacobians for _, _, jacobians in leaves])
             # 0 where the density is, even where the jacobian overflows
             weights = np.where(density == 0.0, 0.0, density * jacobians)
+        # the probes' density as the adaptive pass evaluates it, one half-line at a time
+        marks = [-r if sign < 0.0 else r for (sign, _, _, _), r in zip(halves, probes)]
+        index = np.arange(_PROBE_COUNT)
         return cls(
             measure,
-            np.stack([_probes(a, b) for _, _, a, b in halves]),
-            np.array([core for core, _, _ in leaves], dtype=np.int64),
+            np.stack(probes),
+            np.stack([np.broadcast_to(measure.mark_density(xi), xi.shape) for xi in marks]),
+            np.stack([(index < first) | (last < index) for (first, last), _, _ in leaves]),
             nodes,
             weights,
         )
@@ -721,12 +740,13 @@ class MarkRule(NamedTuple):
         element, summed over the panels, plus the round-off floor.  Only
         elementwise products and last-axis sums run over the elements, so
         no element's value depends on the others.  The probe values are
-        those of the adaptive pass, which takes them over when some element
-        is not certified instead of evaluating them again.
+        those of the adaptive pass, on the rule's density at the probes,
+        and the pass takes them over when some element is not certified
+        instead of evaluating them again.
         """
         halves = self.measure._half_lines(fn)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            probed = [_probe(w, probes) for (_, w, _, _), probes in zip(halves, self.probes)]
+            probed = [_probe(w, r, d) for (_, w, _, _), r, d in zip(halves, self.probes, self.density)]
             value = self._certified(fn, np.stack([vals for _, vals in probed], axis=-2))
         if value is None:
             return self.measure._adaptive(halves, probed)
@@ -736,26 +756,27 @@ class MarkRule(NamedTuple):
     def _certified(self, fn: Callable, probed: np.ndarray) -> np.ndarray | None:
         """The rule's integrals of fn times the density, or None unless every element is certified.
 
-        ``probed`` holds each element's probe values, (element..., half-line, probe).
+        ``probed`` holds each element's probe values, (element..., half-line, probe); this overwrites them.
         """
         if not np.isfinite(probed).all():
             return None
-        mags = np.abs(probed)
+        mags = np.abs(probed, out=probed)
         peak = mags.max(axis=-1)
-        above = mags >= _CORE_FLOOR * peak[..., np.newaxis]
-        first, last = above.argmax(axis=-1), _PROBE_COUNT - 1 - above[..., ::-1].argmax(axis=-1)
-        if not ((peak == 0.0) | ((self.core[:, 0] <= first) & (last <= self.core[:, 1]))).all():
+        # no probe outside the rule's core bracket reaches _CORE_FLOOR times the peak
+        spill = mags.max(axis=-1, where=self.outside, initial=-math.inf)
+        if not ((peak == 0.0) | (spill < _CORE_FLOOR * peak)).all():
             return None
         flat = self.weights.ravel()
         # where the weight is 0 the product is 0 even if fn alone overflows
-        block = np.where(flat == 0.0, 0.0, _over_marks(fn, self.nodes.ravel()) * flat)
-        block = block.reshape(block.shape[:-1] + self.nodes.shape)  # (element..., panel, node)
-        kronrod = (block * _GK_WEIGHTS[0]).sum(axis=-1)
-        err, floor = _qk21_error(
-            np.abs(kronrod - (block * _GK_WEIGHTS[1]).sum(axis=-1)),
-            (np.abs(block - 0.5 * kronrod[..., np.newaxis]) * _GK_WEIGHTS[0]).sum(axis=-1),
-            (np.abs(block) * _GK_WEIGHTS[0]).sum(axis=-1),
-        )
+        block = _over_marks(fn, self.nodes.ravel()) * flat
+        np.copyto(block, 0.0, where=flat == 0.0)
+        block = block.reshape(block.shape[:-1] + self.nodes.shape)[..., np.newaxis, :]  # (element..., panel, 1, node)
+        # per panel, the Kronrod and Gauss estimates, then the Kronrod integrals of |f - mean| and |f|
+        sums = (block * _GK_WEIGHTS).sum(axis=-1)
+        kronrod = sums[..., 0]
+        spread = np.abs(block - np.multiply.outer(kronrod, (0.5, 0.0))[..., np.newaxis])
+        spread = (spread * _GK_WEIGHTS[0]).sum(axis=-1)
+        err, floor = _qk21_error(np.abs(kronrod - sums[..., 1]), spread[..., 0], spread[..., 1])
         value, err = kronrod.sum(axis=-1), err.sum(axis=-1) + floor.sum(axis=-1)
         zero = (peak == 0.0).all(axis=-1)
         if not np.all((err <= MARK_INTEGRAL_REL_TOL * np.abs(value)) & ~(zero & (value != 0.0))):
@@ -767,12 +788,15 @@ def compensator_integral(coeffs: "CoefficientSet", t, s, x, rule: MarkRule | Non
     """Mean jump contribution int h(t, s, x, xi) nu(dxi).
 
     Uses the coefficient set's closed form when present, otherwise a
-    quadrature against the mark density per slice along the last axis (per
-    path and column in the solver: one path's cells in the later rows, the
-    marks on a trailing axis), each element with certified relative error
-    MARK_INTEGRAL_REL_TOL.  A slice takes the values of ``rule``, a
-    ``MarkRule`` fitted to the jump kernel, when the rule certifies all of
-    its elements, and otherwise the adaptive pass of
+    quadrature against the mark density per slice along the last axis, each
+    element with certified relative error MARK_INTEGRAL_REL_TOL.  The solver
+    calls it only for a plain jump kernel, one slice per path and column: a
+    path's cells in the later rows, the marks on a trailing axis.  The
+    compensator of a ``SeparableKernel`` jump is separable, and the solver
+    integrates its state parts instead (``solver._compensator``), one mark
+    integral per path, column and term.  A slice takes the values of
+    ``rule``, a ``MarkRule`` fitted to the jump kernel, when the rule
+    certifies all of its elements, and otherwise the adaptive pass of
     ``LevyMeasure.integrate``, which reuses the rule's probe values.
     Slices are integrated separately, each deciding alone, so that a
     path's values never depend on the other paths of a batch.

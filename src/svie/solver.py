@@ -31,7 +31,9 @@ on the batch either.
 
 A plain kernel costs O(n^2) cells per path, but its (t, s) part is
 evaluated only once per cell for the whole batch; a separable kernel costs
-O(n r) per path for r terms.
+O(n r) per path for r terms.  So does the compensator of a separable jump
+kernel without a closed form: it is separable too, with one mark integral
+per path, column and term, where a plain jump kernel's needs one per cell.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet, SeparableKernel
 from .errors import ConfigurationError, ExplosionError, _check_int, _check_real, _check_shape
-from .grid_noise import MarkRule, NoiseBatch, NoisePath, TimeGrid, _check_batch, compensator_integral
+from .grid_noise import LevyMeasure, MarkRule, NoiseBatch, NoisePath, TimeGrid, _check_batch, compensator_integral
 from .grid_noise import sample_noise_ensemble
 from .grid_noise import sample_noise_path  # noqa: F401 -- perfbench/tracer.py wraps solver.sample_noise_path by name
 
@@ -95,20 +97,39 @@ def _initial_curve(coeffs: CoefficientSet, grid: TimeGrid) -> np.ndarray:
 def _compensator(coeffs: CoefficientSet, grid: TimeGrid, initial: np.ndarray):
     """The compensator kernel that the sweep subtracts, None without jumps.
 
-    It is the closed form when the set has one.  Otherwise one
-    ``grid_noise.MarkRule`` is fitted to the jump kernel at (t_n, t_0,
-    phi(t_0)), which no path changes, and ``compensator_integral`` takes each
-    slice from it, or from an adaptive pass where the rule cannot certify
-    that slice.  ``initial`` is phi on the grid points.
+    It is the closed form when the set has one.  Otherwise it integrates on
+    ``grid_noise.MarkRule``s fitted at a state x0 that no path changes: phi's
+    largest magnitude on the grid, or 1 where phi is 0 everywhere.  The
+    compensator of a ``SeparableKernel`` jump sum_k time_k(t) lag_k(s)
+    state_k(x, xi) is sum_k time_k(t) lag_k(s) int state_k(x, xi) nu(dxi),
+    separable too, with one rule per term (``_state_integral``).  A plain
+    jump kernel gets one rule, fitted at (t_n, t_0, x0), for
+    ``compensator_integral``.  ``initial`` is phi on the grid points.
     """
-    if coeffs.jump is None:
+    jump, measure = coeffs.jump, coeffs.measure
+    if jump is None:
         return None
     if coeffs.compensator is not None:
         return coeffs.compensator
+    # a fit at phi(t_0) = 0 would see a state-linear h as 0 on every probe
+    # and keep no panels, sending every slice to the adaptive pass
+    x0 = initial[np.argmax(np.abs(initial))] or 1.0
+    if isinstance(jump, SeparableKernel):
+        terms = tuple((time, lag, _state_integral(measure, state, x0)) for time, lag, state in jump.terms)
+        return SeparableKernel(terms, name=f"{jump.name} compensator")
     pts = grid.points
-    # fitted where no path differs: phi(t_0) is every path's column-0 state
-    rule = MarkRule.fit(coeffs.measure, lambda xi: coeffs.jump(pts[-1], pts[0], initial[0], xi))
+    rule = MarkRule.fit(measure, lambda xi: jump(pts[-1], pts[0], x0, xi))
     return lambda t, s, x: compensator_integral(coeffs, t, s, x, rule)
+
+
+def _state_integral(measure: LevyMeasure, state, x0: float):
+    """x -> int state(x, xi) nu(dxi) on a ``MarkRule`` fitted at x0, one ``rule.integrate`` per slice of x.
+
+    A slice runs along x's first axis, one path (a row of states in
+    ``analysis.solution_martingales``), so no path's values depend on the batch.
+    """
+    rule = MarkRule.fit(measure, lambda xi: state(x0, xi))
+    return lambda x: np.array([rule.integrate(lambda xi: state(xk[..., np.newaxis], xi)) for xk in x])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the finiteness check reports an overflow, not numpy
@@ -128,8 +149,10 @@ def _sweep(coeffs: CoefficientSet, batch: NoiseBatch, source: np.ndarray, out: n
     adds sum time(t_{j+1}) A in term order.  Jumps go in unbuffered and in
     list order, and every other step is elementwise per path, with no BLAS
     call whose blocking could see the batch.  The compensator is
-    ``_compensator``'s: without a closed form, one ``MarkRule`` is fitted per
-    sweep and each path's column is a slice of its own.
+    ``_compensator``'s.  Without a closed form it fits its ``MarkRule``s once
+    per sweep; a separable jump's compensator is folded like the drift, one
+    ``rule.integrate`` per path, column and term, and a plain jump's is
+    pushed as cells, one quadrature slice per path and column.
 
     When ``source`` is ``out`` this is the direct recursion; when it is a
     previous iterate, one Picard step.  Returns each path's first grid index

@@ -39,7 +39,15 @@ from svie.coefficients import (
     zero_coefficients,
 )
 from svie.errors import AnalysisError, ConfigurationError, DomainError, ExplosionError, NumericalError
-from svie.grid_noise import LevyMeasure, NoiseBatch, NoisePath, build_grid, sample_noise_ensemble, sample_noise_path
+from svie.grid_noise import (
+    LevyMeasure,
+    MarkRule,
+    NoiseBatch,
+    NoisePath,
+    build_grid,
+    sample_noise_ensemble,
+    sample_noise_path,
+)
 from svie.solver import Ensemble, ensemble_simulate, picard_iterates
 
 E_XI = math.exp(0.5)
@@ -636,6 +644,31 @@ def test_a_fitted_compensator_gives_the_closed_forms_jump_martingale_within_its_
     _, by_closed_form = solution_martingales(closed, ensemble)
     _, by_rule = solution_martingales(fitted, ensemble)
     np.testing.assert_allclose(by_rule.terminal, by_closed_form.terminal, rtol=0.0, atol=1e-7)
+
+
+def test_solution_martingales_of_a_separable_jump_without_a_closed_form(monkeypatch):
+    # the compensator of a separable jump is separable; called whole on the
+    # (paths, n) states it integrates one row of a surviving path at a time
+    closed = example_coefficients(0.1, rate=10.0)
+    fitted = dataclasses.replace(closed, compensator=None)
+    grid = build_grid(0.5, 32)
+    ensemble = ensemble_simulate(closed, grid, 6, master_seed=83)
+    ensemble.values[2] = np.nan
+    ensemble.explosion_index[2] = 5
+    shapes = []
+    integrate = MarkRule.integrate
+
+    def recorded(rule, fn):
+        shapes.append(np.shape(result := integrate(rule, fn)))
+        return result
+
+    monkeypatch.setattr(MarkRule, "integrate", recorded)
+    _, by_rule = solution_martingales(fitted, ensemble)
+    monkeypatch.undo()
+    assert shapes == [(grid.steps,)] * 5
+    _, by_closed_form = solution_martingales(closed, ensemble)
+    assert np.all(by_closed_form.terminal != 0.0)
+    np.testing.assert_allclose(by_rule.terminal, by_closed_form.terminal, rtol=1e-8, atol=0.0)
 
 
 def test_a_row_of_the_solution_martingales_is_the_batch_of_one_of_its_lineage():

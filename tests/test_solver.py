@@ -726,22 +726,148 @@ def test_separable_states_see_one_value_per_path():
     assert seen == [("time", ((grid.steps + 1,),)), ("lag", ((grid.steps + 1,),))] + [("state", ((5,),))] * grid.steps
 
 
-def test_a_model_without_a_closed_form_compensator_folds_its_separable_kernels(monkeypatch):
-    coeffs = dataclasses.replace(example_coefficients(0.1, 2.0), compensator=None)
-    grid = build_grid(0.5, 8)
+def recorded_rule_calls(monkeypatch):
+    """The shapes of the ``MarkRule.integrate`` results, in call order; a per-cell quadrature fails the test."""
     shapes = []
+    integrate = MarkRule.integrate
 
-    def recorded(*args):
-        shapes.append(np.shape(result := compensator_integral(*args)))
+    def recorded(rule, fn):
+        shapes.append(np.shape(result := integrate(rule, fn)))
         return result
 
-    monkeypatch.setattr("svie.solver.compensator_integral", recorded)
+    monkeypatch.setattr(MarkRule, "integrate", recorded)
+    monkeypatch.setattr("svie.solver.compensator_integral", lambda *args: pytest.fail("a per-cell quadrature ran"))
+    return shapes
+
+
+def test_a_model_without_a_closed_form_compensator_folds_its_separable_kernels(monkeypatch):
+    # the compensator of a separable jump is separable: one mark integral
+    # per path, column and term, where a per-cell quadrature took one per
+    # path and column over all later rows
+    coeffs = dataclasses.replace(example_coefficients(0.1, 2.0), compensator=None)
+    grid = build_grid(0.5, 8)
+    shapes = recorded_rule_calls(monkeypatch)
     ens = ensemble_simulate(coeffs, grid, 3, master_seed=53)
-    assert shapes == [(3, grid.steps - j) for j in range(grid.steps)]
+    monkeypatch.undo()
+    assert shapes == [()] * (3 * grid.steps)
     assert not ens.exploded.any()
     column = ensemble_simulate(plain_twin(coeffs), grid, 3, master_seed=53).values
     assert np.max(np.abs(ens.values - column)) <= 1e-12 * np.max(np.abs(column))
     assert not bitwise_equal(ens.values, column)
+
+
+def two_term_jump_coefficients(c=0.1, rate=5.0):
+    """``separable_time_dependent_coefficients`` with a two-term separable jump, time and lag factors in both terms.
+
+    h = e^{-t} e^{s} c xi x + cos(t) (1 + s) c xi^2 sin(x).  With log-normal
+    marks the compensator is e^{-t} e^{s} c rate e^{1/2} x
+    + cos(t) (1 + s) c rate e^2 sin(x), which the set carries.
+    """
+    as_float = lambda u: np.asarray(u, dtype=np.float64)
+    decay, growth = (lambda t: np.exp(-as_float(t))), (lambda s: np.exp(as_float(s)))
+    cos, one_plus = (lambda t: np.cos(as_float(t))), (lambda s: 1.0 + as_float(s))
+    return dataclasses.replace(
+        separable_time_dependent_coefficients(c, rate),
+        jump=SeparableKernel(
+            (
+                (decay, growth, lambda x, xi: c * as_float(xi) * x),
+                (cos, one_plus, lambda x, xi: c * as_float(xi) ** 2 * np.sin(x)),
+            )
+        ),
+        compensator=SeparableKernel(
+            (
+                (decay, growth, lambda x: c * rate * math.exp(0.5) * as_float(x)),
+                (cos, one_plus, lambda x: c * rate * math.exp(2.0) * np.sin(x)),
+            )
+        ),
+        name="two-term-jump",
+    )
+
+
+def test_a_two_term_separable_jump_without_a_closed_form_matches_its_twin_and_its_closed_form(monkeypatch):
+    closed = two_term_jump_coefficients()
+    coeffs = dataclasses.replace(closed, compensator=None)
+    grid, paths = build_grid(0.5, 32), 12
+    shapes = recorded_rule_calls(monkeypatch)
+    ens = ensemble_simulate(coeffs, grid, paths, master_seed=61)
+    monkeypatch.undo()
+    assert shapes == [()] * (paths * grid.steps * 2)
+    assert not ens.exploded.any() and len(ens.noise.jump_times) > paths
+    column = ensemble_simulate(plain_twin(coeffs), grid, paths, master_seed=61).values
+    scale = np.max(np.abs(column))
+    assert np.max(np.abs(ens.values - column)) <= 1e-12 * scale
+    # each mark integral is certified to MARK_INTEGRAL_REL_TOL
+    exact = ensemble_simulate(closed, grid, paths, master_seed=61).values
+    assert np.max(np.abs(ens.values - exact)) <= MARK_INTEGRAL_REL_TOL * scale
+
+
+def test_a_two_term_separable_jump_without_a_closed_form_keeps_the_solver_contracts():
+    coeffs = dataclasses.replace(two_term_jump_coefficients(), compensator=None)
+    grid = build_grid(0.5, 16)
+    ens = ensemble_simulate(coeffs, grid, 4, master_seed=67)
+    assert not ens.exploded.any()
+    for idx in range(4):
+        noise = sample_noise_path(grid, coeffs.measure, (67, idx))
+        direct = direct_recursion(coeffs, noise).values
+        assert bitwise_equal(ens.values[idx], direct)
+        assert bitwise_equal(picard_solve(coeffs, noise, tolerance=0.0).final.values, direct)
+
+
+def moving_peak_coefficients():
+    """A separable jump c x xi e^{-xi |x|} whose mark peak, at xi = 1 / |x|, moves with the state; no closed form.
+
+    The strong diffusion spreads the states, so a rule fitted at x = 1
+    certifies some paths' columns and hands others to the adaptive pass.
+    """
+
+    def state(x, xi):
+        xi = np.asarray(xi, dtype=np.float64)
+        return 0.2 * x * xi * np.exp(-xi * np.abs(x))
+
+    jump = SeparableKernel(((None, None, state),), name="moving-peak jump")
+    return dataclasses.replace(peaked_mark_coefficients(), jump=jump, name="moving-peak")
+
+
+def test_a_separable_state_whose_peak_moves_falls_back_per_path_and_stays_batch_independent(monkeypatch):
+    coeffs = moving_peak_coefficients()
+    grid = build_grid(0.5, 8)
+    last = grid.steps + 1
+    calls, passes = [], []
+    integrate, adaptive = MarkRule.integrate, LevyMeasure._adaptive
+    monkeypatch.setattr(MarkRule, "integrate", lambda rule, fn: calls.append(1) or integrate(rule, fn))
+    monkeypatch.setattr(LevyMeasure, "_adaptive", lambda *args: passes.append(1) or adaptive(*args))
+    ens = ensemble_simulate(coeffs, grid, 6, master_seed=71)
+    monkeypatch.undo()
+    assert not ens.exploded.any()
+    assert len(calls) == 6 * grid.steps and 0 < len(passes) < len(calls)
+    noises = [sample_noise_path(grid, coeffs.measure, (71, idx)) for idx in range(6)]
+    keep = (1, 2, last)
+    batch = batch_iterates(coeffs, noises, keep)
+    for idx, noise in enumerate(noises):
+        assert bitwise_equal(ens.values[idx], direct_recursion(coeffs, noise).values)
+        alone = batch_iterates(coeffs, [noise], keep)
+        for k in keep:
+            assert bitwise_equal(alone[k][0], batch[k][idx])
+        assert bitwise_equal(batch[last][idx], ens.values[idx])
+
+
+@pytest.mark.parametrize("twin", [lambda coeffs: coeffs, plain_twin], ids=["separable", "plain"])
+def test_a_mark_rule_is_fitted_at_the_largest_initial_state(twin, monkeypatch):
+    # phi(t) = t is 0 at t_0, where a state-linear h is 0 on every probe: a
+    # rule fitted there keeps no panels and sends every slice to the adaptive pass
+    phi = lambda t: np.array(t, dtype=np.float64)
+    closed = dataclasses.replace(linear_test_coefficients(0.1, rate=2.0), initial=phi)
+    coeffs = twin(dataclasses.replace(closed, compensator=None))
+    grid = build_grid(0.5, 64)
+    passes = []
+    adaptive = LevyMeasure._adaptive
+    monkeypatch.setattr(LevyMeasure, "_adaptive", lambda *args: passes.append(1) or adaptive(*args))
+    ens = ensemble_simulate(coeffs, grid, 20, master_seed=79)
+    monkeypatch.undo()
+    assert passes == []
+    exact = ensemble_simulate(closed, grid, 20, master_seed=79).values
+    assert not ens.exploded.any()
+    assert np.max(np.abs(ens.values - exact)) <= MARK_INTEGRAL_REL_TOL * np.max(np.abs(exact))
 
 
 def test_a_separable_drift_with_a_plain_diffusion_folds_its_separable_kernels():
