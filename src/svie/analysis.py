@@ -35,6 +35,10 @@ Contents
   synthetic martingale ensembles with deterministic integrands, drawn one
   grid step at a time, for the acceptance criteria and the demos.
 
+The ensemble statistics these checks read, ``mean_stderr`` and the
+column-block reductions, are the solver's (``solver.mean_stderr``), so that
+simulating an ensemble does not need this module.
+
 Both envelopes take C from ``CoefficientSet.growth_constant`` and raise
 ConfigurationError naming the set when it is None; another constant goes
 in through ``dataclasses.replace(coeffs, growth_constant=c)``.
@@ -44,8 +48,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -54,11 +57,11 @@ from .errors import AnalysisError, ConfigurationError, DomainError, ExplosionErr
 from .errors import _check_int, _check_real, _check_shape
 from .grid_noise import LevyMeasure, NoiseBatch, TimeGrid, _check_batch, _check_jump_mean
 from .solver import Ensemble, _compensator, _initial_curve, _iterates
+from .solver import _by_columns, _columns, _survivor_moments, mean_stderr
 from .solver import picard_iterates  # noqa: F401 -- perfbench/tracer.py wraps analysis.picard_iterates by name
 
 __all__ = [
     "bihari_bound",
-    "mean_stderr",
     "DoobReport",
     "doob_check",
     "uniform_moment_bound",
@@ -73,10 +76,6 @@ __all__ = [
     "brownian_martingale_ensemble",
     "compensated_jump_ensemble",
 ]
-
-# grid times an ensemble statistic takes at a time, so it copies a few columns, not the solution
-_COLUMNS = 32
-
 
 # --- inverse of the comparison function ------------------------------------
 
@@ -124,8 +123,7 @@ def bihari_bound(y0: float, z_integral: float, modulus: Modulus) -> float:
 # --- maximal inequality ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DoobReport:
+class DoobReport(NamedTuple):
     lhs: float
     rhs: float
     constant: float
@@ -134,38 +132,6 @@ class DoobReport:
     se_rhs: float
     n_paths: int
     passed: bool
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def mean_stderr(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean along axis 0 (over paths) and its standard error, 0 for one path.
-
-    Values too large to sum or square give an inf or nan result, without a
-    numpy warning.
-    """
-    n = values.shape[0]
-    mean = np.mean(values, axis=0)
-    se = np.std(values, axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
-    return mean, se
-
-
-def _columns(width: int) -> Iterator[slice]:
-    """Blocks of about ``_COLUMNS`` of ``width`` columns, none one column wide unless ``width`` is: numpy sums
-    two or more columns over paths row by row, as it does the whole array, but one column alone pairwise."""
-    return itertools.starmap(slice, itertools.pairwise([*range(0, max(width - 1, 1), _COLUMNS), width]))
-
-
-def _by_columns(stat: Callable, values: np.ndarray, rows=slice(None)) -> tuple[np.ndarray, ...]:
-    """``stat(values[rows])``, a tuple of per-column arrays, one ``_columns`` block at a time (views for slice rows)."""
-    parts = [stat(values[rows, cols]) for cols in _columns(values.shape[1])]
-    return tuple(np.concatenate(columns) for columns in zip(*parts))
-
-
-@np.errstate(over="ignore")  # a moment past the largest double is inf
-def _survivor_moments(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per grid time, the mean of x and ``mean_stderr`` of x^2 over the paths that did not explode."""
-    rows = ~ensemble.exploded if ensemble.exploded.any() else slice(None)
-    return _by_columns(lambda x: (np.mean(x, axis=0), *mean_stderr(x * x)), ensemble.values, rows)
 
 
 def doob_check(sup_sq: np.ndarray, terminal_sq: np.ndarray, p: float = 2.0, slack: float = 0.05) -> DoobReport:
@@ -229,8 +195,7 @@ def _moment_envelope(coeffs: CoefficientSet, horizon: float) -> float:
     return uniform_moment_bound(coeffs.growth_constant, horizon, phi_terminal * phi_terminal)
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(NamedTuple):
     times: np.ndarray
     estimates: np.ndarray
     stderrs: np.ndarray
@@ -271,8 +236,7 @@ def moment_check(ensemble: Ensemble, coeffs: CoefficientSet) -> MomentReport:
 # --- gap between iterates ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     times: np.ndarray
     estimates: np.ndarray
     stderrs: np.ndarray
@@ -343,8 +307,7 @@ def picard_gap(coeffs: CoefficientSet, noise: NoiseBatch, k: int, m: int, modulu
 # --- deterministic majorant sequence ----------------------------------------
 
 
-@dataclass(frozen=True)
-class MajorantSequence:
+class MajorantSequence(NamedTuple):
     """Curves psi_1 = c3 t and psi_{j+1}(t) = int_0^t kappa(psi_j(s)) ds."""
 
     c3: float
@@ -404,8 +367,7 @@ def majorant_recursion(
 # --- martingale ensembles ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MartingaleEnsemble:
+class MartingaleEnsemble(NamedTuple):
     """Per-path running max of |X|^2, terminal |X(T)|^2 and terminal X(T)."""
 
     sup_sq: np.ndarray

@@ -28,7 +28,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -425,8 +425,7 @@ def _jump_square_integral(coeffs: CoefficientSet, t, s, x, y=None) -> np.ndarray
 # --- linear-growth audit -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrowthAudit:
+class GrowthAudit(NamedTuple):
     """Outcome of a linear-growth audit over one sample set."""
 
     estimated_constant: float
@@ -474,8 +473,7 @@ def audit_linear_growth(coeffs: CoefficientSet, sampler: Callable, samples: int 
 # --- modulus audit -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OsgoodProbe:
+class OsgoodProbe(NamedTuple):
     """Decade ladder of int_eps^1 du / kappa(u); divergence shows as
     increments that refuse to die out as eps shrinks."""
 
@@ -528,8 +526,7 @@ def osgood_ladder(modulus: Modulus, decades: int = 11) -> OsgoodProbe:
     return OsgoodProbe(epsilons=epsilons, values=tuple(values), divergent=bool(divergent))
 
 
-@dataclass(frozen=True)
-class ModulusAudit:
+class ModulusAudit(NamedTuple):
     """Outcome of a continuity-modulus audit over one sample set.
 
     ``worst_slack`` is the largest excess of a squared kernel difference over

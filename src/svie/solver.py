@@ -34,6 +34,11 @@ evaluated only once per cell for the whole batch; a separable kernel costs
 O(n r) per path for r terms.  So does the compensator of a separable jump
 kernel without a closed form: it is separable too, with one mark integral
 per path, column and term, where a plain jump kernel's needs one per cell.
+
+The ensemble statistics live here too, next to ``Ensemble``:
+``mean_stderr`` and the column-block reductions that ``svie simulate``
+writes its moments with and ``analysis`` checks them with.  So a run that
+only simulates never loads ``analysis``.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -59,9 +64,13 @@ __all__ = [
     "picard_solve",
     "picard_iterates",
     "ensemble_simulate",
+    "mean_stderr",
 ]
 
 DEFAULT_TOLERANCE = 1e-10
+
+# grid times an ensemble statistic takes at a time, so it copies a few columns, not the solution
+_COLUMNS = 32
 
 
 @dataclass(frozen=True)
@@ -76,8 +85,7 @@ class DiscretePath:
             raise ConfigurationError(f"path has shape {self.values.shape}, expected ({self.grid.steps + 1},)")
 
 
-@dataclass(frozen=True)
-class PicardRun:
+class PicardRun(NamedTuple):
     """Record of one successive-approximation run.
 
     ``sup_diffs[k-1]`` is max_i |x^k(t_i) - x^{k-1}(t_i)| for iteration k.
@@ -368,3 +376,38 @@ def ensemble_simulate(coeffs: CoefficientSet, grid: TimeGrid, n_paths: int, mast
     explosion_index = _sweep(coeffs, noise, values, values)
     values[explosion_index >= 0] = np.nan
     return Ensemble(noise=noise, values=values, explosion_index=explosion_index, master_seed=int(master_seed))
+
+
+# --- ensemble statistics ------------------------------------------------------
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def mean_stderr(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean along axis 0 (over paths) and its standard error, 0 for one path.
+
+    Values too large to sum or square give an inf or nan result, without a
+    numpy warning.
+    """
+    n = values.shape[0]
+    mean = np.mean(values, axis=0)
+    se = np.std(values, axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
+    return mean, se
+
+
+def _columns(width: int) -> Iterator[slice]:
+    """Blocks of about ``_COLUMNS`` of ``width`` columns, none one column wide unless ``width`` is: numpy sums
+    two or more columns over paths row by row, as it does the whole array, but one column alone pairwise."""
+    return itertools.starmap(slice, itertools.pairwise([*range(0, max(width - 1, 1), _COLUMNS), width]))
+
+
+def _by_columns(stat: Callable, values: np.ndarray, rows=slice(None)) -> tuple[np.ndarray, ...]:
+    """``stat(values[rows])``, a tuple of per-column arrays, one ``_columns`` block at a time (views for slice rows)."""
+    parts = [stat(values[rows, cols]) for cols in _columns(values.shape[1])]
+    return tuple(np.concatenate(columns) for columns in zip(*parts))
+
+
+@np.errstate(over="ignore")  # a moment past the largest double is inf
+def _survivor_moments(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per grid time, the mean of x and ``mean_stderr`` of x^2 over the paths that did not explode."""
+    rows = ~ensemble.exploded if ensemble.exploded.any() else slice(None)
+    return _by_columns(lambda x: (np.mean(x, axis=0), *mean_stderr(x * x)), ensemble.values, rows)

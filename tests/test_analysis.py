@@ -703,9 +703,9 @@ def test_the_brownian_solution_martingale_catches_increments_read_one_column_lat
     assert abs(_z(solution_martingales(coeffs, mutant)[0].terminal)) >= 6.0
 
 
-# --- ensemble statistics in column blocks --------------------------------------
+# --- ensemble statistics in column blocks (solver) ------------------------------
 
-COLUMNS = analysis._COLUMNS
+COLUMNS = solver._COLUMNS
 # grid widths (n + 1) around the block size, where a block boundary or a
 # trailing block of one column would show
 WIDTHS = [2, 3, COLUMNS, COLUMNS + 1, COLUMNS + 2, 2 * COLUMNS + 1]
@@ -713,7 +713,7 @@ WIDTHS = [2, 3, COLUMNS, COLUMNS + 1, COLUMNS + 2, 2 * COLUMNS + 1]
 
 @pytest.mark.parametrize("width", [1, *WIDTHS, 2 * COLUMNS, 5 * COLUMNS + 7])
 def test_column_blocks_cover_each_column_once_and_none_is_one_column_wide(width):
-    blocks = list(analysis._columns(width))
+    blocks = list(solver._columns(width))
     assert [col for cols in blocks for col in range(width)[cols]] == list(range(width))
     assert all(min(2, width) <= cols.stop - cols.start <= COLUMNS + 1 for cols in blocks)
 
@@ -737,7 +737,7 @@ def test_survivor_moments_equal_the_whole_survivor_block_statistics_bitwise(widt
     ens = _spread_ensemble(width, exploded)
     survivors = ens.survivors
     want = (np.mean(survivors, axis=0), *mean_stderr(survivors * survivors))
-    got = analysis._survivor_moments(ens)
+    got = solver._survivor_moments(ens)
     assert all(bitwise_equal(g, w) for g, w in zip(got, want))
     report = moment_check(ens, zero_coefficients())
     assert bitwise_equal(report.estimates, want[1]) and bitwise_equal(report.stderrs, want[2])
