@@ -21,11 +21,12 @@ from svie import (
 HORIZON = 0.5
 STEPS = 64
 SEED = 99
+LINEAGE = (SEED, 0)
 
 coeffs = example_coefficients(0.1, rate=2.0)
 grid = build_grid(HORIZON, STEPS)
-noise = sample_noise_path(grid, coeffs.measure, (SEED, 0))
-print(f"one fixed noise path: {noise.jump_times.size} jumps, lineage {noise.lineage}")
+noise = sample_noise_path(grid, coeffs.measure, LINEAGE)
+print(f"one fixed noise path: {noise.jump_times.size} jumps, lineage {LINEAGE}")
 
 run = picard_solve(coeffs, noise, tolerance=0.0, k_max=STEPS + 1)
 print(f"\nconverged: {run.converged} after {run.iterations} iterations (cap {STEPS + 1})")

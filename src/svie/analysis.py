@@ -262,18 +262,19 @@ def gap_envelope_slope(coeffs: CoefficientSet, modulus: Modulus, horizon: float)
 def picard_gap(coeffs: CoefficientSet, noise: NoiseBatch, k: int, m: int, modulus: Modulus) -> GapReport:
     """Monte Carlo curve t -> E sup_{s<=t} |x^{k+m}(s) - x^k(s)|^2 on the paths of a ``NoiseBatch``.
 
-    ``noise`` may be ``Ensemble.noise``, so moments and gap read one draw;
-    ``NoiseBatch.of`` lays out ``NoisePath``s.  Each time passes when the
-    estimate stays below c3 * t within four standard errors,
-    c3 = ``gap_envelope_slope(coeffs, modulus, T)``.  m = 0 compares an
-    iterate with itself and is zero.  All paths iterate together, one
-    batched sweep per iterate.  A ``noise`` that is not a ``NoiseBatch`` laid
-    out as ``NoiseBatch.of`` lays one out raises ConfigurationError naming
-    the field.  The first path in batch order that exploded
-    in any of sweeps 1..k+m, or whose squared gap is not finite, fails the
-    curve: the first raises ExplosionError with the grid index of its
-    earliest explosion, the second NumericalError naming the iterates and
-    its first such grid time.
+    ``noise`` may be ``Ensemble.noise``, so moments and gap read one draw,
+    or a batch that ``NoiseBatch.of`` builds from rows of increments and
+    jump trains.  Each time passes when the estimate stays below c3 * t
+    within four standard errors, c3 = ``gap_envelope_slope(coeffs, modulus,
+    T)``.  m = 0 compares an iterate with itself and is zero.  All paths
+    iterate together, one batched sweep per iterate.  A ``noise`` that is
+    not a ``NoiseBatch`` laid out as ``NoiseBatch.of`` lays one out, with
+    finite increments and marks, raises ConfigurationError naming the
+    field.  The first path in batch order that exploded in any of sweeps
+    1..k+m, or whose squared gap is not finite, fails the curve: the first
+    raises ExplosionError with the grid index of its earliest explosion,
+    the second NumericalError naming the iterates and its first such grid
+    time.
     """
     k, m = _check_int("k", k, 1), _check_int("m", m, 0)
     _check_batch(noise)

@@ -4,8 +4,9 @@ A simulation consumes three sources of randomness per path: Brownian
 increments on a uniform grid, a finite-activity jump train (Poisson count,
 uniform times, i.i.d. marks), and nothing else.  Every draw is derived from
 a ``(master_seed, path_index)`` lineage through a counter-based bit
-generator, so any path drawn in any order or batch is identical; a batch
-is one ``NoiseBatch``, the one noise layout that every solver reads.
+generator, so any path drawn in any order or batch is identical.  The
+noise of any set of paths is one ``NoiseBatch``, the one noise layout
+that every solver reads; a single path's is a batch of one row.
 
 Integrals against the mark density run on ``_gauss_kronrod``, a globally
 adaptive vector-valued 21-point Gauss-Kronrod rule of our own, so the
@@ -31,12 +32,9 @@ if TYPE_CHECKING:
 __all__ = [
     "TimeGrid",
     "LevyMeasure",
-    "NoisePath",
     "NoiseBatch",
     "MarkRule",
     "build_grid",
-    "sample_brownian",
-    "sample_jumps",
     "sample_noise_path",
     "sample_noise_ensemble",
     "compensator_integral",
@@ -512,48 +510,14 @@ def _gauss_kronrod(
     return value, error + rounding, panels
 
 
-@dataclass(frozen=True)
-class NoisePath:
-    """One path's random inputs: Brownian increments plus a jump train.
-
-    ``brownian`` holds the n increments W(t_{i+1}) - W(t_i).  ``jump_times``
-    is sorted inside (0, horizon]; ``jump_marks`` aligns with it.  All three
-    are finite 1-D arrays.  The pair ``lineage = (master_seed, path_index)``
-    fully determines every array.
-    """
-
-    grid: TimeGrid
-    brownian: np.ndarray
-    jump_times: np.ndarray
-    jump_marks: np.ndarray
-    lineage: tuple[int, int]
-
-    def __post_init__(self):
-        for name in ("brownian", "jump_times", "jump_marks"):
-            arr = getattr(self, name)
-            if arr.ndim != 1:
-                raise ConfigurationError(f"{name} must be a 1-D array, got shape {arr.shape}")
-            if not np.isfinite(arr).all():
-                raise ConfigurationError(f"{name} must be finite")
-        if self.brownian.shape != (self.grid.steps,):
-            raise ConfigurationError(
-                f"brownian increments have shape {self.brownian.shape}, expected ({self.grid.steps},)"
-            )
-        if self.jump_times.shape != self.jump_marks.shape:
-            raise ConfigurationError("jump_times and jump_marks must align")
-        times = self.jump_times
-        if times.size and not (times[0] > 0.0 and times[-1] <= self.grid.horizon and (np.diff(times) >= 0.0).all()):
-            raise ConfigurationError(f"jump_times must be sorted inside (0, {self.grid.horizon!r}]")
-
-
 class NoiseBatch(NamedTuple):
-    """The noise of a batch of paths on one grid, in the one layout every batched solve reads.
+    """The noise of a batch of paths on one grid, in the one layout every solve reads; a single path is one row.
 
     ``brownian`` holds the (paths, n) increments, row p those of path p.  All jumps are in one stable
     time-sorted list, each with its row in ``jump_paths``, so a path meets its own in time order; column
-    j holds ``jump_cells[j]:jump_cells[j + 1]``.  ``NoiseBatch.of`` lays out a list of ``NoisePath``s.
-    ``sample_noise_ensemble`` draws every lineage with one generator, reset per stream, straight into the
-    rows and the jump list, with no ``NoisePath`` per path and no stacked copy.  In a 256 x 500
+    j holds ``jump_cells[j]:jump_cells[j + 1]``.  ``NoiseBatch.of`` is the one constructor.
+    ``sample_noise_path`` and ``sample_noise_ensemble`` draw every lineage with one generator, reset per
+    stream, straight into the rows and the jump trains, which ``of`` lays out once.  In a 256 x 500
     ``svie simulate``, which peaks near 41 MB RSS, the batch and the solution hold about 1 MB each and
     the interpreter and numpy 30 MB; paths.csv is written path by path, the moments 32 columns at a time.
     """
@@ -566,35 +530,44 @@ class NoiseBatch(NamedTuple):
     jump_cells: np.ndarray
 
     @classmethod
-    def of(cls, noises: Sequence[NoisePath]) -> "NoiseBatch":
-        """Lay out non-empty ``noises`` on one grid, path p in row p."""
-        if not noises:
-            raise ConfigurationError("need at least one noise path")
-        grid = noises[0].grid
-        if any(noise.grid != grid for noise in noises):
-            raise ConfigurationError("all noise paths must share one grid")
-        trains = [(noise.jump_times, noise.jump_marks) for noise in noises]
-        return cls._laid_out(grid, np.stack([noise.brownian for noise in noises]), trains)
+    def of(cls, grid: TimeGrid, brownian: np.ndarray, trains: Sequence[tuple[np.ndarray, np.ndarray]]) -> "NoiseBatch":
+        """The batch of rows ``brownian`` whose row p has the jump train ``trains[p] = (times, marks)``.
 
-    @classmethod
-    def _laid_out(cls, grid: TimeGrid, brownian: np.ndarray, trains: list) -> "NoiseBatch":
-        """The batch of rows ``brownian`` whose row p has the jumps ``trains[p] = (times, marks)``, in any order."""
-        times = np.concatenate([t for t, _ in trains])
-        # stable: equal times keep path order, and within a path draw order
-        order = np.argsort(times, kind="stable")
+        A train is 1-D times in time order with their marks aligned.  The trains merge into one stable
+        time sort, so equal times keep row order.  Raises ConfigurationError for a malformed train, a
+        train count other than the row count, or a batch that ``_check_batch`` rejects, naming the field.
+        """
+        trains = [(np.asarray(times), np.asarray(marks)) for times, marks in trains]
+        for p, (times, marks) in enumerate(trains):
+            if times.ndim != 1 or times.shape != marks.shape:
+                raise ConfigurationError(
+                    f"jump train {p} needs 1-D times and marks of one length, "
+                    f"got shapes {times.shape} and {marks.shape}"
+                )
+        # the empty first pair makes a batch without trains one without jumps
+        times, marks = map(np.concatenate, zip((np.empty(0), np.empty(0)), *trains))
+        paths = np.arange(len(trains)).repeat([len(t) for t, _ in trains])
+        # a step back (or a nan) between two jumps of one train
+        if not (times[1:] >= times[:-1])[paths[1:] == paths[:-1]].all():
+            raise ConfigurationError("each jump train's times must be in time order")
+        # stable: equal times keep row order, and within a row train order
+        order = times.argsort(kind="stable")
         times = times[order]
-        marks = np.concatenate([m for _, m in trains])[order]
-        paths = np.repeat(np.arange(len(trains)), [t.size for t, _ in trains])[order]
-        if not np.isfinite(marks).all():
-            raise ConfigurationError("jump_marks must be finite")
-        return cls(grid, brownian, times, marks, paths, np.searchsorted(times, grid.points, side="right"))
+        counts = times.searchsorted(grid.points, side="right")
+        batch = cls(grid, np.asarray(brownian), times, marks[order], paths[order], counts)
+        _check_batch(batch)
+        rows = len(batch.brownian)
+        if len(trains) != rows:
+            raise ConfigurationError(f"need one jump train per row: {len(trains)} trains for {rows} rows")
+        return batch
 
 
 def _check_batch(batch: NoiseBatch) -> None:
-    """Raise ConfigurationError naming the first field of ``batch`` that is not laid out as ``_laid_out`` lays it out.
+    """Raise ConfigurationError naming the first field of ``batch`` not laid out as ``NoiseBatch.of`` lays it out.
 
     ``brownian`` is (paths, n) with a path or more; the jump arrays are 1-D and aligned, times sorted
-    inside (0, T], rows in range; ``jump_cells`` is what ``_laid_out`` computes from the times.
+    inside (0, T], rows in range; increments and marks are finite; ``jump_cells`` is what ``of``
+    computes from the times.
     """
     if not isinstance(batch, NoiseBatch):
         raise ConfigurationError(f"noise must be a NoiseBatch (see NoiseBatch.of), got {type(batch).__name__}")
@@ -604,16 +577,22 @@ def _check_batch(batch: NoiseBatch) -> None:
         raise ConfigurationError(
             f"noise.brownian must have shape (paths, {grid.steps}) with paths >= 1, got {brownian.shape}"
         )
+    if not np.isfinite(brownian).all():
+        raise ConfigurationError("noise.brownian must be finite")
     if times.ndim != 1:
         raise ConfigurationError(f"noise.jump_times must be 1-D, got shape {times.shape}")
     for name, arr in (("jump_marks", marks), ("jump_paths", paths)):
         if arr.shape != times.shape:
             raise ConfigurationError(f"noise.{name} has shape {arr.shape}, expected {times.shape} as jump_times")
-    if len(times) and not (times[0] > 0.0 and times[-1] <= grid.horizon and (np.diff(times) >= 0.0).all()):
-        raise ConfigurationError(f"noise.jump_times must be sorted inside (0, {grid.horizon!r}]")
-    if len(paths) and not (np.issubdtype(paths.dtype, np.integer) and 0 <= paths.min() and paths.max() < len(brownian)):
-        raise ConfigurationError(f"noise.jump_paths must be integer rows in [0, {len(brownian)})")
-    if not np.array_equal(cells, np.searchsorted(times, grid.points, side="right")):
+    if len(times):
+        if not (times[0] > 0.0 and times[-1] <= grid.horizon and (times[1:] >= times[:-1]).all()):
+            raise ConfigurationError(f"noise.jump_times must be sorted inside (0, {grid.horizon!r}]")
+        if not np.isfinite(marks).all():
+            raise ConfigurationError("noise.jump_marks must be finite")
+        if not (paths.dtype.kind in "iu" and 0 <= paths.min() and paths.max() < len(brownian)):
+            raise ConfigurationError(f"noise.jump_paths must be integer rows in [0, {len(brownian)})")
+    counts = times.searchsorted(grid.points, side="right")
+    if cells.shape != counts.shape or not (cells == counts).all():
         raise ConfigurationError(
             f"noise.jump_cells must hold, for each of the {grid.steps + 1} grid points, "
             "the count of jump_times at or before it"
@@ -630,10 +609,11 @@ def _check_jump_mean(measure: LevyMeasure, horizon: float) -> None:
 
 
 def _draw(rng: np.random.Generator, grid: TimeGrid, measure: LevyMeasure, seed: int, idx: int, row: np.ndarray):
-    """Draw lineage (seed, idx): its n N(0, dt) increments into ``row``; return its jump times and marks.
+    """Draw lineage (seed, idx): its n N(0, dt) increments into ``row``; return its jump train.
 
-    Each comes from its own stream (``_stream``).  The count is Poisson(total_mass * horizon); given
-    the count, times are i.i.d. uniform on (0, horizon], in draw order, and marks i.i.d. from the mark law.
+    Each comes from its own stream (``_stream``).  The count is Poisson(total_mass * horizon); given the
+    count, times are i.i.d. uniform on (0, horizon] and marks i.i.d. from the mark law, the train then
+    sorted stably in time.
     """
     _stream(rng, seed, idx, _ROLE_BROWNIAN).standard_normal(out=row)
     row *= math.sqrt(grid.dt)
@@ -642,39 +622,31 @@ def _draw(rng: np.random.Generator, grid: TimeGrid, measure: LevyMeasure, seed: 
     _stream(rng, seed, idx, _ROLE_JUMPS)
     count = int(rng.poisson(measure.total_mass * grid.horizon))
     times = grid.horizon * (1.0 - rng.random(count))
-    return times, measure.sample_marks(rng, count)
+    marks = measure.sample_marks(rng, count)
+    order = times.argsort(kind="stable")
+    return times[order], marks[order]
 
 
-def sample_brownian(grid: TimeGrid, lineage: tuple[int, int]) -> np.ndarray:
-    """Draw the n Brownian increments, each N(0, dt), for one lineage."""
-    return sample_noise_path(grid, LevyMeasure.empty(), lineage).brownian
-
-
-def sample_jumps(grid: TimeGrid, measure: LevyMeasure, lineage: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one path's jump train: times sorted inside (0, horizon], marks aligned (see ``_draw``)."""
-    noise = sample_noise_path(grid, measure, lineage)
-    return noise.jump_times, noise.jump_marks
-
-
-def sample_noise_path(grid: TimeGrid, measure: LevyMeasure, lineage: tuple[int, int]) -> NoisePath:
-    """Draw one lineage's NoisePath as ``sample_noise_ensemble`` draws its row; Brownian and jumps use two streams."""
-    seed, idx = _check_lineage(lineage)
+def _sample(grid: TimeGrid, measure: LevyMeasure, seed: int, indices: range) -> NoiseBatch:
+    """Lineages (seed, idx) for idx in ``indices`` as one batch, row i the i-th, drawn with one generator."""
     _check_jump_mean(measure, grid.horizon)
-    brownian = np.empty(grid.steps)
-    times, marks = _draw(_generator(), grid, measure, seed, idx, brownian)
-    order = np.argsort(times, kind="stable")
-    return NoisePath(grid, brownian, times[order], marks[order], lineage=(seed, idx))
+    rng = _generator()  # one generator, reset for every stream
+    brownian = np.empty((len(indices), grid.steps))
+    trains = [_draw(rng, grid, measure, seed, idx, row) for idx, row in zip(indices, brownian)]
+    return NoiseBatch.of(grid, brownian, trains)
+
+
+def sample_noise_path(grid: TimeGrid, measure: LevyMeasure, lineage: tuple[int, int]) -> NoiseBatch:
+    """One lineage as a one-row batch, bitwise its row in ``sample_noise_ensemble``; Brownian and jumps: two streams."""
+    seed, idx = _check_lineage(lineage)
+    return _sample(grid, measure, seed, range(idx, idx + 1))
 
 
 def sample_noise_ensemble(grid: TimeGrid, measure: LevyMeasure, n_paths: int, master_seed: int) -> NoiseBatch:
     """Lineages (master_seed, 0..n_paths-1), checked once, as one batch; row i is ``sample_noise_path``'s."""
     n_paths = _check_int("n_paths", n_paths, 1)
     master_seed, _ = _check_lineage((master_seed, n_paths - 1))
-    _check_jump_mean(measure, grid.horizon)
-    rng = _generator()  # one generator, reset for every stream
-    brownian = np.empty((n_paths, grid.steps))
-    trains = [_draw(rng, grid, measure, master_seed, idx, row) for idx, row in enumerate(brownian)]
-    return NoiseBatch._laid_out(grid, brownian, trains)
+    return _sample(grid, measure, master_seed, range(n_paths))
 
 
 class MarkRule(NamedTuple):

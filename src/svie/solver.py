@@ -20,14 +20,15 @@ Every solver runs one sweep, ``_sweep``, over a (paths, n + 1) block and
 the paths' ``grid_noise.NoiseBatch``, the one noise layout.  Each path sums
 in the same order, j = 0, 1, ..., its own jumps in time order, so no value
 depends on the other paths of the batch.  ``ensemble_simulate`` is one
-batch, which its ``Ensemble`` keeps; ``direct_recursion`` is a batch of
-one, so each ensemble row is bitwise equal to the single-path solve of its
-lineage.  A Picard step is a sweep that pushes a previous iterate instead
-of the rows it writes, so a converged Picard iterate is bitwise identical
-to the direct solution.  Successive approximation also runs on a batch, one
-sweep per iterate for all paths (``analysis.picard_gap`` uses it), and the
-Picard functions are batches of one, so each path's iterates do not depend
-on the batch either.
+batch, which its ``Ensemble`` keeps; ``direct_recursion`` solves a batch
+of one row, as ``sample_noise_path`` draws it, so each ensemble row is
+bitwise equal to the single-path solve of its lineage.  A Picard step is
+a sweep that pushes a previous iterate instead of the rows it writes, so
+a converged Picard iterate is bitwise identical to the direct solution.
+Successive approximation also runs on a batch, one sweep per iterate for
+all paths (``analysis.picard_gap`` uses it), and the Picard functions
+take a batch of one row too, so each path's iterates do not depend on the
+batch either.
 
 A plain kernel costs O(n^2) cells per path, but its (t, s) part is
 evaluated only once per cell for the whole batch; a separable kernel costs
@@ -52,7 +53,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet, SeparableKernel
 from .errors import ConfigurationError, ExplosionError, _check_int, _check_real, _check_shape
-from .grid_noise import LevyMeasure, MarkRule, NoiseBatch, NoisePath, TimeGrid, _check_batch, compensator_integral
+from .grid_noise import LevyMeasure, MarkRule, NoiseBatch, TimeGrid, _check_batch, compensator_integral
 from .grid_noise import sample_noise_ensemble
 from .grid_noise import sample_noise_path  # noqa: F401 -- perfbench/tracer.py wraps solver.sample_noise_path by name
 
@@ -242,14 +243,22 @@ def _sweep(coeffs: CoefficientSet, batch: NoiseBatch, source: np.ndarray, out: n
     return explosion
 
 
-def direct_recursion(coeffs: CoefficientSet, noise: NoisePath) -> DiscretePath:
-    """Solve the discretized equation exactly: the sweep on a batch of one.
+def _check_path(noise: NoiseBatch) -> None:
+    """Raise ConfigurationError unless ``noise`` passes ``_check_batch`` and holds the one row a path's solve needs."""
+    _check_batch(noise)
+    if len(noise.brownian) != 1:
+        raise ConfigurationError(f"a single-path solve needs a one-row NoiseBatch, got {len(noise.brownian)} rows")
+
+
+def direct_recursion(coeffs: CoefficientSet, noise: NoiseBatch) -> DiscretePath:
+    """Solve the discretized equation exactly on the one-row batch ``noise``, as ``sample_noise_path`` draws it.
 
     Raises ExplosionError with the first offending grid index if the state
     leaves the finite floats.
     """
+    _check_path(noise)
     out = np.empty((1, noise.grid.steps + 1), dtype=np.float64)
-    explosion = _sweep(coeffs, NoiseBatch.of([noise]), out, out)[0]
+    explosion = _sweep(coeffs, noise, out, out)[0]
     if explosion >= 0:
         raise ExplosionError(explosion)
     return DiscretePath(grid=noise.grid, values=out[0])
@@ -274,9 +283,9 @@ def _iterates(coeffs: CoefficientSet, batch: NoiseBatch) -> Iterator[tuple[np.nd
         explosion = np.where(explosion < 0, _sweep(coeffs, batch, source, state), explosion)
 
 
-def _path_iterates(coeffs: CoefficientSet, noise: NoisePath) -> Iterator[np.ndarray]:
-    """x^0, x^1, ... of one path: the batch of one, raising ExplosionError at the first exploding sweep."""
-    for state, explosion in _iterates(coeffs, NoiseBatch.of([noise])):
+def _path_iterates(coeffs: CoefficientSet, noise: NoiseBatch) -> Iterator[np.ndarray]:
+    """x^0, x^1, ... of a checked one-row batch, raising ExplosionError at the first exploding sweep."""
+    for state, explosion in _iterates(coeffs, noise):
         if explosion[0] >= 0:
             raise ExplosionError(explosion[0])
         yield state[0]
@@ -284,7 +293,7 @@ def _path_iterates(coeffs: CoefficientSet, noise: NoisePath) -> Iterator[np.ndar
 
 def picard_solve(
     coeffs: CoefficientSet,
-    noise: NoisePath,
+    noise: NoiseBatch,
     tolerance: float = DEFAULT_TOLERANCE,
     k_max: int | None = None,
 ) -> PicardRun:
@@ -292,8 +301,9 @@ def picard_solve(
 
     The default ``k_max`` is n + 1: on a lower-triangular scheme iterate n
     is exact and iterate n + 1 repeats it, so tolerance 0 always converges
-    within the default budget.
+    within the default budget.  ``noise`` is a one-row batch.
     """
+    _check_path(noise)
     tolerance = _check_real("tolerance", tolerance, 0.0)
     k_max = noise.grid.steps + 1 if k_max is None else _check_int("k_max", k_max, 1)
     sup_diffs = []
@@ -309,11 +319,12 @@ def picard_solve(
     )
 
 
-def picard_iterates(coeffs: CoefficientSet, noise: NoisePath, keep: Iterable[int]) -> dict[int, DiscretePath]:
-    """Return the requested iterates {k: x^k}; k = 0 is the initial curve.
+def picard_iterates(coeffs: CoefficientSet, noise: NoiseBatch, keep: Iterable[int]) -> dict[int, DiscretePath]:
+    """Return the requested iterates {k: x^k} on the one-row batch ``noise``; k = 0 is the initial curve.
 
     No sweep runs past the largest requested k, so ``keep=(0,)`` runs none.
     """
+    _check_path(noise)
     wanted = {_check_int("keep", k, 0) for k in keep}
     if not wanted:
         return {}

@@ -28,7 +28,7 @@ from svie.coefficients import (
     example_coefficients,
     linear_modulus,
 )
-from svie.grid_noise import LevyMeasure, build_grid, sample_noise_ensemble, sample_noise_path
+from svie.grid_noise import LevyMeasure, NoiseBatch, build_grid, sample_noise_ensemble, sample_noise_path
 from svie.solver import direct_recursion, ensemble_simulate, picard_solve
 
 E_HALF = 1.6487212707001282  # e^(1/2)
@@ -41,15 +41,8 @@ def report(name: str, ok: bool, detail: str) -> None:
 
 
 def quiet_path(grid):
-    from svie.grid_noise import NoisePath
-
-    return NoisePath(
-        grid=grid,
-        brownian=np.zeros(grid.steps),
-        jump_times=np.empty(0),
-        jump_marks=np.empty(0),
-        lineage=(0, 0),
-    )
+    """One path's noise, a one-row batch, with no increments and no jumps."""
+    return NoiseBatch.of(grid, np.zeros((1, grid.steps)), [(np.empty(0), np.empty(0))])
 
 
 def write_config(tmp_path, config):

@@ -43,7 +43,6 @@ from svie.grid_noise import (
     LevyMeasure,
     MarkRule,
     NoiseBatch,
-    NoisePath,
     build_grid,
     sample_noise_ensemble,
     sample_noise_path,
@@ -282,6 +281,12 @@ def lineage_paths(grid, measure, n_paths, master_seed):
     return [sample_noise_path(grid, measure, (master_seed, idx)) for idx in range(n_paths)]
 
 
+def stacked(noises):
+    """The batch whose row p is the one-row batch ``noises[p]``."""
+    brownian = np.concatenate([noise.brownian for noise in noises])
+    return NoiseBatch.of(noises[0].grid, brownian, [(noise.jump_times, noise.jump_marks) for noise in noises])
+
+
 def per_path_gap(coeffs, noises, k, m):
     """E sup |x^{k+m} - x^k|^2 and its stderr from one Picard solve per path, in batch order."""
     sups = []
@@ -306,7 +311,7 @@ def bitwise_equal(a, b):
 def test_gap_matches_a_per_path_reference_bitwise(k, m):
     coeffs = example_coefficients(0.1, rate=40.0)
     noises = lineage_paths(build_grid(0.5, 32), coeffs.measure, 25, master_seed=12)
-    report = picard_gap(coeffs, NoiseBatch.of(noises), k, m, linear_modulus(coeffs.growth_constant))
+    report = picard_gap(coeffs, stacked(noises), k, m, linear_modulus(coeffs.growth_constant))
     estimates, stderrs = per_path_gap(coeffs, noises, k, m)
     assert report.estimates.max() > 0.0
     assert bitwise_equal(report.estimates, estimates)
@@ -349,7 +354,7 @@ KINDS = {
 
 def hand_built_path(kind):
     times, marks = KINDS[kind]
-    return NoisePath(GRID_8, np.zeros(8), np.array(times), np.array(marks), lineage=(0, 0))
+    return NoiseBatch.of(GRID_8, np.zeros((1, 8)), [(np.array(times), np.array(marks))])
 
 
 @pytest.mark.parametrize(
@@ -369,7 +374,7 @@ def test_gap_fails_on_the_first_failing_path_in_batch_order(kinds):
     with pytest.raises(NumericalError) as expected:
         per_path_gap(coeffs, noises, 1, 1)
     with pytest.raises(NumericalError) as raised:
-        picard_gap(coeffs, NoiseBatch.of(noises), 1, 1, linear_modulus(1.0))
+        picard_gap(coeffs, stacked(noises), 1, 1, linear_modulus(1.0))
     assert type(raised.value) is type(expected.value)
     assert str(raised.value) == str(expected.value)
     first = next(kind for kind in kinds if kind != "finite")
@@ -384,7 +389,7 @@ def test_gap_of_an_overflowing_model_matches_the_reference_and_warns_nothing():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError) as raised:
-            picard_gap(coeffs, NoiseBatch.of(noises), 1, 1, linear_modulus(coeffs.growth_constant))
+            picard_gap(coeffs, stacked(noises), 1, 1, linear_modulus(coeffs.growth_constant))
     assert type(raised.value) is type(expected.value)
     assert str(raised.value) == str(expected.value)
 
@@ -394,22 +399,15 @@ def test_gap_validates_arguments():
     grid = build_grid(0.5, 8)
     noises = lineage_paths(grid, coeffs.measure, 2, master_seed=7)
     with pytest.raises(ConfigurationError):
-        picard_gap(coeffs, NoiseBatch.of(noises), 0, 1, linear_modulus(0.25))
+        picard_gap(coeffs, stacked(noises), 0, 1, linear_modulus(0.25))
     with pytest.raises(ConfigurationError):
-        picard_gap(coeffs, NoiseBatch.of(noises), 1, -1, linear_modulus(0.25))
-    # the gap reads a laid-out batch only; a list of paths is pointed to NoiseBatch.of
-    for unlaid in (noises, noises[0], []):
+        picard_gap(coeffs, stacked(noises), 1, -1, linear_modulus(0.25))
+    # the gap reads a laid-out batch only; a list of paths, or a batch's fields, is pointed to NoiseBatch.of
+    for unlaid in (noises, tuple(noises[0]), []):
         with pytest.raises(ConfigurationError, match=r"^noise must be a NoiseBatch \(see NoiseBatch.of\), got "):
             picard_gap(coeffs, unlaid, 1, 1, linear_modulus(0.25))
-    with pytest.raises(ConfigurationError, match="^need at least one noise path$"):
-        NoiseBatch.of([])
-    mixed = noises + lineage_paths(build_grid(0.5, 16), coeffs.measure, 1, master_seed=7)
-    with pytest.raises(ConfigurationError):
-        NoiseBatch.of(mixed)
-    # same step count, other horizon: the increments stack, so only the grid check rejects them
-    stretched = noises + lineage_paths(build_grid(1.0, 8), coeffs.measure, 1, master_seed=7)
-    with pytest.raises(ConfigurationError, match="share one grid"):
-        NoiseBatch.of(stretched)
+    with pytest.raises(ConfigurationError, match=r"^noise\.brownian must have shape \(paths, 8\) with paths >= 1"):
+        NoiseBatch.of(grid, np.empty((0, 8)), [])
 
 
 @pytest.mark.parametrize(
@@ -423,12 +421,15 @@ def test_gap_validates_arguments():
         ("jump_marks", lambda b: b._replace(jump_marks=b.jump_marks[:-1])),
         ("jump_paths", lambda b: b._replace(jump_paths=b.jump_paths + 1)),
         ("jump_paths", lambda b: b._replace(jump_paths=b.jump_paths.astype(float))),
+        ("brownian", lambda b: b._replace(brownian=np.where(np.arange(4) == 1, math.nan, b.brownian))),
+        ("jump_marks", lambda b: b._replace(jump_marks=np.where(b.jump_times == 0.3, math.inf, b.jump_marks))),
     ],
     ids=["1-D-brownian", "narrow-brownian", "short-cells", "unsorted-times", "times-past-T", "short-marks",
-         "rows-out-of-range", "float-rows"],  # fmt: skip
+         "rows-out-of-range", "float-rows", "nan-increment", "inf-mark"],  # fmt: skip
 )
 def test_gap_rejects_a_batch_not_laid_out_as_noise_batch_lays_it_out(field, change):
-    # unchecked, each of these reaches the sweep and ends in numpy's IndexError, or in no error at all
+    # unchecked, each of these reaches the sweep and ends in numpy's IndexError, in an ExplosionError (a
+    # numerical failure reported for malformed input), or in no error at all
     batch = change(_hand_built_batch())
     with pytest.raises(ConfigurationError, match=rf"^noise\.{field} "):
         picard_gap(_polynomial_model(), batch, 1, 1, linear_modulus(1.0))
@@ -551,9 +552,7 @@ def _hand_built_batch():
         ([0.1, 0.1, -0.4, 0.2], [0.3], [1.0]),
         ([-0.3, 0.4, 0.2, 0.1], [0.1, 1.0], [0.7, 1.2]),
     ]
-    return NoiseBatch.of(
-        [NoisePath(grid, np.array(w), np.array(t), np.array(m), lineage=(0, p)) for p, (w, t, m) in enumerate(trains)]
-    )
+    return NoiseBatch.of(grid, np.array([w for w, _, _ in trains]), [(np.array(t), np.array(m)) for _, t, m in trains])
 
 
 def _loop_martingales(coeffs, ensemble):
@@ -678,7 +677,7 @@ def test_a_row_of_the_solution_martingales_is_the_batch_of_one_of_its_lineage():
     assert len(ensemble.noise.jump_times) > 6
     whole = solution_martingales(coeffs, ensemble)
     for p in range(6):
-        one = NoiseBatch.of([sample_noise_path(grid, coeffs.measure, (5, p))])
+        one = sample_noise_path(grid, coeffs.measure, (5, p))
         alone = solution_martingales(coeffs, _solved(coeffs, one))
         for part, one in zip(whole, alone):
             for field in ("sup_sq", "terminal_sq", "terminal"):
@@ -747,7 +746,7 @@ def test_survivor_moments_equal_the_whole_survivor_block_statistics_bitwise(widt
 def test_gap_in_column_blocks_matches_the_per_path_reference_bitwise():
     coeffs = example_coefficients(0.1, rate=40.0)
     noises = lineage_paths(build_grid(0.5, 2 * COLUMNS), coeffs.measure, 25, master_seed=13)
-    report = picard_gap(coeffs, NoiseBatch.of(noises), 1, 1, linear_modulus(coeffs.growth_constant))
+    report = picard_gap(coeffs, stacked(noises), 1, 1, linear_modulus(coeffs.growth_constant))
     estimates, stderrs = per_path_gap(coeffs, noises, 1, 1)
     assert bitwise_equal(report.estimates, estimates) and bitwise_equal(report.stderrs, stderrs)
 

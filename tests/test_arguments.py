@@ -27,13 +27,12 @@ from svie.coefficients import (
     scale_for_log_modulus,
 )
 from svie.errors import ConfigurationError
-from svie.grid_noise import LevyMeasure, NoiseBatch, build_grid, sample_brownian, sample_noise_ensemble, sample_noise_path
+from svie.grid_noise import LevyMeasure, build_grid, sample_noise_ensemble, sample_noise_path
 from svie.solver import picard_iterates, picard_solve
 
 GRID = build_grid(1.0, 4)
 ODE = deterministic_ode_coefficients()
 NOISE = sample_noise_path(GRID, ODE.measure, (1, 0))
-BATCH = NoiseBatch.of([NOISE])
 
 # case -> (call with the argument under test, the name its message starts with, a valid value)
 INTEGER_ARGUMENTS = {
@@ -42,8 +41,8 @@ INTEGER_ARGUMENTS = {
     "RunConfig.master_seed": (lambda v: RunConfig(master_seed=v), "master_seed", 3),
     "RunConfig.picard_k_max": (lambda v: RunConfig(picard_k_max=v), "picard_k_max", 9),
     "TimeGrid.steps": (lambda v: build_grid(1.0, v), "steps", 4),
-    "lineage.master_seed": (lambda v: sample_brownian(GRID, (v, 0)), "master_seed", 3),
-    "lineage.path_index": (lambda v: sample_brownian(GRID, (0, v)), "path_index", 3),
+    "lineage.master_seed": (lambda v: sample_noise_path(GRID, ODE.measure, (v, 0)), "master_seed", 3),
+    "lineage.path_index": (lambda v: sample_noise_path(GRID, ODE.measure, (0, v)), "path_index", 3),
     "sample_noise_ensemble.n_paths": (lambda v: sample_noise_ensemble(GRID, ODE.measure, v, 1), "n_paths", 2),
     "osgood_ladder.decades": (lambda v: osgood_ladder(linear_modulus(1.0), v), "decades", 3),
     "audit_linear_growth.samples": (lambda v: audit_linear_growth(ODE, domain_sampler(1.0), v), "samples", 4),
@@ -52,8 +51,8 @@ INTEGER_ARGUMENTS = {
         "samples",
         4,
     ),
-    "picard_gap.k": (lambda v: picard_gap(ODE, BATCH, v, 1, linear_modulus(0.25)), "k", 1),
-    "picard_gap.m": (lambda v: picard_gap(ODE, BATCH, 1, v, linear_modulus(0.25)), "m", 1),
+    "picard_gap.k": (lambda v: picard_gap(ODE, NOISE, v, 1, linear_modulus(0.25)), "k", 1),
+    "picard_gap.m": (lambda v: picard_gap(ODE, NOISE, 1, v, linear_modulus(0.25)), "m", 1),
     "majorant_recursion.steps": (lambda v: majorant_recursion(1.0, linear_modulus(1.0), 0.5, steps=v), "steps", 16),
     "majorant_recursion.iterations": (
         lambda v: majorant_recursion(1.0, linear_modulus(1.0), 0.5, iterations=v),

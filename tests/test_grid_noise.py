@@ -16,13 +16,11 @@ from svie.errors import ConfigurationError, NumericalError
 from svie.grid_noise import (
     LevyMeasure,
     MarkRule,
-    NoisePath,
+    NoiseBatch,
     _GK_WEIGHTS,
     _gauss_kronrod,
     build_grid,
     compensator_integral,
-    sample_brownian,
-    sample_jumps,
     sample_noise_ensemble,
     sample_noise_path,
 )
@@ -31,6 +29,11 @@ from svie.coefficients import MARK_INTEGRAL_REL_TOL, example_coefficients, linea
 E_XI = 1.6487212707001282  # E[xi] for the standard lognormal mark law
 E_XI_SQ = 7.38905609893065  # E[xi^2]
 E_XI_4TH = 2980.9579870417283  # E[xi^4]
+
+
+def increments(grid, lineage):
+    """One lineage's n increments, the row of its one-row batch."""
+    return sample_noise_path(grid, LevyMeasure.empty(), lineage).brownian[0]
 
 
 def test_grid_points_are_uniform_and_inclusive():
@@ -48,18 +51,18 @@ def test_grid_rejects_bad_parameters(horizon, steps):
 
 def test_brownian_increments_are_lineage_deterministic():
     grid = build_grid(1.0, 64)
-    a = sample_brownian(grid, (123, 7))
-    b = sample_brownian(grid, (123, 7))
+    a = increments(grid, (123, 7))
+    b = increments(grid, (123, 7))
     np.testing.assert_array_equal(a, b)
-    c = sample_brownian(grid, (123, 8))
+    c = increments(grid, (123, 8))
     assert not np.array_equal(a, c)
-    d = sample_brownian(grid, (124, 7))
+    d = increments(grid, (124, 7))
     assert not np.array_equal(a, d)
 
 
 def test_brownian_increment_moments():
     grid = build_grid(1.0, 4)
-    draws = np.array([sample_brownian(grid, (99, i)) for i in range(20000)])
+    draws = np.array([increments(grid, (99, i)) for i in range(20000)])
     assert abs(draws.mean()) < 4.0 * 0.5 / math.sqrt(draws.size)
     assert draws.var() == pytest.approx(grid.dt, rel=0.05)
 
@@ -67,28 +70,28 @@ def test_brownian_increment_moments():
 def test_lineage_bounds_are_enforced():
     grid = build_grid(1.0, 4)
     with pytest.raises(ConfigurationError):
-        sample_brownian(grid, (2**64, 0))
+        increments(grid, (2**64, 0))
     with pytest.raises(ConfigurationError):
-        sample_brownian(grid, (0, 2**32))
+        increments(grid, (0, 2**32))
     with pytest.raises(ConfigurationError):
-        sample_brownian(grid, (-1, 0))
+        increments(grid, (-1, 0))
     with pytest.raises(ConfigurationError):
-        sample_brownian(grid, (1.5, 0))
+        increments(grid, (1.5, 0))
     with pytest.raises(ConfigurationError):
-        sample_brownian(grid, (0, 0.5))
+        increments(grid, (0, 0.5))
     for lineage in ((math.nan, 0), (math.inf, 0), (0, math.nan)):
         with pytest.raises(ConfigurationError):
-            sample_brownian(grid, lineage)
+            increments(grid, lineage)
     with pytest.raises(ConfigurationError, match=r"^seed lineage must be a \(master_seed, path_index\) pair, got 5$"):
-        sample_brownian(grid, 5)
+        increments(grid, 5)
 
 
 def test_master_seeds_above_2_63_do_not_collide():
     grid = build_grid(1.0, 8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy warns when it casts a key entry through float64
-        assert not np.array_equal(sample_brownian(grid, (2**63, 0)), sample_brownian(grid, (2**63 + 1, 0)))
-        assert not np.array_equal(sample_brownian(grid, (2**64 - 1, 3)), sample_brownian(grid, (0, 3)))
+        assert not np.array_equal(increments(grid, (2**63, 0)), increments(grid, (2**63 + 1, 0)))
+        assert not np.array_equal(increments(grid, (2**64 - 1, 3)), increments(grid, (0, 3)))
 
 
 @pytest.mark.parametrize("seed", [0, 5, 2**53 + 1, 2**62 + 7, 2**63 - 1])
@@ -125,7 +128,7 @@ def test_a_reset_generator_draws_as_a_fresh_one(lineage, role):
         # and so does the sampler, at the lineage itself
         grid = build_grid(1.0, 16)
         want = math.sqrt(grid.dt) * np.random.Generator(np.random.Philox(key=key)).standard_normal(16)
-        got = sample_noise_path(grid, LevyMeasure.lognormal(4.0), lineage).brownian
+        got = sample_noise_path(grid, LevyMeasure.lognormal(4.0), lineage).brownian[0]
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -151,8 +154,8 @@ def test_drawing_a_path_reads_no_os_entropy(monkeypatch):
 def test_empty_measure_has_no_jumps():
     grid = build_grid(1.0, 8)
     measure = LevyMeasure.empty()
-    times, marks = sample_jumps(grid, measure, (5, 0))
-    assert times.size == 0 and marks.size == 0
+    path = sample_noise_path(grid, measure, (5, 0))
+    assert path.jump_times.size == 0 and path.jump_marks.size == 0
     assert measure.integrate(lambda xi: xi * xi) == 0.0
 
 
@@ -174,7 +177,7 @@ def test_jump_times_sorted_inside_window_and_marks_positive():
 def test_jump_count_matches_poisson_mean():
     grid = build_grid(2.0, 4)
     measure = LevyMeasure.lognormal(3.0)
-    counts = np.array([sample_jumps(grid, measure, (7, i))[0].size for i in range(20000)])
+    counts = np.array([sample_noise_path(grid, measure, (7, i)).jump_times.size for i in range(20000)])
     mean = measure.total_mass * grid.horizon
     assert counts.mean() == pytest.approx(mean, rel=0.05)
     assert counts.var() == pytest.approx(mean, rel=0.05)
@@ -417,7 +420,7 @@ def test_noise_ensemble_uses_consecutive_lineages(master_seed, measure):
         own = batch.jump_paths == idx
         for row, alone in zip(
             (batch.brownian[idx], batch.jump_times[own], batch.jump_marks[own]),
-            (solo.brownian, solo.jump_times, solo.jump_marks),
+            (solo.brownian[0], solo.jump_times, solo.jump_marks),
         ):
             assert row.dtype == alone.dtype == np.float64
             assert np.array_equal(row.view(np.uint64), alone.view(np.uint64))
@@ -441,8 +444,8 @@ def test_noise_ensemble_checks_its_lineage_range_before_the_first_draw(monkeypat
 @pytest.mark.parametrize(
     "bad_marks, message",
     [
-        (lambda size: np.full(size, math.nan), "jump_marks must be finite"),
-        (lambda size: np.where(np.arange(size) == size - 1, math.inf, 1.0), "jump_marks must be finite"),
+        (lambda size: np.full(size, math.nan), r"noise\.jump_marks must be finite"),
+        (lambda size: np.where(np.arange(size) == size - 1, math.inf, 1.0), r"noise\.jump_marks must be finite"),
         (lambda size: np.ones(size + 1), r"mark_sampler returned shape \(\d+,\), expected \(\d+,\)"),
         (lambda size: np.ones((size, 1)), r"mark_sampler returned shape \(\d+, 1\), expected \(\d+,\)"),
     ],
@@ -456,10 +459,15 @@ def test_noise_ensemble_rejects_marks_a_noise_path_rejects(bad_marks, message):
             draw()
 
 
-def test_noise_path_accepts_a_well_formed_hand_built_path():
+def test_noise_batch_of_accepts_a_well_formed_hand_built_path():
     grid = build_grid(1.0, 4)
-    path = NoisePath(grid, np.zeros(4), np.array([0.3, 0.3, 1.0]), np.ones(3), (0, 0))
-    assert path.jump_times.size == 3
+    batch = NoiseBatch.of(grid, np.zeros((1, 4)), [(np.array([0.3, 0.3, 1.0]), np.ones(3))])
+    assert batch.jump_times.size == 3
+    assert batch.jump_cells.tolist() == [0, 0, 2, 2, 3]
+    # nested lists lay out as arrays, so a solve reads them as it reads a drawn batch
+    listed = NoiseBatch.of(grid, [[0.0] * 4], [([0.3, 0.3, 1.0], [1.0] * 3)])
+    assert all(np.array_equal(a, b) for a, b in zip(listed[1:], batch[1:]))
+    assert isinstance(listed.brownian, np.ndarray)
 
 
 @pytest.mark.parametrize(
@@ -479,9 +487,41 @@ def test_noise_path_accepts_a_well_formed_hand_built_path():
         (np.zeros(4), np.array([0.2, 0.5]), np.ones(1)),  # 2 times, 1 mark
     ],
 )
-def test_noise_path_rejects_malformed_inputs(brownian, times, marks):
+def test_noise_batch_of_rejects_malformed_inputs(brownian, times, marks):
+    # one path: its increments are row 0, its jumps the one train
     with pytest.raises(ConfigurationError):
-        NoisePath(build_grid(1.0, 4), brownian, times, marks, (0, 0))
+        NoiseBatch.of(build_grid(1.0, 4), brownian[np.newaxis], [(times, marks)])
+
+
+@pytest.mark.parametrize(
+    "brownian,trains,message",
+    [
+        (np.zeros(4), [(np.empty(0), np.empty(0))], r"^noise\.brownian must have shape \(paths, 4\)"),
+        (np.zeros((2, 4)), [(np.empty(0), np.empty(0))], r"^need one jump train per row: 1 trains for 2 rows$"),
+        (np.zeros((0, 4)), [], r"^noise\.brownian must have shape \(paths, 4\) with paths >= 1, got \(0, 4\)$"),
+        (np.zeros((2, 4)), [(np.empty(0), np.empty(0)), (np.array([0.2, 0.5]), np.ones(1))], r"^jump train 1 needs"),
+        (np.zeros((2, 4)), [(np.array([0.5]), np.ones(1)), (np.array([0.6, 0.4]), np.ones(2))], r"in time order$"),
+    ],
+    ids=["one-path-not-a-row", "a-train-short", "no-rows", "second-train-misaligned", "second-train-unsorted"],
+)
+def test_noise_batch_of_names_what_is_malformed(brownian, trains, message):
+    with pytest.raises(ConfigurationError, match=message):
+        NoiseBatch.of(build_grid(1.0, 4), brownian, trains)
+
+
+def test_noise_batch_of_merges_sorted_trains_in_row_order():
+    # equal times keep row order; a row's own jumps keep their train order
+    grid = build_grid(1.0, 4)
+    trains = [
+        (np.array([0.5, 0.5, 0.9]), np.array([1.0, 2.0, 3.0])),
+        (np.empty(0), np.empty(0)),
+        (np.array([0.2, 0.5]), np.array([4.0, 5.0])),
+    ]
+    batch = NoiseBatch.of(grid, np.zeros((3, 4)), trains)
+    assert batch.jump_times.tolist() == [0.2, 0.5, 0.5, 0.5, 0.9]
+    assert batch.jump_marks.tolist() == [4.0, 1.0, 2.0, 5.0, 3.0]
+    assert batch.jump_paths.tolist() == [2, 0, 0, 2, 0]
+    assert batch.jump_cells.tolist() == [0, 1, 4, 4, 5]
 
 
 def test_integrate_returns_the_shape_of_fn():

@@ -29,6 +29,13 @@ def tiny_simulate(tmp_path):
     return ["-m", "svie", "simulate", "--config", str(config), "--out", str(tmp_path / "out")]
 
 
+def tiny_picard(tmp_path):
+    # the one run through the tracer's cli.sample_noise_path wrapper
+    config = tmp_path / "picard.cfg"
+    config.write_text(emit_config(RunConfig(steps=4, paths=2)), encoding="utf-8")
+    return ["-m", "svie", "picard", "--config", str(config), "--out", str(tmp_path / "out")]
+
+
 def tiny_quad(tmp_path):
     return [str(PERFBENCH / "quad_workload.py"), "--seed", "0", "--steps", "4", "--paths", "2",
             "--out", str(tmp_path / "paths.json")]  # fmt: skip
@@ -39,12 +46,15 @@ def tiny_quad(tmp_path):
     [
         ("spans", tiny_verify),
         ("spans", tiny_simulate),
+        ("spans", tiny_picard),
         ("spans", tiny_quad),
         ("kernels", tiny_verify),
         ("kernels", tiny_simulate),
+        ("kernels", tiny_picard),
         ("kernels", tiny_quad),
     ],
-    ids=["spans-verify", "spans-simulate", "spans-quad", "kernels-verify", "kernels-simulate", "kernels-quad"],
+    ids=["spans-verify", "spans-simulate", "spans-picard", "spans-quad", "kernels-verify", "kernels-simulate",
+         "kernels-picard", "kernels-quad"],  # fmt: skip
 )
 def test_tracer_runs_a_tiny_workload(mode, workload, tmp_path, child_env):
     trace = tmp_path / "trace.json"

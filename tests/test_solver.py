@@ -22,7 +22,6 @@ from svie.grid_noise import (
     LevyMeasure,
     MarkRule,
     NoiseBatch,
-    NoisePath,
     build_grid,
     compensator_integral,
     sample_noise_ensemble,
@@ -39,15 +38,17 @@ from svie.solver import (
 )
 
 
-def quiet_path(grid, jump_times=(), jump_marks=()):
-    """A noise path with zero Brownian increments and prescribed jumps."""
-    return NoisePath(
-        grid=grid,
-        brownian=np.zeros(grid.steps),
-        jump_times=np.asarray(jump_times, dtype=np.float64),
-        jump_marks=np.asarray(jump_marks, dtype=np.float64),
-        lineage=(0, 0),
-    )
+def quiet_path(grid, jump_times=(), jump_marks=(), brownian=None):
+    """One path's noise, a one-row batch: prescribed jumps, and zero Brownian increments unless given."""
+    increments = np.zeros(grid.steps) if brownian is None else np.asarray(brownian, dtype=np.float64)
+    train = (np.asarray(jump_times, dtype=np.float64), np.asarray(jump_marks, dtype=np.float64))
+    return NoiseBatch.of(grid, increments[np.newaxis], [train])
+
+
+def stacked(noises):
+    """The batch whose row p is the one-row batch ``noises[p]``."""
+    brownian = np.concatenate([noise.brownian for noise in noises])
+    return NoiseBatch.of(noises[0].grid, brownian, [(noise.jump_times, noise.jump_marks) for noise in noises])
 
 
 def jump_only_coefficients():
@@ -95,13 +96,7 @@ def test_brownian_only_recursion_accumulates_increments():
         measure=LevyMeasure.empty(),
         name="unit-diffusion",
     )
-    noise = NoisePath(
-        grid=grid,
-        brownian=np.array([0.3, -0.2]),
-        jump_times=np.empty(0),
-        jump_marks=np.empty(0),
-        lineage=(0, 0),
-    )
+    noise = quiet_path(grid, brownian=[0.3, -0.2])
     np.testing.assert_allclose(direct_recursion(coeffs, noise).values, [1.0, 1.3, 1.1], atol=0.0)
 
 
@@ -163,20 +158,20 @@ def test_overflow_in_a_later_row_is_reported_where_that_row_is_reached():
         measure=LevyMeasure.empty(),
         name="overflow-at-row-3",
     )
-    noise = dataclasses.replace(quiet_path(grid), brownian=np.array([1.0, 1.0, 0.0, 0.0]))
+    noise = quiet_path(grid, brownian=[1.0, 1.0, 0.0, 0.0])
     with pytest.raises(ExplosionError) as info:
         direct_recursion(coeffs, noise)
     assert info.value.grid_index == 3
     # the Picard sweep from phi meets the same nan; it parks the row it
     # stopped on and the row it never reached at 0
-    stream = _iterates(coeffs, NoiseBatch.of([noise]))
+    stream = _iterates(coeffs, noise)
     next(stream)
     state, explosion = next(stream)
     assert explosion.tolist() == [3]
     np.testing.assert_array_equal(state, [[1.0, 1.0, 1.0, 0.0, 0.0]])
     # a quiet path in the same batch keeps its own, finite solution
     out = np.empty((2, grid.steps + 1))
-    assert _sweep(coeffs, NoiseBatch.of([noise, quiet_path(grid)]), out, out).tolist() == [3, -1]
+    assert _sweep(coeffs, stacked([noise, quiet_path(grid)]), out, out).tolist() == [3, -1]
     assert bitwise_equal(out[1], direct_recursion(coeffs, quiet_path(grid)).values)
 
 
@@ -185,12 +180,12 @@ def test_a_jump_free_model_ignores_the_jumps_of_its_noise():
     coeffs = dataclasses.replace(example_coefficients(0.02, rate=40.0), jump=None, compensator=None)
     grid = build_grid(0.5, 16)
     brownian = np.random.default_rng(5).normal(0.0, math.sqrt(grid.dt), grid.steps)
-    jumpy = dataclasses.replace(quiet_path(grid, (0.1, 0.11, 0.3, 0.5), (2.0, 0.5, 3.0, 1.0)), brownian=brownian)
-    plain = dataclasses.replace(quiet_path(grid), brownian=brownian)
+    jumpy = quiet_path(grid, (0.1, 0.11, 0.3, 0.5), (2.0, 0.5, 3.0, 1.0), brownian)
+    plain = quiet_path(grid, brownian=brownian)
     expected = direct_recursion(coeffs, plain).values
     assert bitwise_equal(direct_recursion(coeffs, jumpy).values, expected)
     out = np.empty((2, grid.steps + 1))
-    assert _sweep(coeffs, NoiseBatch.of([quiet_path(grid, (0.2,), (5.0,)), jumpy]), out, out).tolist() == [-1, -1]
+    assert _sweep(coeffs, stacked([quiet_path(grid, (0.2,), (5.0,)), jumpy]), out, out).tolist() == [-1, -1]
     assert bitwise_equal(out[1], expected)
 
 
@@ -201,7 +196,7 @@ def loop_reference(coeffs, noise):
     for i, t in enumerate(pts):
         val = float(coeffs.initial(t))
         for j in range(i):
-            val += coeffs.drift(t, pts[j], x[j]) * dt + coeffs.diffusion(t, pts[j], x[j]) * noise.brownian[j]
+            val += coeffs.drift(t, pts[j], x[j]) * dt + coeffs.diffusion(t, pts[j], x[j]) * noise.brownian[0, j]
             val -= coeffs.compensator(t, pts[j], x[j]) * dt
         for tau, xi in zip(noise.jump_times, noise.jump_marks):
             if tau <= t:
@@ -319,6 +314,25 @@ def test_a_separable_factor_that_does_not_fit_the_grid_is_named(term, part):
     message = rf"^f: term 0 {part} gave shape \(3,\), which does not broadcast to \(9,\)$"
     with pytest.raises(ConfigurationError, match=message):
         direct_recursion(coeffs, quiet_path(build_grid(1.0, 8)))
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        direct_recursion,
+        lambda coeffs, noise: picard_solve(coeffs, noise),
+        lambda coeffs, noise: picard_iterates(coeffs, noise, ()),
+    ],
+    ids=["direct_recursion", "picard_solve", "picard_iterates"],
+)
+def test_a_single_path_solve_rejects_a_batch_of_two_rows(solve):
+    grid = build_grid(1.0, 4)
+    two = stacked([quiet_path(grid), quiet_path(grid, (0.5,), (1.0,))])
+    with pytest.raises(ConfigurationError, match=r"^a single-path solve needs a one-row NoiseBatch, got 2 rows$"):
+        solve(deterministic_ode_coefficients(), two)
+    # and checks the batch where it enters, as every solve does
+    with pytest.raises(ConfigurationError, match=r"^noise\.brownian must be finite$"):
+        solve(deterministic_ode_coefficients(), quiet_path(grid)._replace(brownian=np.full((1, 4), math.nan)))
 
 
 def test_first_iterate_uses_initial_curve_everywhere():
@@ -486,7 +500,7 @@ def test_quadrature_compensator_rows_do_not_depend_on_the_batch():
 
 def batch_iterates(coeffs, noises, keep):
     """Iterates {k: (paths, n + 1) block} of one batched Picard stream; no path may explode."""
-    stream = dict(zip(range(max(keep) + 1), _iterates(coeffs, NoiseBatch.of(noises))))
+    stream = dict(zip(range(max(keep) + 1), _iterates(coeffs, stacked(noises))))
     assert (stream[max(keep)][1] < 0).all()
     return {k: stream[k][0] for k in keep}
 
