@@ -519,7 +519,7 @@ class NoiseBatch(NamedTuple):
     ``sample_noise_path`` and ``sample_noise_ensemble`` draw every lineage with one generator, reset per
     stream, straight into the rows and the jump trains, which ``of`` lays out once.  In a 256 x 500
     ``svie simulate``, which peaks near 41 MB RSS, the batch and the solution hold about 1 MB each and
-    the interpreter and numpy 30 MB; paths.csv is written path by path, the moments 32 columns at a time.
+    the interpreter and numpy 30 MB; the moments take 32 columns at a time, and paths.csv 16 paths once it is freed.
     """
 
     grid: TimeGrid

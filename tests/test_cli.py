@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import PurePosixPath
 
@@ -369,6 +370,28 @@ def test_simulate_moments_hold_a_fraction_of_a_solution_block(tmp_path, monkeypa
     finally:
         tracemalloc.stop()
     assert peak <= 0.6 * ensemble.values.nbytes
+
+
+def test_simulate_frees_the_noise_batch_before_it_writes_paths_csv(tmp_path, monkeypatch):
+    brownian = []
+
+    def solve(*args):
+        ensemble = solver.ensemble_simulate(*args)
+        brownian.append(weakref.ref(ensemble.noise.brownian))
+        return ensemble
+
+    freed = []
+    write = cli._paths_csv
+
+    def paths_csv(fh, times, values):
+        freed.append(brownian[0]() is None)
+        write(fh, times, values)
+
+    monkeypatch.setattr(cli, "ensemble_simulate", solve)
+    monkeypatch.setattr(cli, "_paths_csv", paths_csv)
+    assert cli.cmd_simulate(RunConfig(steps=16, paths=20), tmp_path) == 0
+    assert freed == [True]
+    assert (tmp_path / "summary.json").is_file()
 
 
 def test_simulate_seed_override_changes_paths(tmp_path):

@@ -90,6 +90,15 @@ def test_only_verify_loads_the_analysis_layer(command, loads_analysis, tmp_path,
     assert out.splitlines()[-1] == str(loads_analysis)
 
 
+@pytest.mark.parametrize(("command", "loads_writer"), [("simulate", True), ("picard", False), ("verify", False)])
+def test_only_simulate_loads_the_paths_csv_formatter(command, loads_writer, tmp_path, child_env):
+    config = tmp_path / "run.cfg"
+    config.write_text(emit_config(RunConfig(steps=4, paths=2)), encoding="utf-8")
+    code = "import sys\nfrom svie.cli import main\nmain(sys.argv[1:])\nprint('svie._csv_rows' in sys.modules)"
+    out = _child(code, child_env, command, "--config", str(config), "--out", str(tmp_path / "out"))
+    assert out.splitlines()[-1] == str(loads_writer)
+
+
 def test_a_module_is_an_attribute_after_a_bare_import(child_env):
     code = "import svie\nprint(svie.analysis.doob_check is svie.doob_check, svie.solver.__name__)"
     assert _child(code, child_env) == "True svie.solver"
