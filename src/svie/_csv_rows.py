@@ -6,12 +6,15 @@ Every finite |x| in [1e-4, 1e16) has such an X, and its digits are built here fo
 integer and float64 array arithmetic: with k = 16 - floor(log10 |x|), 10**k is an exact double (k <= 21)
 and Dekker's two-product splits |x| * 10**k exactly into p + e, where p >= 1e16 > 2**53 is an even
 integer, so ``int(p) + rint(e)`` is the rounded 17-digit significand, rint's ties to even being ties to
-even on it (T. J. Dekker, Numer. Math. 18, 1971).  Any other value (0, -0, nan, inf, subnormal or
-exponent form) is formatted by one ``'%-24.17g'`` template per block, which is at most 24 characters.
+even on it (T. J. Dekker, Numer. Math. 18, 1971).
 
 Each number is laid out in fixed columns padded with spaces, which no field of the file contains: a
 block of paths is a (paths, n + 1, width) uint8 array of ``pid``, ``,t,``, ``x`` and ``\\n`` fields,
-and ``bytes.translate`` deletes the padding.  Only ``svie simulate`` imports this module.
+and ``bytes.translate`` deletes the padding.  The few other values of such a block (0, -0, nan, inf,
+subnormal or exponent form) take a placeholder in the array pass and are then formatted by one
+``'%-24.17g'`` template, at most 24 characters each.  A block of which fewer than half the values are
+in that range is written as one line template per path, a ``'%.17g'`` per value, since the array pass
+would cost more than it saves there.  Only ``svie simulate`` imports this module.
 """
 
 from __future__ import annotations
@@ -20,8 +23,10 @@ import numpy as np
 
 __all__ = ["write_rows"]
 
+_NUMBER = "%.17g"  # every number of paths.csv: 17 significant digits read back as the same double
 _PAD = 32  # b" "
-_X_WIDTH = 24  # the longest '%.17g' of a double: '-1.2345678901234567e-308'
+_X_WIDTH = 24  # the longest _NUMBER of a double: '-1.2345678901234567e-308'
+_PADDED = f"%-{_X_WIDTH}{_NUMBER[1:]}".encode()  # an x field of a value outside the fast range
 # at most this many paths per block, and blocks of no more than about _BLOCK_VALUES numbers
 _BLOCK_PATHS = 16
 _BLOCK_VALUES = 4112  # 16 paths x 257 grid times
@@ -92,14 +97,20 @@ def _significand(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     return p.astype(np.int64) + np.rint(e).astype(np.int64)
 
 
-def _format(values: np.ndarray, out: np.ndarray) -> None:
-    """Write '%.17g' of each value, space padded, into the rows of ``out``, a (values, 24) uint8 view.
-
-    Each intermediate array is deleted once used, so that a block's working set stays near 100 bytes a value.
-    """
+def _in_fast_range(values: np.ndarray) -> np.ndarray:
+    """Where 1e-4 <= |value| < 1e16, the values whose digits the array pass builds."""
     a = np.abs(values)
     with np.errstate(invalid="ignore"):
-        fast = (a >= 1e-4) & (a < 1e16)
+        return (a >= 1e-4) & (a < 1e16)
+
+
+def _format(values: np.ndarray, fast: np.ndarray, out: np.ndarray) -> None:
+    """Write _NUMBER of each value, space padded, into the rows of ``out``, a (values, 24) uint8 view.
+
+    ``fast`` is ``_in_fast_range(values)``.  Each intermediate array is deleted once used, so that a
+    block's working set stays near 100 bytes a value.
+    """
+    a = np.abs(values)
     slow = None if fast.all() else np.flatnonzero(~fast)
     if slow is not None:
         a[slow] = 1.0
@@ -143,7 +154,7 @@ def _format(values: np.ndarray, out: np.ndarray) -> None:
         words[:, word] = field
 
     if slow is not None:
-        text = (b"%-24.17g" * len(slow)) % tuple(values[slow].tolist())
+        text = (_PADDED * len(slow)) % tuple(values[slow].tolist())
         out[slow] = np.frombuffer(text, np.uint8).reshape(-1, _X_WIDTH)
 
 
@@ -152,20 +163,25 @@ def write_rows(fh, times: np.ndarray, values: np.ndarray) -> None:
     values = np.asarray(values, dtype=np.float64)
     n_paths, width = values.shape
     id_width = len(str(n_paths - 1))
-    tails = [b",%.17g," % float(t) for t in times]
+    tails = ["," + _NUMBER % float(t) + "," for t in times]
+    templates = ["", *(tail + _NUMBER + "\n" for tail in tails)]  # joined by a pid, a path's lines
     t_width = max(map(len, tails))
     x_start = id_width + t_width
     line = x_start + _X_WIDTH + 1
     per_block = max(1, min(_BLOCK_PATHS, _BLOCK_VALUES // width))
 
     block = np.empty((per_block, width, line), np.uint8)
-    tails = np.frombuffer(b"".join(tail.ljust(t_width) for tail in tails), np.uint8)
+    tails = np.frombuffer("".join(tail.ljust(t_width) for tail in tails).encode("ascii"), np.uint8)
     block[:, :, id_width:x_start] = tails.reshape(width, t_width)
     block[:, :, -1] = 10  # b"\n"
     lines = block.reshape(-1, line)
     for start in range(0, n_paths, per_block):
         rows = values[start : start + per_block]
+        fast = _in_fast_range(rows)
+        if 2 * np.count_nonzero(fast) < fast.size:
+            fh.writelines(str(pid).join(templates) % tuple(row.tolist()) for pid, row in enumerate(rows, start))
+            continue
         ids = b"".join(b"%-*d" % (id_width, pid) for pid in range(start, start + len(rows)))
         block[: len(rows), :, :id_width] = np.frombuffer(ids, np.uint8).reshape(len(rows), 1, id_width)
-        _format(rows.reshape(-1), lines[: rows.size, x_start:-1])
+        _format(rows.reshape(-1), fast.reshape(-1), lines[: rows.size, x_start:-1])
         fh.write(lines[: rows.size].tobytes().translate(None, b" ").decode("ascii"))

@@ -220,7 +220,7 @@ def moment_check(ensemble: Ensemble, coeffs: CoefficientSet) -> MomentReport:
     exploded = int(ensemble.exploded.sum())
     if exploded == ensemble.n_paths:
         raise AnalysisError("every path exploded; no surviving paths to estimate moments")
-    _, estimates, stderrs = _survivor_moments(ensemble)  # an inf estimate fails
+    _, estimates, stderrs = _survivor_moments(ensemble.values, ensemble.exploded)  # an inf estimate fails
     passes = estimates - 4.0 * stderrs <= bound
     return MomentReport(
         times=ensemble.grid.points,

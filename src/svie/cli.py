@@ -192,9 +192,10 @@ def _fmt(x: float) -> str:
 
 
 def _paths_csv(fh, times: np.ndarray, values: np.ndarray) -> None:
-    """Write paths.csv to ``fh``: a ``path_id,t,x`` line per path and grid time, numbers as ``_fmt`` writes them.
+    """Write paths.csv to ``fh``: a ``path_id,t,x`` line per path and grid time.
 
-    Imported here, only simulate loads ``_csv_rows``, which formats 16 paths at a time by array arithmetic.
+    ``_csv_rows`` writes every number as ``'%.17g'`` does, 16 paths at a time by array arithmetic.
+    Imported here, only simulate loads it.
     """
     from ._csv_rows import write_rows
 
@@ -216,26 +217,30 @@ def _write_json(path: Path, obj) -> None:
 
 
 def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
-    """Simulate the configured ensemble; write paths.csv and summary.json, freeing the noise batch first."""
+    """Simulate the configured ensemble; write paths.csv and summary.json.
+
+    The ensemble and its noise batch are freed as soon as the solve returns, before the moments and the
+    paths.csv formatter allocate anything.
+    """
     grid = build_grid(config.horizon, config.steps)
     coeffs, _ = _build_model(config)
     ensemble = ensemble_simulate(coeffs, grid, config.paths, config.master_seed)
-    if ensemble.exploded.all():
+    values, exploded = ensemble.values, ensemble.exploded
+    del ensemble
+    if exploded.all():
         mean = second = second_se = None
     else:  # a moment past the largest double is written as null
-        mean, second, second_se = ([_json_num(v) for v in a] for a in _survivor_moments(ensemble))
+        mean, second, second_se = ([_json_num(v) for v in a] for a in _survivor_moments(values, exploded))
     summary = {
         "schema": "svie-summary/1",
         "config": _config_echo(config),
-        "n_paths": ensemble.n_paths,
-        "exploded_paths": int(ensemble.exploded.sum()),
+        "n_paths": len(values),
+        "exploded_paths": int(exploded.sum()),
         "times": [float(t) for t in grid.points],
         "mean": mean,
         "second_moment": second,
         "second_moment_stderr": second_se,
     }
-    values = ensemble.values
-    del ensemble
     with open(out_dir / "paths.csv", "w", encoding="utf-8") as fh:
         _paths_csv(fh, grid.points, values)
     _write_json(out_dir / "summary.json", summary)

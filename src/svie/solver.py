@@ -418,7 +418,7 @@ def _by_columns(stat: Callable, values: np.ndarray, rows=slice(None)) -> tuple[n
 
 
 @np.errstate(over="ignore")  # a moment past the largest double is inf
-def _survivor_moments(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per grid time, the mean of x and ``mean_stderr`` of x^2 over the paths that did not explode."""
-    rows = ~ensemble.exploded if ensemble.exploded.any() else slice(None)
-    return _by_columns(lambda x: (np.mean(x, axis=0), *mean_stderr(x * x)), ensemble.values, rows)
+def _survivor_moments(values: np.ndarray, exploded: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per grid time, the mean of x and ``mean_stderr`` of x^2 over the rows of ``values`` not ``exploded``."""
+    rows = ~exploded if exploded.any() else slice(None)
+    return _by_columns(lambda x: (np.mean(x, axis=0), *mean_stderr(x * x)), values, rows)

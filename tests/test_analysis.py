@@ -736,7 +736,7 @@ def test_survivor_moments_equal_the_whole_survivor_block_statistics_bitwise(widt
     ens = _spread_ensemble(width, exploded)
     survivors = ens.survivors
     want = (np.mean(survivors, axis=0), *mean_stderr(survivors * survivors))
-    got = solver._survivor_moments(ens)
+    got = solver._survivor_moments(ens.values, ens.exploded)
     assert all(bitwise_equal(g, w) for g, w in zip(got, want))
     report = moment_check(ens, zero_coefficients())
     assert bitwise_equal(report.estimates, want[1]) and bitwise_equal(report.stderrs, want[2])

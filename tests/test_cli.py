@@ -372,7 +372,7 @@ def test_simulate_moments_hold_a_fraction_of_a_solution_block(tmp_path, monkeypa
     assert peak <= 0.6 * ensemble.values.nbytes
 
 
-def test_simulate_frees_the_noise_batch_before_it_writes_paths_csv(tmp_path, monkeypatch):
+def test_simulate_frees_the_noise_batch_before_the_moments_and_paths_csv(tmp_path, monkeypatch):
     brownian = []
 
     def solve(*args):
@@ -381,16 +381,21 @@ def test_simulate_frees_the_noise_batch_before_it_writes_paths_csv(tmp_path, mon
         return ensemble
 
     freed = []
-    write = cli._paths_csv
+    write, moments = cli._paths_csv, cli._survivor_moments
 
     def paths_csv(fh, times, values):
-        freed.append(brownian[0]() is None)
+        freed.append(("paths.csv", brownian[0]() is None))
         write(fh, times, values)
+
+    def survivor_moments(values, exploded):
+        freed.append(("moments", brownian[0]() is None))
+        return moments(values, exploded)
 
     monkeypatch.setattr(cli, "ensemble_simulate", solve)
     monkeypatch.setattr(cli, "_paths_csv", paths_csv)
+    monkeypatch.setattr(cli, "_survivor_moments", survivor_moments)
     assert cli.cmd_simulate(RunConfig(steps=16, paths=20), tmp_path) == 0
-    assert freed == [True]
+    assert freed == [("moments", True), ("paths.csv", True)]
     assert (tmp_path / "summary.json").is_file()
 
 

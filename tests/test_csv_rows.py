@@ -18,7 +18,7 @@ def formatted(values) -> list[bytes]:
     values = np.asarray(values, dtype=np.float64)
     out = np.full((len(values), 25), 32, np.uint8)
     out[:, -1] = 10
-    _csv_rows._format(values, out[:, :24])
+    _csv_rows._format(values, _csv_rows._in_fast_range(values), out[:, :24])
     return out.tobytes().translate(None, b" ").split(b"\n")[:-1]
 
 
@@ -130,6 +130,19 @@ def test_every_block_size_and_id_width_writes_the_per_value_text():
         rows = zip(range(paths), values.tolist())
         want = "".join(f"{p},{t:.17g},{x:.17g}\n" for p, row in rows for t, x in zip(times.tolist(), row))
         assert buffer.getvalue() == want
+
+
+@pytest.mark.parametrize("in_range", [0, 4, 5, 6, 10], ids=lambda n: f"{n}-of-10-in-range")
+def test_blocks_mostly_out_of_the_fast_range_write_the_per_value_text(in_range):
+    # fewer than half the values in range: a line template per path; at least half: the array pass
+    rng = np.random.default_rng(4)
+    times = build_grid(0.5, 9).points
+    values = rng.normal(size=(20, 10))
+    values[:, in_range:] = rng.choice([0.0, -0.0, math.nan, math.inf, 1e20, -3e-7, 5e-324], size=(20, 10 - in_range))
+    buffer = io.StringIO()
+    _csv_rows.write_rows(buffer, times, values)
+    rows = zip(range(20), values.tolist())
+    assert buffer.getvalue() == "".join(f"{p},{t:.17g},{x:.17g}\n" for p, row in rows for t, x in zip(times.tolist(), row))
 
 
 def test_paths_csv_holds_a_tenth_of_the_solution_while_it_writes(tmp_path):

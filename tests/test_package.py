@@ -81,22 +81,18 @@ def test_the_set_up_names_load_only_the_modules_they_need(child_env):
     assert _child(code, child_env) == str(["svie.coefficients", "svie.errors", "svie.grid_noise"])
 
 
-@pytest.mark.parametrize(("command", "loads_analysis"), [("simulate", False), ("picard", False), ("verify", True)])
-def test_only_verify_loads_the_analysis_layer(command, loads_analysis, tmp_path, child_env):
+@pytest.mark.parametrize(
+    ("command", "loads_analysis", "loads_formatter"),
+    [("simulate", False, True), ("picard", False, False), ("verify", True, False)],
+)
+def test_only_verify_loads_the_analysis_layer(command, loads_analysis, loads_formatter, tmp_path, child_env):
+    # and only simulate loads the paths.csv formatter
     config = tmp_path / "run.cfg"
     config.write_text(emit_config(RunConfig(steps=4, paths=2)), encoding="utf-8")
-    code = "import sys\nfrom svie.cli import main\nmain(sys.argv[1:])\nprint('svie.analysis' in sys.modules)"
+    code = "import sys\nfrom svie.cli import main\nmain(sys.argv[1:])\n"
+    code += "print(['svie.analysis' in sys.modules, 'svie._csv_rows' in sys.modules])"
     out = _child(code, child_env, command, "--config", str(config), "--out", str(tmp_path / "out"))
-    assert out.splitlines()[-1] == str(loads_analysis)
-
-
-@pytest.mark.parametrize(("command", "loads_writer"), [("simulate", True), ("picard", False), ("verify", False)])
-def test_only_simulate_loads_the_paths_csv_formatter(command, loads_writer, tmp_path, child_env):
-    config = tmp_path / "run.cfg"
-    config.write_text(emit_config(RunConfig(steps=4, paths=2)), encoding="utf-8")
-    code = "import sys\nfrom svie.cli import main\nmain(sys.argv[1:])\nprint('svie._csv_rows' in sys.modules)"
-    out = _child(code, child_env, command, "--config", str(config), "--out", str(tmp_path / "out"))
-    assert out.splitlines()[-1] == str(loads_writer)
+    assert out.splitlines()[-1] == str([loads_analysis, loads_formatter])
 
 
 def test_a_module_is_an_attribute_after_a_bare_import(child_env):
